@@ -136,6 +136,9 @@ def read_image(path) -> np.ndarray:
         maxval = int(next_token())
     except ValueError:
         raise InputError(f"{path}: malformed header") from None
+    if w < 1 or h < 1:
+        raise InputError(f"{path}: width and height must be positive, "
+                         f"got {w}x{h}")
     if maxval < 1 or maxval > 255:
         raise InputError(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace byte after maxval

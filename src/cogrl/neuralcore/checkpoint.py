@@ -18,6 +18,7 @@ the architecture before loading parameters into it.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -45,16 +46,21 @@ def save_checkpoint(path, meta: dict, params: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (meta, {name: float64 array})."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0].split() != [MAGIC, str(VERSION)]:
         raise InputError(f"{path}: not a {MAGIC} version {VERSION} file")
     if len(lines) < 2 or not lines[1].startswith("meta "):
         raise InputError(f"{path}: missing meta record")
     try:
         meta = json.loads(lines[1][5:])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: bad meta JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise InputError(f"{path}: meta record is not a JSON object")
     params: dict[str, np.ndarray] = {}
     i = 2
     while i < len(lines):
@@ -71,12 +77,15 @@ def load_checkpoint(path):
             raise InputError(f"{path}: line {i + 1}: bad shape") from exc
         if len(shape) != ndim or i + 1 >= len(lines):
             raise InputError(f"{path}: line {i + 1}: truncated param record")
+        if any(d < 1 for d in shape):
+            raise InputError(
+                f"{path}: line {i + 1}: extents of {name} must be positive")
         tokens = lines[i + 1].split()
         try:
             values = np.array([float(t) for t in tokens], dtype=np.float64)
         except ValueError as exc:
             raise InputError(f"{path}: line {i + 2}: bad value: {exc}") from exc
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)
         if values.size != expected:
             raise InputError(
                 f"{path}: line {i + 2}: expected {expected} values for "

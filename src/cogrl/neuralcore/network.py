@@ -3,7 +3,9 @@
 A network maps one problem's content to class logits. The softmax
 cross-entropy head lives here so every architecture trains against the
 same loss; concrete architectures implement ``forward_logits``,
-``backward_from_logits`` and ``parameters``.
+``backward_from_logits`` and ``parameters``. An architecture whose
+contents are fixed-shape arrays can also take a stacked minibatch in one
+call (see ``Network.batch_first``).
 """
 
 from __future__ import annotations
@@ -19,23 +21,35 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def softmax_cross_entropy(logits: np.ndarray, label: int):
-    """Return (loss, probs, dlogits) for one sample.
+def softmax_cross_entropy(logits: np.ndarray, label):
+    """Return (loss, probs, dlogits) for (B, K) logits and B labels.
 
-    Computed through log-sum-exp so saturated logits stay finite; probs sum
-    to 1 up to roundoff and the loss is non-negative.
+    One sample, (K,) logits and an int label, runs as a batch of one and
+    returns a scalar loss and (K,) arrays. Computed through log-sum-exp so
+    saturated logits stay finite; probs sum to 1 up to roundoff and the
+    loss is non-negative.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if label < 0 or label >= logits.shape[0]:
+    labels = np.asarray(label)
+    if logits.ndim not in (1, 2) or labels.shape != logits.shape[:-1] \
+            or not np.issubdtype(labels.dtype, np.integer):
         raise DimensionError(
-            f"label {label} outside {logits.shape[0]}-class output")
-    z = logits - np.max(logits)
-    lse = np.log(np.sum(np.exp(z)))
-    loss = lse - z[label]
+            f"need (K,) logits with an int label or (B, K) logits with B "
+            f"labels, got {logits.shape} and {labels.shape}")
+    k = logits.shape[-1]
+    if np.any((labels < 0) | (labels >= k)):
+        raise DimensionError(f"label {label} outside {k}-class output")
+    z = logits.reshape(-1, k)
+    z = z - np.max(z, axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+    rows = np.arange(z.shape[0])
+    cols = labels.reshape(-1)
+    loss = lse[:, 0] - z[rows, cols]
     probs = np.exp(z - lse)
     dlogits = probs.copy()
-    dlogits[label] -= 1.0
-    return loss, probs, dlogits
+    dlogits[rows, cols] -= 1.0
+    return (loss.reshape(labels.shape)[()], probs.reshape(logits.shape),
+            dlogits.reshape(logits.shape))
 
 
 def check_finite(arr: np.ndarray, layer: str) -> np.ndarray:
@@ -51,7 +65,14 @@ class Network:
       forward_logits(content) -> (logits, cache)
       backward_from_logits(dlogits, cache) -> {param name: gradient}
       parameters() -> {param name: live array}
+
+    A subclass that sets ``batch_first = True`` takes contents that are
+    arrays of one shape, and its ``forward_logits`` also accepts them
+    stacked along a new leading axis, returning (B, K) logits; its
+    ``backward_from_logits`` then returns gradients summed over the batch.
     """
+
+    batch_first = False
 
     def forward_logits(self, content):
         raise NotImplementedError
@@ -76,9 +97,24 @@ class Network:
         return int(np.argmax(logits))
 
     def batch_loss_and_grads(self, batch):
-        """Mean loss over (content, label) pairs and its parameter gradients."""
+        """Mean loss over (content, label) pairs and its parameter gradients.
+
+        A ``batch_first`` network runs the whole minibatch as one forward and
+        one backward pass; any other runs one sample at a time, so it holds
+        only one sample's forward cache at once.
+        """
         if not batch:
             raise DimensionError("empty batch")
+        n = len(batch)
+        if self.batch_first:
+            contents = [np.asarray(c, dtype=np.float64) for c, _ in batch]
+            if len({c.shape for c in contents}) != 1:
+                raise DimensionError("minibatch contents differ in shape")
+            logits, cache = self.forward_logits(np.stack(contents))
+            losses, _, dlogits = softmax_cross_entropy(
+                logits, np.array([label for _, label in batch]))
+            return float(np.sum(losses)) / n, \
+                self.backward_from_logits(dlogits / n, cache)
         grads = {name: np.zeros_like(p) for name, p in self.parameters().items()}
         total = 0.0
         for content, label in batch:
@@ -88,7 +124,6 @@ class Network:
             for name in grads:
                 grads[name] += sample_grads[name]
             total += loss
-        n = len(batch)
         for name in grads:
             grads[name] /= n
         return total / n, grads

@@ -99,6 +99,7 @@ class ImageCNN(Network):
     """conv -> flatten -> sigmoid pre-output -> class logits."""
 
     variant = "image_cnn"
+    batch_first = True
 
     def __init__(self, spec: ImageArchSpec, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -115,13 +116,15 @@ class ImageCNN(Network):
         self.out = DenseLayer(spec.rep_size, spec.n_classes, "identity", rng)
 
     def forward_logits(self, image):
+        """Logits for one (C, H, W) image, or (B, K) logits for a
+        (B, C, H, W) stack of images."""
         image = np.asarray(image, dtype=np.float64)
-        if image.shape != self.spec.in_shape:
+        if image.ndim not in (3, 4) or image.shape[-3:] != self.spec.in_shape:
             raise DimensionError(
                 f"expected image shape {self.spec.in_shape}, got {image.shape}")
         conv_y, conv_cache = self.conv.forward(image)
         check_finite(conv_y, "conv")
-        flat = conv_y.reshape(-1)
+        flat = conv_y.reshape(image.shape[:-3] + (self.flat_size,))
         rep_y, rep_cache = self.rep.forward(flat)
         check_finite(rep_y, "rep")
         logits, out_cache = self.out.forward(rep_y)
@@ -133,7 +136,7 @@ class ImageCNN(Network):
         d_rep, out_grads = self.out.backward(dlogits, out_cache)
         d_flat, rep_grads = self.rep.backward(d_rep, rep_cache)
         _, conv_grads = self.conv.backward(
-            d_flat.reshape(self.conv_out_shape), conv_cache)
+            d_flat.reshape(d_flat.shape[:-1] + self.conv_out_shape), conv_cache)
         return {
             "conv.kernels": conv_grads["kernels"],
             "conv.gains": conv_grads["gains"],

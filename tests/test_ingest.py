@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cogrl.afm import Transaction, compute_opportunities
 from cogrl.apprentice import ARTICLE_FEATURE_NAMES
@@ -103,6 +105,34 @@ class TestImageIO:
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
         with pytest.raises(InputError, match="raster"):
             read_image(path)
+
+    def test_non_positive_dimensions_rejected(self, tmp_path):
+        path = tmp_path / "neg.pgm"
+        path.write_bytes(b"P5 -1 -1 255\n" + bytes(1))
+        with pytest.raises(InputError, match="positive"):
+            read_image(path)
+
+    # every example overwrites the same file, so sharing tmp_path is safe
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(
+        st.binary(max_size=200),
+        st.builds(
+            lambda magic, sep, w, h, maxval, raster:
+                magic + sep + f"{w} {h} {maxval}".encode() + sep + raster,
+            st.sampled_from([b"P5", b"P6", b"P2"]),
+            st.sampled_from([b" ", b"\n", b"\n# note\n"]),
+            st.integers(-3, 6), st.integers(-3, 6), st.integers(-1, 300),
+            st.binary(max_size=120))))
+    def test_arbitrary_bytes_parse_or_raise_input_error(self, tmp_path, blob):
+        path = tmp_path / "fuzz.pgm"
+        path.write_bytes(blob)
+        try:
+            img = read_image(path)
+        except InputError:
+            return
+        assert img.ndim == 3 and img.shape[0] in (1, 3)
+        assert min(img.shape) >= 1 and np.all(np.isfinite(img))
 
     def test_manifest_round_trip_and_mixed_channels(self, tmp_path):
         bundle = synth_visual(VisualSynthSpec(

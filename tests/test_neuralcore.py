@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cogrl.errors import DimensionError, InputError
 from cogrl.neuralcore import (
+    ACTIVATIONS,
     ConvLayer,
     DenseLayer,
     EmbeddingTable,
@@ -44,6 +45,57 @@ def conv_reference(x, kernels, gains, stride):
                             acc += x[i, pos_i - p, pos_j - q] * kernels[j, i, p, q]
                 y[j, a, b] = gains[j] * math.tanh(acc)
     return y
+
+
+def conv_tensordot_forward(x, kernels, gains, stride):
+    """The one-sample forward pass the batched ConvLayer replaced: one
+    tensordot per kernel offset over a (C, H, W) input. Returns (y, tanh)."""
+    out_ch, _, r, _ = kernels.shape
+    s = stride
+    oh = (x.shape[1] - r) // s + 1
+    ow = (x.shape[2] - r) // s + 1
+    z = np.zeros((out_ch, oh, ow))
+    for p in range(r):
+        for q in range(r):
+            patch = x[:,
+                      r - 1 - p: r - 1 - p + s * (oh - 1) + 1: s,
+                      r - 1 - q: r - 1 - q + s * (ow - 1) + 1: s]
+            z += np.tensordot(kernels[:, :, p, q], patch, axes=([1], [0]))
+    t = np.tanh(z)
+    return gains[:, None, None] * t, t
+
+
+def conv_tensordot_backward(x, t, dy, kernels, gains, stride):
+    """The one-sample backward pass the batched ConvLayer replaced; returns
+    (dx, dkernels, dgains)."""
+    r, s = kernels.shape[2], stride
+    oh, ow = dy.shape[1], dy.shape[2]
+    dgains = np.sum(dy * t, axis=(1, 2))
+    dz = dy * gains[:, None, None] * (1.0 - t * t)
+    dk = np.zeros_like(kernels)
+    dx = np.zeros_like(x)
+    for p in range(r):
+        for q in range(r):
+            isl = slice(r - 1 - p, r - 1 - p + s * (oh - 1) + 1, s)
+            jsl = slice(r - 1 - q, r - 1 - q + s * (ow - 1) + 1, s)
+            dk[:, :, p, q] = np.tensordot(dz, x[:, isl, jsl], axes=([1, 2], [1, 2]))
+            dx[:, isl, jsl] += np.tensordot(kernels[:, :, p, q], dz, axes=([0], [0]))
+    return dx, dk, dgains
+
+
+def softmax_cross_entropy_reference(logits, label):
+    """The one-sample log-sum-exp head the batched version replaced."""
+    z = logits - np.max(logits)
+    lse = np.log(np.sum(np.exp(z)))
+    probs = np.exp(z - lse)
+    dlogits = probs.copy()
+    dlogits[label] -= 1.0
+    return lse - z[label], probs, dlogits
+
+
+def assert_close(actual, expected):
+    """Equal within 1e-12, relative for entries larger than 1."""
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestConvForward:
@@ -359,6 +411,144 @@ class TestBackprop:
             _DenseNet(2, 2).batch_loss_and_grads([])
 
 
+class TestBatchEquivalence:
+    """Row b of a minibatch equals the single-sample result, and both equal
+    the per-sample code the batched layers replaced."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(in_ch=st.integers(1, 3), out_ch=st.integers(1, 3),
+           r=st.integers(1, 5), stride=st.integers(1, 3),
+           extra_h=st.integers(0, 6), extra_w=st.integers(0, 6),
+           batch=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_conv(self, in_ch, out_ch, r, stride, extra_h, extra_w, batch,
+                  seed):
+        rng = np.random.default_rng(seed)
+        conv = ConvLayer(in_ch, out_ch, r, stride, rng=rng)
+        conv.gains[:] = rng.uniform(0.5, 2.0, out_ch)
+        x = rng.uniform(-1, 1, (batch, in_ch, r + extra_h, r + extra_w))
+        y, cache = conv.forward(x)
+        dy = rng.uniform(-1, 1, y.shape)
+        dx, grads = conv.backward(dy, cache)
+        assert dx.shape == x.shape
+        dk_sum = np.zeros_like(conv.kernels)
+        dg_sum = np.zeros_like(conv.gains)
+        for b in range(batch):
+            y1, cache1 = conv.forward(x[b])
+            dx1, grads1 = conv.backward(dy[b], cache1)
+            y_ref, t_ref = conv_tensordot_forward(
+                x[b], conv.kernels, conv.gains, stride)
+            dx_ref, dk_ref, dg_ref = conv_tensordot_backward(
+                x[b], t_ref, dy[b], conv.kernels, conv.gains, stride)
+            for got in (y[b], y1):
+                assert_close(got, y_ref)
+            for got in (dx[b], dx1):
+                assert_close(got, dx_ref)
+            assert_close(grads1["kernels"], dk_ref)
+            assert_close(grads1["gains"], dg_ref)
+            dk_sum += dk_ref
+            dg_sum += dg_ref
+        assert_close(grads["kernels"], dk_sum)
+        assert_close(grads["gains"], dg_sum)
+
+    @settings(deadline=None, max_examples=60)
+    @given(in_size=st.integers(1, 6), out_size=st.integers(1, 6),
+           activation=st.sampled_from(sorted(ACTIVATIONS)),
+           batch=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_dense(self, in_size, out_size, activation, batch, seed):
+        rng = np.random.default_rng(seed)
+        layer = DenseLayer(in_size, out_size, activation, rng=rng)
+        layer.biases[:] = rng.uniform(-0.5, 0.5, out_size)
+        act, deriv = ACTIVATIONS[activation]
+        x = rng.uniform(-2, 2, (batch, in_size))
+        y, cache = layer.forward(x)
+        dy = rng.uniform(-1, 1, y.shape)
+        dx, grads = layer.backward(dy, cache)
+        dw_sum = np.zeros_like(layer.weights)
+        db_sum = np.zeros_like(layer.biases)
+        for b in range(batch):
+            y1, cache1 = layer.forward(x[b])
+            dx1, grads1 = layer.backward(dy[b], cache1)
+            # the matrix-vector code the batched layer replaced
+            y_ref = act(layer.weights @ x[b] + layer.biases)
+            da = dy[b] * deriv(y_ref)
+            for got in (y[b], y1):
+                assert_close(got, y_ref)
+            for got in (dx[b], dx1):
+                assert_close(got, layer.weights.T @ da)
+            assert_close(grads1["weights"], np.outer(da, x[b]))
+            assert_close(grads1["biases"], da)
+            dw_sum += np.outer(da, x[b])
+            db_sum += da
+        assert_close(grads["weights"], dw_sum)
+        assert_close(grads["biases"], db_sum)
+
+    @settings(deadline=None, max_examples=60)
+    @given(batch=st.integers(1, 8), k=st.integers(2, 6),
+           scale=st.sampled_from([0.1, 5.0, 100.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_softmax_cross_entropy(self, batch, k, scale, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(0.0, scale, (batch, k))
+        labels = rng.integers(0, k, batch)
+        loss, probs, dlogits = softmax_cross_entropy(logits, labels)
+        assert loss.shape == (batch,)
+        for b in range(batch):
+            single = softmax_cross_entropy(logits[b], int(labels[b]))
+            reference = softmax_cross_entropy_reference(logits[b], labels[b])
+            for got, ref in zip((loss[b], probs[b], dlogits[b]), reference):
+                assert_close(got, ref)
+            for got, ref in zip(single, reference):
+                assert_close(got, ref)
+
+    @settings(deadline=None, max_examples=40)
+    @given(channels=st.integers(1, 2), filters=st.integers(1, 3),
+           kernel=st.integers(1, 5), stride=st.integers(1, 3),
+           extra_h=st.integers(0, 5), extra_w=st.integers(0, 5),
+           batch=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_image_cnn_batch_is_mean_of_samples(self, channels, filters, kernel,
+                                                stride, extra_h, extra_w,
+                                                batch, seed):
+        from cogrl.representation import ImageArchSpec, build_image_cnn
+
+        rng = np.random.default_rng(seed)
+        spec = ImageArchSpec(
+            in_shape=(channels, kernel + extra_h, kernel + extra_w),
+            n_classes=3, filters=filters, kernel=kernel, stride=stride,
+            rep_size=4)
+        net = build_image_cnn(spec, seed=int(rng.integers(1000)))
+        samples = [(rng.uniform(0, 1, spec.in_shape), int(rng.integers(3)))
+                   for _ in range(batch)]
+        loss, grads = net.batch_loss_and_grads(samples)
+        # the per-sample loop Network.batch_loss_and_grads ran before
+        mean_loss = 0.0
+        mean_grads = {name: np.zeros_like(p)
+                      for name, p in net.parameters().items()}
+        for image, label in samples:
+            logits, cache = net.forward_logits(image)
+            sample_loss, _, dlogits = softmax_cross_entropy(logits, label)
+            for name, g in net.backward_from_logits(dlogits, cache).items():
+                mean_grads[name] += g / batch
+            mean_loss += sample_loss / batch
+        assert_close(loss, mean_loss)
+        assert set(grads) == set(mean_grads)
+        for name in grads:
+            assert_close(grads[name], mean_grads[name])
+
+    def test_image_cnn_ragged_minibatch_rejected(self):
+        from cogrl.representation import ImageArchSpec, build_image_cnn
+
+        net = build_image_cnn(ImageArchSpec(in_shape=(1, 6, 6), n_classes=2,
+                                            filters=2, kernel=3, stride=1,
+                                            rep_size=4))
+        with pytest.raises(DimensionError):
+            net.batch_loss_and_grads([(np.zeros((1, 6, 6)), 0),
+                                      (np.zeros((1, 6, 7)), 1)])
+
+    def test_softmax_cross_entropy_label_count_must_match(self):
+        with pytest.raises(DimensionError):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
+
+
 class TestGradCheck:
     def test_linear_net_tiny_error(self):
         net = _DenseNet(3, 2, seed=3)
@@ -445,6 +635,28 @@ class TestSGD:
             assert np.array_equal(a[k], b[k])
 
 
+@st.composite
+def checkpoint_like(draw):
+    """Bytes shaped like a checkpoint: the right header, then param records
+    whose ndim, extents and value counts agree only some of the time."""
+    lines = ["cogrl-checkpoint 1",
+             "meta " + draw(st.sampled_from(
+                 ["{}", "{}", '{"architecture": "t"}', "[]", "{"]))]
+    for _ in range(draw(st.integers(0, 3))):
+        extents = draw(st.lists(st.integers(-1, 2), max_size=3))
+        ndim = len(extents) + draw(st.sampled_from([0, 0, 1, -1]))
+        count = draw(st.sampled_from([abs(math.prod(extents)), 0, 1, 5]))
+        values = draw(st.lists(
+            st.sampled_from(["0", "1.5", "-2e3", "nan", "inf", "1e999"]),
+            min_size=count, max_size=count))
+        name = draw(st.sampled_from(["w", "b.x", ""]))
+        lines.append(f"param {name} {ndim} {' '.join(map(str, extents))}")
+        lines.append(" ".join(values))
+    tail = draw(st.sampled_from(
+        [b"end\n", b"end\n", b"", b"\xff\xfe", b"param 1"]))
+    return ("\n".join(lines) + "\n").encode() + tail
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -481,3 +693,24 @@ class TestCheckpoint:
         path.write_text("\n".join(lines[:-2]) + "\n")  # drop values + end
         with pytest.raises(InputError):
             load_checkpoint(path)
+
+    def test_rejects_non_positive_extents(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_text("cogrl-checkpoint 1\nmeta {}\nparam x 2 -1 -1\n0.5\n")
+        with pytest.raises(InputError, match="extents"):
+            load_checkpoint(path)
+
+    # every example overwrites the same file, so sharing tmp_path is safe
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(st.binary(max_size=200), checkpoint_like()))
+    def test_arbitrary_bytes_parse_or_raise_input_error(self, tmp_path, blob):
+        path = tmp_path / "fuzz.ckpt"
+        path.write_bytes(blob)
+        try:
+            meta, params = load_checkpoint(path)
+        except InputError:
+            return
+        assert isinstance(meta, dict)
+        for arr in params.values():
+            assert arr.dtype == np.float64 and min(arr.shape, default=1) >= 1
