@@ -148,6 +148,8 @@ def read_image(path) -> np.ndarray:
         raise InputError(f"{path}: expected {expected} raster bytes, "
                          f"got {len(raster)}")
     arr = np.frombuffer(raster, dtype=np.uint8).reshape(h, w, channels)
+    if arr.max() > maxval:
+        raise InputError(f"{path}: raster byte {arr.max()} above maxval {maxval}")
     return np.moveaxis(arr, 2, 0).astype(np.float64) / maxval
 
 

@@ -28,20 +28,25 @@ MAGIC = "cogrl-checkpoint"
 VERSION = 1
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+# values formatted per write; bounds the text held in memory at once
+CHUNK = 4096
 
 
 def save_checkpoint(path, meta: dict, params: dict[str, np.ndarray]) -> None:
-    lines = [f"{MAGIC} {VERSION}", "meta " + json.dumps(meta, sort_keys=True)]
-    for name, arr in params.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        dims = " ".join(str(d) for d in arr.shape)
-        lines.append(f"param {name} {arr.ndim} {dims}".rstrip())
-        lines.append(" ".join(_fmt(v) for v in arr.reshape(-1)))
-    lines.append("end")
+    """Write a checkpoint, streaming each parameter's values in chunks."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{MAGIC} {VERSION}\nmeta {json.dumps(meta, sort_keys=True)}\n")
+        for name, arr in params.items():
+            arr = np.asarray(arr, dtype=np.float64)
+            flat = arr.reshape(-1)
+            dims = " ".join(str(d) for d in arr.shape)
+            fh.write(f"param {name} {arr.ndim} {dims}".rstrip() + "\n")
+            for start in range(0, flat.size, CHUNK):
+                chunk = flat[start:start + CHUNK].tolist()
+                fh.write((" " if start else "")
+                         + " ".join(["%.17g"] * len(chunk)) % tuple(chunk))
+            fh.write("\n")
+        fh.write("end\n")
 
 
 def load_checkpoint(path):

@@ -11,8 +11,10 @@ outputs and input gradients with the same leading axis. Their parameter
 gradients are sums over the batch axis; callers that want a mean scale the
 incoming gradient. A single sample without the batch axis, ``(C, H, W)``
 or ``(in_size,)``, runs as a batch of one through the same code and comes
-back without the batch axis. ``LSTMCell`` and ``EmbeddingTable`` still work
-on one sequence at a time.
+back without the batch axis. ``LSTMCell`` is time-major: it runs a
+(T, B, input_size) minibatch of left-padded sequences under a (T, B) mask,
+and a (T, input_size) sequence as a batch of one. ``EmbeddingTable`` looks
+up ids of any shape and scatters gradients for a flat list of ids.
 
 Weight matrices are initialized uniformly on (-1/sqrt(fan_in), +1/sqrt(fan_in))
 from the generator passed in; biases start at zero, convolution gains at one,
@@ -30,14 +32,11 @@ from ..errors import ConfigurationError, DimensionError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, so exp never overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # activation -> (function, derivative expressed in terms of the output)
@@ -120,9 +119,11 @@ class ConvLayer:
         y = (self.gains[:, None, None, None] * t).transpose(1, 0, 2, 3)
         return (y[0] if single else y), (xc, t)
 
-    def backward(self, dy: np.ndarray, cache):
+    def backward(self, dy: np.ndarray, cache, input_grad: bool = True):
         """Input gradient shaped like the forward input, and the kernel and
-        gain gradients summed over the minibatch."""
+        gain gradients summed over the minibatch. With ``input_grad=False``
+        the input gradient is not computed and comes back as None, for a
+        first layer whose input needs no gradient."""
         xc, t = cache
         dy = np.asarray(dy, dtype=np.float64)
         single = dy.ndim == 3
@@ -132,14 +133,17 @@ class ConvLayer:
         dz = (dyc * self.gains[:, None, None, None] * (1.0 - t * t)).reshape(
             self.out_channels, -1)
         dk = np.zeros_like(self.kernels)
-        dx = np.zeros((xc.shape[1], xc.shape[0]) + xc.shape[2:])
-        dxc = dx.transpose(1, 0, 2, 3)
+        dx = np.zeros((xc.shape[1], xc.shape[0]) + xc.shape[2:]) \
+            if input_grad else None
         for p, q, rows, cols in self._offsets(oh, ow):
             dk[:, :, p, q] = dz @ xc[:, :, rows, cols].reshape(
                 self.in_channels, -1).T
-            dxc[:, :, rows, cols] += (self.kernels[:, :, p, q].T @ dz).reshape(
-                self.in_channels, -1, oh, ow)
-        return (dx[0] if single else dx), {"kernels": dk, "gains": dgains}
+            if input_grad:
+                dx.transpose(1, 0, 2, 3)[:, :, rows, cols] += (
+                    self.kernels[:, :, p, q].T @ dz).reshape(
+                        self.in_channels, -1, oh, ow)
+        return (dx[0] if single and input_grad else dx), \
+            {"kernels": dk, "gains": dgains}
 
     def _offsets(self, oh: int, ow: int):
         """(p, q, row slice, column slice) for every kernel offset: the input
@@ -289,53 +293,82 @@ class LSTMCell:
         h, c, _ = self._step_full(x_t, h_prev, c_prev)
         return h, c
 
-    def run(self, xs: np.ndarray):
-        """Run over a (T, input_size) sequence from zero initial state.
+    def _gates(self, x_t, h_prev, c_prev):
+        """Gates (i, f, g, o), new cell state and its tanh for a (B, ·) step."""
+        a = x_t @ self.w_x.T + self.b_x + h_prev @ self.w_h.T + self.b_h
+        s = sigmoid(a)
+        h = self.hidden_size
+        i, f, o = s[:, :h], s[:, h:2 * h], s[:, 3 * h:]
+        g = np.tanh(a[:, 2 * h:3 * h])
+        c = f * c_prev + i * g
+        return i, f, g, o, c, np.tanh(c)
 
-        Returns the final hidden state, final cell state and the per-step
-        caches needed by backward_through_time. An empty sequence yields
-        the zero initial states and no caches.
+    def run(self, xs: np.ndarray, mask: np.ndarray | None = None):
+        """Run a time-major minibatch from the zero initial state.
+
+        ``xs`` is (T, B, input_size) and the boolean (T, B) ``mask`` marks
+        each row's real steps; a masked step sets the row's state to zero.
+        Sequences are padded on the left, so every row stays at the zero
+        state until its first real step and ends at step T. A (T,
+        input_size) sequence without a mask runs as a batch of one.
+
+        Returns the final hidden and cell states, (B, hidden) or (hidden,),
+        and one cache per step for backward_through_time. A cache holds only
+        the step's input, the state it started from and the mask column;
+        the gates are recomputed in the backward pass. An empty sequence
+        yields the zero initial states and no caches.
         """
-        h = np.zeros(self.hidden_size)
-        c = np.zeros(self.hidden_size)
+        xs = np.asarray(xs, dtype=np.float64)
+        xb = xs[:, None, :] if xs.ndim == 2 else xs
+        keep = np.ones(xb.shape[:2]) if mask is None else np.asarray(mask)
+        if xb.ndim != 3 or xb.shape[2:] != (self.input_size,) \
+                or keep.shape != xb.shape[:2]:
+            raise DimensionError(f"LSTM expects (T[, B], {self.input_size}) "
+                                 f"input and a (T, B) mask, got {xs.shape}")
+        h = np.zeros((xb.shape[1], self.hidden_size))
+        c = np.zeros_like(h)
         caches = []
-        for x_t in xs:
-            h, c, cache = self._step_full(x_t, h, c)
-            caches.append(cache)
-        return h, c, caches
+        for x_t, m in zip(xb, keep[:, :, None]):
+            caches.append((x_t, h, c, m))
+            _, _, _, o, c_new, tc = self._gates(x_t, h, c)
+            h, c = o * tc * m, c_new * m
+        return (h[0], c[0], caches) if xs.ndim == 2 else (h, c, caches)
 
     def backward_through_time(self, caches, dh_last):
         """Backpropagate a gradient on the final hidden state.
 
-        Returns (dxs, grads) where dxs has one row per input step and grads
-        holds accumulated gradients for w_x, w_h, b_x, b_h.
+        ``dh_last`` is (B, hidden) for a minibatch run or (hidden,) for a
+        single sequence. Each step's gates are rebuilt from its cache, so
+        the backward pass costs one more forward step per step but the run
+        holds only the per-step states. Returns (dxs, grads): dxs is shaped
+        like the run's input, (T, B, input_size) or (T, input_size), and
+        zero at masked steps; grads holds the w_x, w_h, b_x, b_h gradients
+        summed over the minibatch.
         """
+        dh = np.asarray(dh_last, dtype=np.float64)
+        single = dh.ndim == 1
+        dh = dh.reshape(-1, self.hidden_size)
         dwx = np.zeros_like(self.w_x)
         dwh = np.zeros_like(self.w_h)
         dbx = np.zeros_like(self.b_x)
-        dbh = np.zeros_like(self.b_h)
-        dxs = np.zeros((len(caches), self.input_size))
-        dh = np.asarray(dh_last, dtype=np.float64)
-        dc = np.zeros(self.hidden_size)
+        dxs = np.zeros((len(caches), dh.shape[0], self.input_size))
+        dc = np.zeros_like(dh)
         for t in range(len(caches) - 1, -1, -1):
-            x_t, h_prev, c_prev, i, f, g, o, tc = caches[t]
-            do = dh * tc
+            x_t, h_prev, c_prev, m = caches[t]
+            i, f, g, o, _, tc = self._gates(x_t, h_prev, c_prev)
+            dh, dc = dh * m, dc * m
             dc = dc + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
-            dc_next = dc * f
             da = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ])
-            dwx += np.outer(da, x_t)
-            dwh += np.outer(da, h_prev)
-            dbx += da
-            dbh += da
-            dxs[t] = self.w_x.T @ da
-            dh = self.w_h.T @ da
-            dc = dc_next
-        return dxs, {"w_x": dwx, "w_h": dwh, "b_x": dbx, "b_h": dbh}
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                dh * tc * o * (1.0 - o),
+            ], axis=1)
+            dwx += da.T @ x_t
+            dwh += da.T @ h_prev
+            dbx += da.sum(axis=0)
+            dxs[t] = da @ self.w_x
+            dh = da @ self.w_h
+            dc = dc * f
+        grads = {"w_x": dwx, "w_h": dwh, "b_x": dbx, "b_h": dbx.copy()}
+        return (dxs[:, 0] if single else dxs), grads

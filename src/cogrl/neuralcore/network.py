@@ -1,11 +1,10 @@
 """Classification head and the interface shared by content networks.
 
-A network maps one problem's content to class logits. The softmax
-cross-entropy head lives here so every architecture trains against the
-same loss; concrete architectures implement ``forward_logits``,
-``backward_from_logits`` and ``parameters``. An architecture whose
-contents are fixed-shape arrays can also take a stacked minibatch in one
-call (see ``Network.batch_first``).
+A network maps a minibatch of problem contents to class logits. The
+softmax cross-entropy head lives here so every architecture trains against
+the same loss; concrete architectures implement ``forward_logits``,
+``backward_from_logits`` and ``parameters``, and may override ``collate``,
+which turns a list of contents into the one batched input they take.
 """
 
 from __future__ import annotations
@@ -62,19 +61,26 @@ class Network:
     """Base class for the content architectures.
 
     Subclasses provide:
-      forward_logits(content) -> (logits, cache)
+      forward_logits(batch) -> ((B, K) logits, cache)
       backward_from_logits(dlogits, cache) -> {param name: gradient}
       parameters() -> {param name: live array}
 
-    A subclass that sets ``batch_first = True`` takes contents that are
-    arrays of one shape, and its ``forward_logits`` also accepts them
-    stacked along a new leading axis, returning (B, K) logits; its
-    ``backward_from_logits`` then returns gradients summed over the batch.
+    ``batch`` is what ``collate`` makes of a list of B contents; the
+    default stacks array contents of one shape along a new leading axis.
+    ``backward_from_logits`` takes (B, K) logit gradients and returns
+    parameter gradients summed over the minibatch. ``forward_logits`` also
+    takes one uncollated content, runs it as a batch of one and returns
+    (K,) logits; ``predict`` and ``loss_and_probs`` rely on that.
     """
 
-    batch_first = False
+    def collate(self, contents):
+        """Stack same-shape array contents into one (B, ...) array."""
+        arrays = [np.asarray(c, dtype=np.float64) for c in contents]
+        if len({a.shape for a in arrays}) != 1:
+            raise DimensionError("minibatch contents differ in shape")
+        return np.stack(arrays)
 
-    def forward_logits(self, content):
+    def forward_logits(self, batch):
         raise NotImplementedError
 
     def backward_from_logits(self, dlogits, cache):
@@ -97,33 +103,13 @@ class Network:
         return int(np.argmax(logits))
 
     def batch_loss_and_grads(self, batch):
-        """Mean loss over (content, label) pairs and its parameter gradients.
-
-        A ``batch_first`` network runs the whole minibatch as one forward and
-        one backward pass; any other runs one sample at a time, so it holds
-        only one sample's forward cache at once.
-        """
+        """Mean loss over (content, label) pairs and its parameter gradients,
+        from one forward and one backward pass over the collated minibatch."""
         if not batch:
             raise DimensionError("empty batch")
+        logits, cache = self.forward_logits(self.collate([c for c, _ in batch]))
+        losses, _, dlogits = softmax_cross_entropy(
+            logits, np.array([label for _, label in batch]))
         n = len(batch)
-        if self.batch_first:
-            contents = [np.asarray(c, dtype=np.float64) for c, _ in batch]
-            if len({c.shape for c in contents}) != 1:
-                raise DimensionError("minibatch contents differ in shape")
-            logits, cache = self.forward_logits(np.stack(contents))
-            losses, _, dlogits = softmax_cross_entropy(
-                logits, np.array([label for _, label in batch]))
-            return float(np.sum(losses)) / n, \
-                self.backward_from_logits(dlogits / n, cache)
-        grads = {name: np.zeros_like(p) for name, p in self.parameters().items()}
-        total = 0.0
-        for content, label in batch:
-            logits, cache = self.forward_logits(content)
-            loss, _, dlogits = softmax_cross_entropy(logits, label)
-            sample_grads = self.backward_from_logits(dlogits, cache)
-            for name in grads:
-                grads[name] += sample_grads[name]
-            total += loss
-        for name in grads:
-            grads[name] /= n
-        return total / n, grads
+        return float(np.sum(losses)) / n, \
+            self.backward_from_logits(dlogits / n, cache)

@@ -99,7 +99,6 @@ class ImageCNN(Network):
     """conv -> flatten -> sigmoid pre-output -> class logits."""
 
     variant = "image_cnn"
-    batch_first = True
 
     def __init__(self, spec: ImageArchSpec, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -136,30 +135,21 @@ class ImageCNN(Network):
         d_rep, out_grads = self.out.backward(dlogits, out_cache)
         d_flat, rep_grads = self.rep.backward(d_rep, rep_cache)
         _, conv_grads = self.conv.backward(
-            d_flat.reshape(d_flat.shape[:-1] + self.conv_out_shape), conv_cache)
-        return {
-            "conv.kernels": conv_grads["kernels"],
-            "conv.gains": conv_grads["gains"],
-            "rep.weights": rep_grads["weights"],
-            "rep.biases": rep_grads["biases"],
-            "out.weights": out_grads["weights"],
-            "out.biases": out_grads["biases"],
-        }
+            d_flat.reshape(d_flat.shape[:-1] + self.conv_out_shape), conv_cache,
+            input_grad=False)
+        return _prefixed(conv=conv_grads, rep=rep_grads, out=out_grads)
 
     def parameters(self):
-        return {
-            "conv.kernels": self.conv.kernels,
-            "conv.gains": self.conv.gains,
-            "rep.weights": self.rep.weights,
-            "rep.biases": self.rep.biases,
-            "out.weights": self.out.weights,
-            "out.biases": self.out.biases,
-        }
+        return _prefixed(
+            conv={"kernels": self.conv.kernels, "gains": self.conv.gains},
+            rep=_dense_params(self.rep), out=_dense_params(self.out))
 
     def representation(self, image) -> np.ndarray:
+        """Pre-output row of one image, or (B, rep_size) rows for a stack."""
         image = np.asarray(image, dtype=np.float64)
         conv_y, _ = self.conv.forward(image)
-        rep_y, _ = self.rep.forward(conv_y.reshape(-1))
+        rep_y, _ = self.rep.forward(
+            conv_y.reshape(image.shape[:-3] + (self.flat_size,)))
         return rep_y
 
     def meta(self) -> dict:
@@ -182,6 +172,10 @@ class ClozeLSTM(Network):
     side contributes that direction's zero initial state. The two final
     hidden states are concatenated, passed through a tanh combine layer,
     then the sigmoid pre-output and the class logits.
+
+    A minibatch is collated into two time-major id matrices, prefix and
+    reversed suffix, each left-padded to its longest row, with masks that
+    mark the real characters; both LSTMs run each matrix in one pass.
     """
 
     variant = "cloze_lstm"
@@ -198,80 +192,69 @@ class ClozeLSTM(Network):
         self.rep = DenseLayer(spec.combine_size, spec.rep_size, "sigmoid", rng)
         self.out = DenseLayer(spec.rep_size, spec.n_classes, "identity", rng)
 
-    def _encode(self, content: ClozeContent):
-        if not isinstance(content, ClozeContent):
+    def collate(self, contents):
+        """((T1, B) prefix ids, mask), ((T2, B) reversed-suffix ids, mask)."""
+        if not all(isinstance(c, ClozeContent) for c in contents):
             raise DimensionError("cloze network expects ClozeContent input")
-        pre_ids = self.vocab.encode(content.prefix)
-        post_ids = self.vocab.encode(content.suffix)[::-1]
-        return pre_ids, post_ids
+        return (_left_pad([self.vocab.encode(c.prefix) for c in contents]),
+                _left_pad([self.vocab.encode(c.suffix)[::-1] for c in contents]))
 
-    def forward_logits(self, content):
-        pre_ids, post_ids = self._encode(content)
-        pre_vecs = self.embed.forward(pre_ids)
-        post_vecs = self.embed.forward(post_ids)
-        h_f, _, f_caches = self.fwd.run(pre_vecs)
-        h_b, _, b_caches = self.bwd.run(post_vecs)
-        both = np.concatenate([h_f, h_b])
-        check_finite(both, "lstm")
+    def _to_rep(self, batch):
+        """Pre-output rows of a collated minibatch or one content, whether
+        it was one content, and the caches up to the pre-output layer."""
+        single = not isinstance(batch, tuple)
+        if single:
+            batch = self.collate([batch])
+        states, steps = [], []
+        for cell, (ids, mask) in zip((self.fwd, self.bwd), batch):
+            h, _, caches = cell.run(self.embed.forward(ids), mask)
+            states.append(h)
+            steps.append(caches)
+        both = check_finite(np.concatenate(states, axis=1), "lstm")
         comb_y, comb_cache = self.combine.forward(both)
-        check_finite(comb_y, "combine")
-        rep_y, rep_cache = self.rep.forward(comb_y)
-        check_finite(rep_y, "rep")
+        rep_y, rep_cache = self.rep.forward(check_finite(comb_y, "combine"))
+        return check_finite(rep_y, "rep"), single, \
+            (batch, steps, comb_cache, rep_cache)
+
+    def forward_logits(self, batch):
+        """(B, K) logits for a collated minibatch; (K,) for one content."""
+        rep_y, single, cache = self._to_rep(batch)
         logits, out_cache = self.out.forward(rep_y)
         check_finite(logits, "out")
-        cache = (pre_ids, post_ids, f_caches, b_caches,
-                 comb_cache, rep_cache, out_cache)
-        return logits, cache
+        return (logits[0] if single else logits), cache + (out_cache,)
 
     def backward_from_logits(self, dlogits, cache):
-        (pre_ids, post_ids, f_caches, b_caches,
-         comb_cache, rep_cache, out_cache) = cache
+        batch, steps, comb_cache, rep_cache, out_cache = cache
         d_rep, out_grads = self.out.backward(dlogits, out_cache)
         d_comb, rep_grads = self.rep.backward(d_rep, rep_cache)
         d_both, comb_grads = self.combine.backward(d_comb, comb_cache)
-        h = self.spec.lstm_hidden
-        d_pre, fwd_grads = self.fwd.backward_through_time(f_caches, d_both[:h])
-        d_post, bwd_grads = self.bwd.backward_through_time(b_caches, d_both[h:])
-        d_embed = self.embed.backward(pre_ids, d_pre)
-        d_embed += self.embed.backward(post_ids, d_post)
-        grads = {"embed.vectors": d_embed}
-        for prefix, cell_grads in (("fwd", fwd_grads), ("bwd", bwd_grads)):
-            for key, g in cell_grads.items():
-                grads[f"{prefix}.{key}"] = g
-        grads.update({
-            "combine.weights": comb_grads["weights"],
-            "combine.biases": comb_grads["biases"],
-            "rep.weights": rep_grads["weights"],
-            "rep.biases": rep_grads["biases"],
-            "out.weights": out_grads["weights"],
-            "out.biases": out_grads["biases"],
-        })
-        return grads
+        cell_grads, ids, dvecs = [], [], []
+        for cell, (side_ids, mask), caches, dh in zip(
+                (self.fwd, self.bwd), batch, steps, np.split(d_both, 2, axis=1)):
+            dxs, grads = cell.backward_through_time(caches, dh)
+            cell_grads.append(grads)
+            # padded steps are masked out: only real characters get gradient
+            ids.append(side_ids[mask])
+            dvecs.append(dxs[mask])
+        d_embed = self.embed.backward(np.concatenate(ids), np.concatenate(dvecs))
+        return _prefixed(embed={"vectors": d_embed}, fwd=cell_grads[0],
+                         bwd=cell_grads[1], combine=comb_grads, rep=rep_grads,
+                         out=out_grads)
 
     def parameters(self):
-        params = {"embed.vectors": self.embed.vectors}
-        for prefix, cell in (("fwd", self.fwd), ("bwd", self.bwd)):
-            params[f"{prefix}.w_x"] = cell.w_x
-            params[f"{prefix}.w_h"] = cell.w_h
-            params[f"{prefix}.b_x"] = cell.b_x
-            params[f"{prefix}.b_h"] = cell.b_h
-        params.update({
-            "combine.weights": self.combine.weights,
-            "combine.biases": self.combine.biases,
-            "rep.weights": self.rep.weights,
-            "rep.biases": self.rep.biases,
-            "out.weights": self.out.weights,
-            "out.biases": self.out.biases,
-        })
-        return params
+        cells = ("w_x", "w_h", "b_x", "b_h")
+        return _prefixed(
+            embed={"vectors": self.embed.vectors},
+            fwd={k: getattr(self.fwd, k) for k in cells},
+            bwd={k: getattr(self.bwd, k) for k in cells},
+            combine=_dense_params(self.combine), rep=_dense_params(self.rep),
+            out=_dense_params(self.out))
 
-    def representation(self, content) -> np.ndarray:
-        pre_ids, post_ids = self._encode(content)
-        h_f, _, _ = self.fwd.run(self.embed.forward(pre_ids))
-        h_b, _, _ = self.bwd.run(self.embed.forward(post_ids))
-        comb_y, _ = self.combine.forward(np.concatenate([h_f, h_b]))
-        rep_y, _ = self.rep.forward(comb_y)
-        return rep_y
+    def representation(self, batch) -> np.ndarray:
+        """Pre-output row of one content, or (B, rep_size) rows for a
+        collated minibatch."""
+        rep_y, single, _ = self._to_rep(batch)
+        return rep_y[0] if single else rep_y
 
     def meta(self) -> dict:
         return {
@@ -283,6 +266,26 @@ class ClozeLSTM(Network):
             "rep_size": self.spec.rep_size,
             "vocab_chars": "".join(self.vocab.chars),
         }
+
+
+def _prefixed(**layers) -> dict[str, np.ndarray]:
+    """Flatten {layer: {key: array}} into {"layer.key": array}, in order."""
+    return {f"{layer}.{key}": arr
+            for layer, arrays in layers.items() for key, arr in arrays.items()}
+
+
+def _dense_params(layer: DenseLayer) -> dict[str, np.ndarray]:
+    return {"weights": layer.weights, "biases": layer.biases}
+
+
+def _left_pad(seqs):
+    """(T, B) id matrix with each sequence right-aligned, and its mask."""
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.intp)
+    steps = int(lengths.max(initial=0))
+    mask = np.arange(steps)[:, None] >= steps - lengths
+    ids = np.zeros(mask.shape, dtype=np.intp)
+    ids.T[mask.T] = np.concatenate(seqs)  # row b's real steps, in order
+    return ids, mask
 
 
 def build_image_cnn(spec: ImageArchSpec, seed: int = 0) -> ImageCNN:
@@ -330,9 +333,22 @@ def train_model(net: Network, problems: list[ProblemInstance],
     return history
 
 
+# problems per batched readout pass: at most one training minibatch's memory
+READOUT_CHUNK = 32
+
+
+def _read_out(net: Network, problems, forward) -> list:
+    """``forward`` of each collated run of READOUT_CHUNK problems."""
+    return [forward(net.collate([p.content
+                                 for p in problems[s:s + READOUT_CHUNK]]))
+            for s in range(0, len(problems), READOUT_CHUNK)]
+
+
 def training_accuracy(net: Network, problems) -> float:
-    correct = sum(1 for p in problems if net.predict(p.content) == p.answer)
-    return correct / len(problems)
+    logits = np.concatenate(
+        _read_out(net, problems, lambda batch: net.forward_logits(batch)[0]))
+    return float(np.mean(np.argmax(logits, axis=1)
+                         == [p.answer for p in problems]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +374,9 @@ def extract_representations(net: Network,
     if not hasattr(net, "representation"):
         raise ConfigurationError(
             "network has no designated pre-output layer to extract")
-    rows = [net.representation(p.content) for p in problems]
+    rows = _read_out(net, problems, net.representation)
     return RepresentationMatrix([p.item_id for p in problems],
-                                np.stack(rows) if rows else np.zeros((0, 0)))
+                                np.concatenate(rows) if rows else np.zeros((0, 0)))
 
 
 def kc_name_for_dim(k: int) -> str:

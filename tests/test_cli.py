@@ -250,6 +250,16 @@ class TestGradcheckAndErrors:
         assert run(["fit-afm", "--log", bad, "--qmatrix", bad,
                     "--out", tmp_path / "p.tsv"]) == 3
 
+    def test_image_byte_above_maxval_exit_code(self, tmp_path):
+        (tmp_path / "a.pgm").write_bytes(b"P5 2 1 2\n" + bytes([200, 0]))
+        (tmp_path / "b.pgm").write_bytes(b"P5 2 1 2\n" + bytes([0, 2]))
+        (tmp_path / "manifest.tsv").write_text(
+            "item_id\timage\tanswer\na\ta.pgm\tx\nb\tb.pgm\ty\n")
+        assert run(["train-rep", "--images", tmp_path / "manifest.tsv",
+                    "--out-checkpoint", tmp_path / "m.ckpt",
+                    "--out-reps", tmp_path / "r.tsv", "--kernel", "1",
+                    "--stride", "1"]) == 3
+
     def test_bad_model_entry_exit_code(self, tmp_path, visual_dir):
         assert run(["synth", "afm-log", "--out-dir", tmp_path, "--seed", "0",
                     "--students", "4", "--items", "4", "--kcs", "2"]) == 0

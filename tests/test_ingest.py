@@ -112,6 +112,17 @@ class TestImageIO:
         with pytest.raises(InputError, match="positive"):
             read_image(path)
 
+    def test_raster_byte_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5 2 1 2\n" + bytes([200, 0]))
+        with pytest.raises(InputError, match="maxval"):
+            read_image(path)
+
+    def test_raster_byte_at_maxval_reads_as_one(self, tmp_path):
+        path = tmp_path / "top.pgm"
+        path.write_bytes(b"P5 2 1 2\n" + bytes([2, 1]))
+        assert np.array_equal(read_image(path), [[[1.0, 0.5]]])
+
     # every example overwrites the same file, so sharing tmp_path is safe
     @settings(deadline=None, max_examples=200,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,13 +1,16 @@
 """Layer-level oracles: direct transcriptions checked against the library."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cogrl.errors import DimensionError, InputError
+from cogrl.neuralcore.checkpoint import CHUNK
 from cogrl.neuralcore import (
     ACTIVATIONS,
     ConvLayer,
@@ -81,6 +84,82 @@ def conv_tensordot_backward(x, t, dy, kernels, gains, stride):
             dk[:, :, p, q] = np.tensordot(dz, x[:, isl, jsl], axes=([1, 2], [1, 2]))
             dx[:, isl, jsl] += np.tensordot(kernels[:, :, p, q], dz, axes=([0], [0]))
     return dx, dk, dgains
+
+
+def lstm_run_reference(cell, xs):
+    """The one-sequence LSTM run the time-major batched run replaced: one
+    ``_step_full`` per row of a (T, input_size) sequence, caching all gates."""
+    h = np.zeros(cell.hidden_size)
+    c = np.zeros(cell.hidden_size)
+    caches = []
+    for x_t in xs:
+        h, c, cache = cell._step_full(x_t, h, c)
+        caches.append(cache)
+    return h, c, caches
+
+
+def lstm_bptt_reference(cell, caches, dh_last):
+    """The one-sequence BPTT the batched one replaced, reading the stored
+    gates; returns (dxs, grads)."""
+    dwx = np.zeros_like(cell.w_x)
+    dwh = np.zeros_like(cell.w_h)
+    dbx = np.zeros_like(cell.b_x)
+    dbh = np.zeros_like(cell.b_h)
+    dxs = np.zeros((len(caches), cell.input_size))
+    dh = np.asarray(dh_last, dtype=np.float64)
+    dc = np.zeros(cell.hidden_size)
+    for t in range(len(caches) - 1, -1, -1):
+        x_t, h_prev, c_prev, i, f, g, o, tc = caches[t]
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+        dc_next = dc * f
+        da = np.concatenate([
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            dg * (1.0 - g * g),
+            do * o * (1.0 - o),
+        ])
+        dwx += np.outer(da, x_t)
+        dwh += np.outer(da, h_prev)
+        dbx += da
+        dbh += da
+        dxs[t] = cell.w_x.T @ da
+        dh = cell.w_h.T @ da
+        dc = dc_next
+    return dxs, {"w_x": dwx, "w_h": dwh, "b_x": dbx, "b_h": dbh}
+
+
+def cloze_sample_reference(net, content, label):
+    """Loss and gradients of one cloze sample by the per-sample path the
+    batched ClozeLSTM replaced: reference LSTM runs and BPTT, one-sample
+    dense layers and the one-sample softmax head."""
+    pre_ids = net.vocab.encode(content.prefix)
+    post_ids = net.vocab.encode(content.suffix)[::-1]
+    h_f, _, f_caches = lstm_run_reference(net.fwd, net.embed.vectors[pre_ids])
+    h_b, _, b_caches = lstm_run_reference(net.bwd, net.embed.vectors[post_ids])
+    comb_y, comb_cache = net.combine.forward(np.concatenate([h_f, h_b]))
+    rep_y, rep_cache = net.rep.forward(comb_y)
+    logits, out_cache = net.out.forward(rep_y)
+    loss, _, dlogits = softmax_cross_entropy_reference(logits, label)
+    d_rep, out_grads = net.out.backward(dlogits, out_cache)
+    d_comb, rep_grads = net.rep.backward(d_rep, rep_cache)
+    d_both, comb_grads = net.combine.backward(d_comb, comb_cache)
+    h = net.spec.lstm_hidden
+    d_pre, fwd_grads = lstm_bptt_reference(net.fwd, f_caches, d_both[:h])
+    d_post, bwd_grads = lstm_bptt_reference(net.bwd, b_caches, d_both[h:])
+    grads = {"embed.vectors": net.embed.backward(pre_ids, d_pre)
+             + net.embed.backward(post_ids, d_post)}
+    for prefix, cell_grads in (("fwd", fwd_grads), ("bwd", bwd_grads)):
+        for key, g in cell_grads.items():
+            grads[f"{prefix}.{key}"] = g
+    for layer, layer_grads in (("combine", comb_grads), ("rep", rep_grads),
+                               ("out", out_grads)):
+        for key, g in layer_grads.items():
+            grads[f"{layer}.{key}"] = g
+    return loss, grads
 
 
 def softmax_cross_entropy_reference(logits, label):
@@ -534,6 +613,129 @@ class TestBatchEquivalence:
         for name in grads:
             assert_close(grads[name], mean_grads[name])
 
+    @settings(deadline=None, max_examples=60)
+    @given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+           input_size=st.integers(1, 5), hidden=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[0, 0, 0], input_size=2, hidden=3, seed=0)
+    @example(lengths=[0, 7, 12, 1, 12], input_size=3, hidden=2, seed=1)
+    def test_lstm(self, lengths, input_size, hidden, seed):
+        rng = np.random.default_rng(seed)
+        cell = LSTMCell(input_size, hidden, rng=rng)
+        cell.b_x[:] = rng.uniform(-0.5, 0.5, 4 * hidden)
+        cell.b_h[:] = rng.uniform(-0.5, 0.5, 4 * hidden)
+        seqs = [rng.uniform(-2, 2, (n, input_size)) for n in lengths]
+        steps, batch = max(lengths), len(lengths)
+        xs = np.zeros((steps, batch, input_size))
+        mask = np.zeros((steps, batch), dtype=bool)
+        for b, seq in enumerate(seqs):
+            xs[steps - len(seq):, b] = seq
+            mask[steps - len(seq):, b] = True
+        h, c, caches = cell.run(xs, mask)
+        assert len(caches) == steps
+        dh = rng.uniform(-1, 1, (batch, hidden))
+        dxs, grads = cell.backward_through_time(caches, dh)
+        assert dxs.shape == xs.shape
+        assert np.array_equal(dxs[~mask], np.zeros((np.sum(~mask), input_size)))
+        grad_sum = {name: np.zeros_like(g) for name, g in grads.items()}
+        for b, seq in enumerate(seqs):
+            h_ref, c_ref, caches_ref = lstm_run_reference(cell, seq)
+            dxs_ref, grads_ref = lstm_bptt_reference(cell, caches_ref, dh[b])
+            h1, c1, caches1 = cell.run(seq)
+            dxs1, grads1 = cell.backward_through_time(caches1, dh[b])
+            for got in (h[b], h1):
+                assert_close(got, h_ref)
+            for got in (c[b], c1):
+                assert_close(got, c_ref)
+            for got in (dxs[steps - len(seq):, b], dxs1):
+                assert_close(got, dxs_ref)
+            for name, g in grads_ref.items():
+                assert_close(grads1[name], g)
+                grad_sum[name] += g
+        for name, g in grads.items():
+            assert_close(g, grad_sum[name])
+
+    @settings(deadline=None, max_examples=30)
+    @given(sides=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                          min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @example(sides=[(0, 3), (0, 5)], seed=0)
+    @example(sides=[(4, 0), (9, 0), (1, 0)], seed=1)
+    @example(sides=[(0, 12), (12, 0), (3, 7), (0, 0)], seed=2)
+    def test_cloze_lstm_batch_is_mean_of_samples(self, sides, seed):
+        from cogrl.problems import ClozeContent
+        from cogrl.representation import CharVocab, ClozeArchSpec, build_cloze_lstm
+
+        rng = np.random.default_rng(seed)
+        chars = "abcdef z"
+        net = build_cloze_lstm(
+            ClozeArchSpec(n_classes=3, embedding_dim=3, lstm_hidden=4,
+                          combine_size=8, rep_size=5),
+            CharVocab("abcdef "), seed=int(rng.integers(1000)))
+        samples = []
+        for n_pre, n_post in sides:
+            prefix = "".join(rng.choice(list(chars), n_pre))
+            suffix = "".join(rng.choice(list(chars), n_post))
+            samples.append((ClozeContent(prefix + "___" + suffix, prefix, suffix),
+                            int(rng.integers(3))))
+        loss, grads = net.batch_loss_and_grads(samples)
+        mean_loss = 0.0
+        mean_grads = {name: np.zeros_like(p)
+                      for name, p in net.parameters().items()}
+        for content, label in samples:
+            ref_loss, ref_grads = cloze_sample_reference(net, content, label)
+            one_loss, one_grads = net.batch_loss_and_grads([(content, label)])
+            assert_close(one_loss, ref_loss)
+            assert set(ref_grads) == set(mean_grads)
+            for name, g in ref_grads.items():
+                assert_close(one_grads[name], g)
+                mean_grads[name] += g / len(samples)
+            mean_loss += ref_loss / len(samples)
+        assert_close(loss, mean_loss)
+        assert set(grads) == set(mean_grads)
+        for name in grads:
+            assert_close(grads[name], mean_grads[name])
+
+    def test_cloze_lstm_readout_matches_single_samples(self):
+        from cogrl.problems import ProblemInstance, split_blank
+        from cogrl.representation import (
+            CharVocab,
+            ClozeArchSpec,
+            build_cloze_lstm,
+            extract_representations,
+            training_accuracy,
+        )
+
+        net = build_cloze_lstm(
+            ClozeArchSpec(n_classes=2, embedding_dim=3, lstm_hidden=4,
+                          combine_size=8, rep_size=5), CharVocab("abc "), seed=3)
+        texts = ["___", "a ___", "___ cab", "abc ab ___ c", "cc ___ a b c"] * 8
+        problems = [ProblemInstance(f"q{i}", split_blank(t), i % 2)
+                    for i, t in enumerate(texts)]
+        reps = extract_representations(net, problems)
+        assert reps.values.shape == (40, 5)
+        for row, p in zip(reps.values, problems):
+            assert_close(row, net.representation(p.content))
+        expected = sum(net.predict(p.content) == p.answer for p in problems)
+        assert training_accuracy(net, problems) == expected / len(problems)
+
+    @settings(deadline=None, max_examples=30)
+    @given(in_ch=st.integers(1, 3), out_ch=st.integers(1, 3),
+           r=st.integers(1, 4), stride=st.integers(1, 3),
+           batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_conv_parameter_gradients_without_input_gradient(
+            self, in_ch, out_ch, r, stride, batch, seed):
+        rng = np.random.default_rng(seed)
+        conv = ConvLayer(in_ch, out_ch, r, stride, rng=rng)
+        x = rng.uniform(-1, 1, (batch, in_ch, r + 3, r + 2))
+        y, cache = conv.forward(x)
+        dy = rng.uniform(-1, 1, y.shape)
+        _, full = conv.backward(dy, cache)
+        dx, params_only = conv.backward(dy, cache, input_grad=False)
+        assert dx is None
+        for name in full:
+            assert np.array_equal(params_only[name], full[name])
+
     def test_image_cnn_ragged_minibatch_rejected(self):
         from cogrl.representation import ImageArchSpec, build_image_cnn
 
@@ -657,7 +859,45 @@ def checkpoint_like(draw):
     return ("\n".join(lines) + "\n").encode() + tail
 
 
+def save_checkpoint_joined(path, meta, params):
+    """The writer the streaming save_checkpoint replaced: one format() string
+    per value, joined into the whole file before a single write."""
+    lines = ["cogrl-checkpoint 1", "meta " + json.dumps(meta, sort_keys=True)]
+    for name, arr in params.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        dims = " ".join(str(d) for d in arr.shape)
+        lines.append(f"param {name} {arr.ndim} {dims}".rstrip())
+        lines.append(" ".join(format(float(v), ".17g") for v in arr.reshape(-1)))
+    lines.append("end")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@st.composite
+def float_arrays(draw):
+    """float64 arrays of any shape, some longer than one write chunk, whose
+    values include -0.0, subnormals, infinities and NaN."""
+    size = draw(st.sampled_from([0, 1, 5, CHUNK - 1, CHUNK, CHUNK + 1,
+                                 2 * CHUNK + 3]))
+    arr = draw(hnp.arrays(np.float64, size, elements=st.floats(width=64),
+                          fill=st.sampled_from([0.0, -0.0, 5e-324, 1e308])))
+    if size and size % 5 == 0:
+        arr = arr.reshape(5, -1)
+    return arr
+
+
 class TestCheckpoint:
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays=st.lists(float_arrays(), min_size=1, max_size=3))
+    def test_streaming_writer_matches_joined_writer(self, tmp_path, arrays):
+        params = {f"p{k}": arr for k, arr in enumerate(arrays)}
+        meta = {"architecture": "t", "sizes": [a.size for a in arrays]}
+        save_checkpoint(tmp_path / "stream.ckpt", meta, params)
+        save_checkpoint_joined(tmp_path / "joined.ckpt", meta, params)
+        assert (tmp_path / "stream.ckpt").read_bytes() == \
+            (tmp_path / "joined.ckpt").read_bytes()
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)
         params = {

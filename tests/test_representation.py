@@ -100,6 +100,14 @@ class TestBuildClozeLSTM:
         logits, _ = net.forward_logits(content)
         assert np.allclose(logits, expected, atol=1e-12)
 
+    def test_non_cloze_content_rejected(self):
+        net, _ = self._tiny()
+        for content in (np.zeros(3), "abc ___ d"):
+            with pytest.raises(DimensionError):
+                net.predict(content)
+        with pytest.raises(DimensionError):
+            net.batch_loss_and_grads([(split_blank("a ___"), 0), (np.zeros(3), 1)])
+
     def test_empty_vocab_rejected(self):
         with pytest.raises(ConfigurationError):
             CharVocab("")
