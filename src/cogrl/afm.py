@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cogmodel import QMatrix
-from .errors import ConfigurationError, FitError, InputError
+from .errors import ConfigurationError, FitError, InputError, read_lines
 from .neuralcore.layers import sigmoid
 
 
@@ -604,8 +604,7 @@ def write_params(path, params: AFMParams) -> None:
 
 
 def read_params(path) -> AFMParams:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0].split("\t") != ["entity", "role", "value"]:
         raise InputError(f"{path}: expected header entity<TAB>role<TAB>value")
     theta: dict[str, float] = {}

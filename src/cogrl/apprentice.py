@@ -1,10 +1,10 @@
 """Simulated apprentice learners.
 
 A simulated student sees problems in the same order a real student did.
-For each problem it first attempts an answer from its current knowledge (a
-decision tree over binary input features; before any training it guesses
-uniformly at random among the dataset's answer labels), is told the correct
-answer, stores the worked example and refits the tree. The pooled
+For each problem it first attempts an answer from the worked examples of
+its last refit (a decision tree over binary input features; before any
+training it guesses uniformly at random among the dataset's answer labels),
+then is told the correct answer and keeps the worked example. The pooled
 first-attempt logs are then fit with the Additive Factors Model so skill
 difficulty and learning-rate estimates can be compared against estimates
 from the original log.
@@ -16,8 +16,8 @@ caller-provided binary features.
 
 from __future__ import annotations
 
+import math
 import re
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -104,44 +104,64 @@ class DecisionTree:
     root: TreeNode
 
 
-def _gini(labels) -> float:
-    n = len(labels)
-    counts = Counter(labels)
-    return 1.0 - sum((c / n) ** 2 for c in counts.values())
+def _encode(feature_rows, labels):
+    """Feature dicts as an (n, F) int8 matrix in the first row's name order,
+    and labels as int codes into their sorted distinct values."""
+    names = feature_rows[0].keys()
+    if any(features.keys() != names for features in feature_rows):
+        raise InputError("inconsistent feature names across examples")
+    x = np.array([[f[name] for name in names] for f in feature_rows],
+                 dtype=np.int64)
+    if not ((x == 0) | (x == 1)).all():
+        raise InputError("features must be binary")
+    values = sorted(set(labels))
+    code = {label: c for c, label in enumerate(values)}
+    y = np.array([code[label] for label in labels], dtype=np.int64)
+    return list(names), x.astype(np.int8), y, values
 
 
-def _majority(labels):
-    counts = Counter(labels)
-    best = max(counts.values())
-    return min(lbl for lbl, c in counts.items() if c == best)
+def _best_split(x: np.ndarray, y: np.ndarray) -> int | None:
+    """Feature whose 0/1 split of the rows ``x`` (label codes ``y``) most
+    reduces Gini impurity, ties going to the lowest index; None when the node
+    is a leaf (one label, or no feature separates its rows).
+
+    Gini gain is monotone in S = A0/n0 + A1/n1, A being the sum of squared
+    label counts on a side. Float S shortlists the features within rounding
+    of the maximum; exact integer ratios pick among them.
+    """
+    total = np.bincount(y)
+    if np.count_nonzero(total) == 1 or x.shape[1] == 0:
+        return None
+    ones = x.T @ np.eye(len(total), dtype=np.int64)[y]  # label counts at x == 1
+    zeros = total - ones
+    n1, n0 = ones.sum(axis=1), zeros.sum(axis=1)
+    a1, a0 = (ones * ones).sum(axis=1), (zeros * zeros).sum(axis=1)
+    s = np.where((n0 > 0) & (n1 > 0),  # else the feature does not separate
+                 a0 / np.maximum(n0, 1) + a1 / np.maximum(n1, 1), -1.0)
+    if s.max() < 0:
+        return None
+    shortlist = np.flatnonzero(s >= s.max() * (1.0 - 1e-9)).tolist()
+    den = {j: int(n0[j]) * int(n1[j]) for j in shortlist}
+    common = math.lcm(*den.values())  # S as Python-int numerators over this
+    return max(shortlist, key=lambda j: (common // den[j] * (
+        int(a0[j]) * int(n1[j]) + int(a1[j]) * int(n0[j])), -j))
 
 
-def _build(x: np.ndarray, labels: list) -> TreeNode:
-    if len(set(labels)) == 1:
-        return TreeNode(label=labels[0])
-    n = len(labels)
-    parent = _gini(labels)
-    best_j, best_gain = None, -1.0
-    for j in range(x.shape[1]):
-        mask = x[:, j] == 1
-        n1 = int(mask.sum())
-        if n1 == 0 or n1 == n:
-            continue
-        left = [lbl for lbl, m in zip(labels, mask) if not m]
-        right = [lbl for lbl, m in zip(labels, mask) if m]
-        gain = parent - (len(left) * _gini(left)
-                         + len(right) * _gini(right)) / n
-        if gain > best_gain:
-            best_j, best_gain = j, gain
-    if best_j is None:
-        # all remaining features constant: identical vectors, majority leaf
-        return TreeNode(label=_majority(labels))
-    mask = x[:, best_j] == 1
-    return TreeNode(
-        feature=best_j,
-        left=_build(x[~mask], [lbl for lbl, m in zip(labels, mask) if not m]),
-        right=_build(x[mask], [lbl for lbl, m in zip(labels, mask) if m]),
-    )
+def _build(x: np.ndarray, y: np.ndarray, labels: list) -> TreeNode:
+    if (j := _best_split(x, y)) is None:
+        return TreeNode(label=labels[np.bincount(y).argmax()])  # lowest tie
+    right = x[:, j] == 1
+    return TreeNode(feature=j, left=_build(x[~right], y[~right], labels),
+                    right=_build(x[right], y[right], labels))
+
+
+def _path_code(x: np.ndarray, y: np.ndarray, query: np.ndarray) -> int:
+    """Label code that ``fit_decision_tree`` on (x, y) predicts for the
+    encoded ``query``, growing only the nodes on the query's path."""
+    while (j := _best_split(x, y)) is not None:
+        keep = x[:, j] == query[j]
+        x, y = x[keep], y[keep]
+    return int(np.bincount(y).argmax())
 
 
 def fit_decision_tree(examples) -> DecisionTree:
@@ -155,18 +175,8 @@ def fit_decision_tree(examples) -> DecisionTree:
     examples = list(examples)
     if not examples:
         raise InputError("fit_decision_tree needs at least one example")
-    feature_names = list(examples[0][0].keys())
-    name_set = set(feature_names)
-    rows, labels = [], []
-    for features, label in examples:
-        if set(features.keys()) != name_set:
-            raise InputError("inconsistent feature names across examples")
-        rows.append([int(features[name]) for name in feature_names])
-        labels.append(label)
-    x = np.array(rows, dtype=np.int8)
-    if not np.isin(x, (0, 1)).all():
-        raise InputError("features must be binary")
-    return DecisionTree(feature_names=feature_names, root=_build(x, labels))
+    feature_names, x, y, labels = _encode(*zip(*examples))
+    return DecisionTree(feature_names=feature_names, root=_build(x, y, labels))
 
 
 def tree_predict(tree: DecisionTree, features: dict[str, int]):
@@ -204,33 +214,29 @@ def simulate_learner(curriculum, config: SimConfig, student_id: str = "sim",
     examples; the current problem's answer is never visible to its own
     attempt. ``labels`` is the dataset's answer-label universe used for the
     cold-start uniform guess (defaults to the labels present in the
-    curriculum); ``orders`` overrides the emitted order fields.
+    curriculum); ``orders`` overrides the emitted order fields. An attempt
+    grows only its own path of the tree fit at the last refit.
     """
     curriculum = list(curriculum)
     if not curriculum:
         raise InputError("empty curriculum")
-    if labels is None:
-        labels = sorted({p.answer for p, _ in curriculum})
-    labels = list(labels)
-    if orders is None:
-        orders = list(range(1, len(curriculum) + 1))
+    orders = range(1, len(curriculum) + 1) if orders is None else orders
     if len(orders) != len(curriculum):
         raise InputError("orders must match curriculum length")
+    problems, feature_rows = zip(*curriculum)
+    _, x, y, answers = _encode(feature_rows, [p.answer for p in problems])
+    labels = answers if labels is None else list(labels)
     rng = np.random.default_rng(config.seed)
-    memory: list[tuple[dict[str, int], object]] = []
-    tree: DecisionTree | None = None
     rows = []
-    for (problem, features), order in zip(curriculum, orders):
-        if tree is None:
+    for i, (problem, order) in enumerate(zip(problems, orders)):
+        # the learner's tree was last fit on the first `fitted` examples
+        fitted = i - i % config.refit_every
+        if fitted == 0:
             attempt = labels[int(rng.integers(len(labels)))]
         else:
-            attempt = tree_predict(tree, features)
-        outcome = int(attempt == problem.answer)
-        rows.append(Transaction(student_id=student_id, item_id=problem.item_id,
-                                outcome=outcome, order=order))
-        memory.append((features, problem.answer))
-        if len(memory) % config.refit_every == 0:
-            tree = fit_decision_tree(memory)
+            attempt = answers[_path_code(x[:fitted], y[:fitted], x[i])]
+        rows.append(Transaction(student_id, problem.item_id,
+                                int(attempt == problem.answer), order))
     return rows
 
 
@@ -255,12 +261,6 @@ class SimulationStudy:
             f"correlation_with_original\t\t\t{r.intercept_correlation:.6f}"
             f"\t{r.slope_correlation:.6f}")
         return lines
-
-
-def _sim_student_worker(payload):
-    curriculum, config, student_id, labels, orders = payload
-    return simulate_learner(curriculum, config, student_id=student_id,
-                            labels=labels, orders=orders)
 
 
 def simulate_and_estimate(original_log: TransactionLog,
@@ -307,6 +307,11 @@ def simulate_and_estimate(original_log: TransactionLog,
     else:
         raise ConfigurationError(f"unknown feature_mode {feature_mode!r}")
 
+    for item in original_log.items():
+        if item not in by_id:
+            raise InputError(f"log item {item!r} has no problem content")
+        if item not in features:
+            raise InputError(f"log item {item!r} has no feature row")
     labels = sorted({p.answer for p in problems})
     by_student = original_log.by_student()
     students = sorted(by_student)
@@ -314,25 +319,17 @@ def simulate_and_estimate(original_log: TransactionLog,
     payloads = []
     for student, seq in zip(students, seeds):
         rows = by_student[student]
-        curriculum = []
-        for tr in rows:
-            if tr.item_id not in by_id:
-                raise InputError(
-                    f"log item {tr.item_id!r} has no problem content")
-            curriculum.append((by_id[tr.item_id], features[tr.item_id]))
+        curriculum = [(by_id[tr.item_id], features[tr.item_id]) for tr in rows]
         student_cfg = SimConfig(seed=int(seq.generate_state(1)[0]),
                                 refit_every=sim.refit_every)
         payloads.append((curriculum, student_cfg, student, labels,
                          [tr.order for tr in rows]))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_student = list(pool.map(_sim_student_worker, payloads))
+            per_student = list(pool.map(simulate_learner, *zip(*payloads)))
     else:
-        per_student = [_sim_student_worker(p) for p in payloads]
-    pooled: list[Transaction] = []
-    for rows in per_student:
-        pooled.extend(rows)
-    simulated_log = TransactionLog(pooled)
+        per_student = [simulate_learner(*p) for p in payloads]
+    simulated_log = TransactionLog([tr for rows in per_student for tr in rows])
 
     params_sim, _ = afm_fit(simulated_log, q_eval, fit)
     params_orig, _ = afm_fit(original_log, q_eval, fit)

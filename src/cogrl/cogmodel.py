@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, read_lines
 
 
 @dataclass
@@ -178,8 +178,7 @@ def load_human_model(path, item_ids: list[str]) -> QMatrix:
 
 def read_kc_map(path) -> dict[str, list[str]]:
     """Parse a (item_id, kc_name) TSV into an ordered item -> KCs map."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise InputError(f"{path}: empty file")
     header = lines[0].split("\t")
@@ -208,8 +207,7 @@ def write_qmatrix(path, q: QMatrix) -> None:
 
 
 def read_qmatrix(path) -> QMatrix:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise InputError(f"{path}: empty file")
     header = lines[0].split("\t")

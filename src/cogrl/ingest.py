@@ -20,7 +20,7 @@ import numpy as np
 from .afm import AFMParams, Transaction, TransactionLog
 from .apprentice import ARTICLE_FEATURE_NAMES, TOKEN_RE, article_human_features
 from .cogmodel import QMatrix
-from .errors import InputError
+from .errors import InputError, read_lines
 from .neuralcore.layers import sigmoid
 from .problems import DatasetBundle, ProblemInstance, split_blank
 
@@ -33,8 +33,7 @@ TRANSACTIONS_HEADER = ["student_id", "item_id", "outcome", "order"]
 
 def load_transactions(path) -> TransactionLog:
     """Read and validate a transactions TSV."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0].split("\t") != TRANSACTIONS_HEADER:
         raise InputError(
             f"{path}: expected header {'<TAB>'.join(TRANSACTIONS_HEADER)}")
@@ -158,8 +157,7 @@ MANIFEST_HEADER = ["item_id", "image", "answer"]
 
 def load_images(manifest_path) -> DatasetBundle:
     """Load an image manifest TSV; paths are relative to the manifest."""
-    with open(manifest_path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(manifest_path)
     if not lines or lines[0].split("\t") != MANIFEST_HEADER:
         raise InputError(
             f"{manifest_path}: expected header {'<TAB>'.join(MANIFEST_HEADER)}")
@@ -203,8 +201,7 @@ CLOZE_HEADER = ["item_id", "text", "answer"]
 
 def load_cloze(path) -> DatasetBundle:
     """Load a cloze TSV; each text carries exactly one >=3-underscore blank."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0].split("\t") != CLOZE_HEADER:
         raise InputError(f"{path}: expected header {'<TAB>'.join(CLOZE_HEADER)}")
     problems: list[ProblemInstance] = []
@@ -251,8 +248,7 @@ def write_features(path, features: dict[str, dict[str, int]],
 
 
 def read_features(path) -> dict[str, dict[str, int]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("item_id\t"):
         raise InputError(f"{path}: expected header item_id<TAB>features")
     names = lines[0].split("\t")[1:]

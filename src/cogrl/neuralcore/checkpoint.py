@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, read_lines
 
 MAGIC = "cogrl-checkpoint"
 VERSION = 1
@@ -51,11 +51,7 @@ def save_checkpoint(path, meta: dict, params: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (meta, {name: float64 array})."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = read_lines(path)
     if not lines or lines[0].split() != [MAGIC, str(VERSION)]:
         raise InputError(f"{path}: not a {MAGIC} version {VERSION} file")
     if len(lines) < 2 or not lines[1].startswith("meta "):

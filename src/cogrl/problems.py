@@ -5,8 +5,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InputError
 
 # A blank is the first run of three or more underscores.
@@ -52,10 +50,6 @@ class ProblemInstance:
     content: object
     answer: int
 
-    @property
-    def is_image(self) -> bool:
-        return isinstance(self.content, np.ndarray)
-
 
 @dataclass
 class DatasetBundle:
@@ -63,9 +57,4 @@ class DatasetBundle:
 
     problems: list[ProblemInstance]
     answer_labels: list[str]
-    transactions: object = None
-    human_model: dict[str, list[str]] | None = None
     extras: dict = field(default_factory=dict)
-
-    def problem_by_id(self) -> dict[str, ProblemInstance]:
-        return {p.item_id: p for p in self.problems}

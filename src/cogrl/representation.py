@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cogmodel import QMatrix, SanitationReport, sanitize_qmatrix
-from .errors import ConfigurationError, DimensionError, InputError, NumericError
+from .errors import (
+    ConfigurationError,
+    DimensionError,
+    InputError,
+    NumericError,
+    read_lines,
+)
 from .neuralcore.checkpoint import load_checkpoint, save_checkpoint
 from .neuralcore.layers import ConvLayer, DenseLayer, EmbeddingTable, LSTMCell
 from .neuralcore.network import Network, check_finite
@@ -414,8 +420,7 @@ def write_representations(path, reps: RepresentationMatrix) -> None:
 
 
 def read_representations(path) -> RepresentationMatrix:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("item_id\t"):
         raise InputError(f"{path}: expected header item_id<TAB>rep columns")
     n_cols = len(lines[0].split("\t"))

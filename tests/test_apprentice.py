@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cogrl.afm import TransactionLog, compute_opportunities
+from cogrl.afm import Transaction, TransactionLog, compute_opportunities
 from cogrl.apprentice import (
     ARTICLE_FEATURE_NAMES,
     SimConfig,
+    _encode,
+    _path_code,
     article_human_features,
     fit_decision_tree,
     qmatrix_features,
@@ -114,6 +118,28 @@ class TestDecisionTree:
         tree = fit_decision_tree(examples)
         assert tree.root.feature == 0
 
+    def test_exact_gain_tie_breaks_to_lowest_feature_index(self):
+        # both features score S = 16/5 exactly, while Gini gains computed
+        # in floating point differ in the last bit and favour feature 1
+        examples = [(_vec([1, 1]), 2), (_vec([1, 0]), 1), (_vec([1, 1]), 0),
+                    (_vec([1, 1]), 0), (_vec([1, 1]), 0), (_vec([0, 1]), 1)]
+        tree = fit_decision_tree(examples)
+        assert tree.root.feature == 0
+
+    def test_exact_tie_survives_float_rounding_of_split_score(self):
+        # both features score S = A0/n0 + A1/n1 = 44/7, but in floating
+        # point feature 1's S comes out one ulp larger
+        bits = [(0, 1), (0, 0), (1, 1), (1, 1), (1, 0), (0, 0), (1, 0),
+                (1, 0), (0, 1), (0, 0), (1, 0), (0, 1), (1, 1), (0, 1)]
+        labels = [2, 0, 1, 1, 1, 1, 0, 1, 2, 0, 2, 1, 1, 2]
+        tree = fit_decision_tree(
+            [(_vec(b), label) for b, label in zip(bits, labels)])
+        assert tree.root.feature == 0
+
+    def test_non_binary_feature_value_rejected(self):
+        with pytest.raises(InputError, match="binary"):
+            fit_decision_tree([(_vec([2]), 0), (_vec([1]), 1)])
+
     def test_leaf_majority_ties_to_lowest_label(self):
         examples = [(_vec([0]), 1), (_vec([0]), 0)]
         tree = fit_decision_tree(examples)
@@ -216,6 +242,72 @@ class TestSimulateLearner:
             simulate_learner([], SimConfig(seed=0))
 
 
+def refit_oracle(curriculum, config, student_id="sim", labels=None):
+    """The simulation loop that refits a whole tree after every
+    ``refit_every`` examples and predicts with ``tree_predict``."""
+    if labels is None:
+        labels = sorted({p.answer for p, _ in curriculum})
+    rng = np.random.default_rng(config.seed)
+    memory, tree, rows = [], None, []
+    for order, (problem, features) in enumerate(curriculum, start=1):
+        if tree is None:
+            attempt = labels[int(rng.integers(len(labels)))]
+        else:
+            attempt = tree_predict(tree, features)
+        rows.append(Transaction(student_id=student_id, item_id=problem.item_id,
+                                outcome=int(attempt == problem.answer),
+                                order=order))
+        memory.append((features, problem.answer))
+        if len(memory) % config.refit_every == 0:
+            tree = fit_decision_tree(memory)
+    return rows
+
+
+@st.composite
+def curricula(draw):
+    """Curricula over a few distinct vectors (so duplicates and
+    contradicting labels are common) with 1-4 answer labels."""
+    n = draw(st.integers(1, 60))
+    n_features = draw(st.integers(1, 8))
+    n_labels = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_features,
+                                  max_size=n_features), min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.integers(0, n_labels - 1)),
+                          min_size=n, max_size=n))
+    return [(ProblemInstance(f"i{k}", None, answer), _vec(pool[v]))
+            for k, (v, answer) in enumerate(picks)]
+
+
+class TestPathDescentEquivalence:
+    @settings(deadline=None, max_examples=150)
+    @given(curriculum=curricula(), refit_every=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_refit_every_example_oracle(self, curriculum,
+                                                  refit_every, seed):
+        config = SimConfig(seed=seed, refit_every=refit_every)
+        labels = [0, 1, 2, 3]
+        assert simulate_learner(curriculum, config, labels=labels) == \
+            refit_oracle(curriculum, config, labels=labels)
+
+    @settings(deadline=None, max_examples=150)
+    @given(curriculum=curricula(), fitted=st.integers(1, 60))
+    def test_path_label_matches_fitted_tree(self, curriculum, fitted):
+        examples = [(f, p.answer) for p, f in curriculum]
+        fitted = min(fitted, len(examples))
+        _, x, y, labels = _encode(*zip(*examples))
+        tree = fit_decision_tree(examples[:fitted])
+        for query, (features, _) in zip(x, examples):
+            assert labels[_path_code(x[:fitted], y[:fitted], query)] == \
+                tree_predict(tree, features)
+
+    def test_inconsistent_feature_names_rejected(self):
+        p = _cloze_problem("a", "I saw ___ dog", 0)
+        curriculum = [(p, {"f0": 1}), (p, {"f1": 1})]
+        with pytest.raises(InputError, match="feature names"):
+            simulate_learner(curriculum, SimConfig(seed=0))
+
+
 class TestSimulateAndEstimate:
     def _study_inputs(self, n_students=6, seed=11):
         bundle = synth_cloze(ClozeSynthSpec(seed=7))
@@ -266,6 +358,16 @@ class TestSimulateAndEstimate:
         b = simulate_and_estimate(log, bundle.problems, "human", q,
                                   sim=SimConfig(seed=2), jobs=3)
         assert a.simulated_log.rows == b.simulated_log.rows
+
+    def test_missing_feature_row_names_the_item(self):
+        bundle, log = self._study_inputs(n_students=2)
+        feats = dict(bundle.extras["features_full"])
+        missing = log.rows[0].item_id
+        del feats[missing]
+        with pytest.raises(InputError, match=repr(missing)):
+            simulate_and_estimate(log, bundle.problems, "custom",
+                                  bundle.extras["oracle_q"],
+                                  custom_features=feats)
 
     def test_cogrl_mode_requires_matrix(self):
         bundle, log = self._study_inputs(n_students=2)

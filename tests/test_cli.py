@@ -229,6 +229,25 @@ class TestSimulate:
         assert (tmp_path / "a.tsv").read_bytes() == \
                (tmp_path / "b.tsv").read_bytes()
 
+    def test_features_file_missing_log_item_exit_code(self, cloze_dir,
+                                                      tmp_path, capsys):
+        assert run(["synth", "afm-log", "--out-dir", tmp_path / "log",
+                    "--seed", "3", "--students", "2",
+                    "--qmatrix", cloze_dir / "oracle_q.tsv"]) == 0
+        log = tmp_path / "log" / "transactions.tsv"
+        first_item = log.read_text().splitlines()[1].split("\t")[1]
+        lines = (cloze_dir / "features_full.tsv").read_text().splitlines()
+        cut = tmp_path / "features_cut.tsv"
+        cut.write_text("\n".join(
+            [lines[0]] + [ln for ln in lines[1:]
+                          if ln.split("\t")[0] != first_item]) + "\n")
+        assert run(["simulate", "--log", log,
+                    "--cloze", cloze_dir / "cloze.tsv",
+                    "--q-eval", cloze_dir / "oracle_q.tsv",
+                    "--features", "file", "--features-file", cut,
+                    "--out", tmp_path / "study.tsv"]) == 3
+        assert repr(first_item) in capsys.readouterr().err
+
 
 class TestGradcheckAndErrors:
     def test_gradcheck_passes(self, capsys):
@@ -249,6 +268,14 @@ class TestGradcheckAndErrors:
         bad.write_text("not\ta\theader\n")
         assert run(["fit-afm", "--log", bad, "--qmatrix", bad,
                     "--out", tmp_path / "p.tsv"]) == 3
+
+    def test_undecodable_input_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        assert run(["fit-afm", "--log", bad, "--qmatrix", bad,
+                    "--out", tmp_path / "p.tsv"]) == 3
+        assert run(["qmatrix", "--reps", bad,
+                    "--out", tmp_path / "q.tsv"]) == 3
 
     def test_image_byte_above_maxval_exit_code(self, tmp_path):
         (tmp_path / "a.pgm").write_bytes(b"P5 2 1 2\n" + bytes([200, 0]))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cogrl.afm import Transaction, compute_opportunities
+from cogrl.afm import Transaction, compute_opportunities, read_params
 from cogrl.apprentice import ARTICLE_FEATURE_NAMES
+from cogrl.cogmodel import read_kc_map, read_qmatrix
 from cogrl.errors import InputError
 from cogrl.ingest import (
     AfmLogSynthSpec,
@@ -26,6 +27,9 @@ from cogrl.ingest import (
     write_image_dataset,
     write_transactions,
 )
+from cogrl.neuralcore import load_checkpoint
+from cogrl.problems import split_blank
+from cogrl.representation import read_representations
 
 
 class TestTransactionsIO:
@@ -214,6 +218,76 @@ class TestFeaturesIO:
         path.write_text("item_id\tf1\nq1\t3\n")
         with pytest.raises(InputError):
             read_features(path)
+
+
+TEXT_READERS = {
+    "load_transactions": load_transactions,
+    "read_features": read_features,
+    "load_cloze": load_cloze,
+    "load_images": load_images,
+    "read_qmatrix": read_qmatrix,
+    "read_kc_map": read_kc_map,
+    "read_params": read_params,
+    "read_representations": read_representations,
+    "load_checkpoint": load_checkpoint,
+}
+
+# header line, cell tokens for the fuzzed rows
+FUZZED_TABLES = {
+    "load_transactions": ("student_id\titem_id\toutcome\torder",
+                          ["s1", "s2", "a", "0", "1", "2", "-1", "x", ""]),
+    "read_qmatrix": ("item_id\tk1\tk2",
+                     ["a", "b", "0", "1", "2", "1.0", "k1", ""]),
+    "read_params": ("entity\trole\tvalue",
+                    ["a", "theta", "beta", "gamma", "0.5", "-1e308", "nan",
+                     "inf", "1e999", "x", ""]),
+    "read_representations": ("item_id\trep_00\trep_01",
+                             ["a", "b", "0.5", "-1", "nan", "1e999", "x", ""]),
+}
+
+
+@st.composite
+def tables(draw, header, tokens):
+    rows = draw(st.lists(st.lists(st.sampled_from(tokens), min_size=1,
+                                  max_size=5), max_size=6))
+    text = "\n".join([header] + ["\t".join(r) for r in rows])
+    return text.encode() + draw(st.binary(max_size=8))
+
+
+class TestTextInput:
+    @pytest.mark.parametrize("name", sorted(TEXT_READERS))
+    def test_undecodable_bytes_raise_input_error(self, tmp_path, name):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        with pytest.raises(InputError, match="UTF-8") as info:
+            TEXT_READERS[name](path)
+        assert str(path) in str(info.value)
+
+    def test_unicode_line_boundary_inside_a_cell_is_kept(self, tmp_path):
+        bundle = synth_cloze(ClozeSynthSpec(seed=0))
+        text = "I saw\u2028___ dog\x0cand\x85a cat"
+        bundle.problems[0].content = split_blank(text)
+        path = tmp_path / "cloze.tsv"
+        write_cloze(path, bundle)
+        loaded = load_cloze(path)
+        assert loaded.problems[0].content.text == text
+        assert len(loaded.problems) == len(bundle.problems)
+
+    # every example overwrites the same file, so sharing tmp_path is safe
+    @pytest.mark.parametrize("name", sorted(FUZZED_TABLES))
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_arbitrary_bytes_parse_or_raise_input_error(self, tmp_path, name,
+                                                        data):
+        blob = data.draw(st.one_of(st.binary(max_size=200),
+                                   tables(*FUZZED_TABLES[name])))
+        path = tmp_path / "fuzz.tsv"
+        path.write_bytes(blob)
+        try:
+            TEXT_READERS[name](path)
+        except InputError:
+            pass
 
 
 class TestSynthVisual:
