@@ -11,18 +11,27 @@ log-likelihood by projected gradient ascent with step halving, keeping all
 learning rates non-negative. Model comparison uses item-stratified
 cross-validated RMSE: folds partition items, so a model only scores well if
 its KCs carry information across problems.
+
+Data are columnar: a log is coded once into integer columns, and each
+Q-matrix adds one CSR-ordered array of (row, KC, opportunity) pairs. A
+cross-validation fold is a boolean mask over those arrays. The
+log-likelihood uses the softplus max(eta, 0) + log1p(exp(-|eta|)), whose
+exp(-|eta|) the next gradient reuses.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .cogmodel import QMatrix
 from .errors import ConfigurationError, FitError, InputError, read_lines
 from .neuralcore.layers import sigmoid
+from .parallel import run_tasks
 
 
 # ---------------------------------------------------------------------------
@@ -37,34 +46,42 @@ class Transaction:
     order: int
 
 
+# a log column-wise: the sorted distinct student and item ids, and per row
+# the student's and the item's index into them and the outcome as a float
+LogColumns = namedtuple("LogColumns", "students items student item y")
+
+
 class TransactionLog:
     """Ordered first-attempt records.
 
     Per student, order values must be strictly increasing in the sequence
-    the rows appear; (student, order) pairs are unique.
+    the rows appear; (student, order) pairs are unique. A broken rule raises
+    InputError naming the row through ``where(index)`` (default "row N").
     """
 
-    def __init__(self, rows):
+    def __init__(self, rows, where=None):
         rows = tuple(rows)
+        where = where or (lambda i: f"row {i + 1}")
         last_order: dict[str, int] = {}
-        seen: set[tuple[str, int]] = set()
-        for tr in rows:
-            if tr.outcome not in (0, 1):
-                raise InputError(
-                    f"outcome must be 0 or 1, got {tr.outcome!r} "
-                    f"({tr.student_id}, {tr.item_id})")
-            if tr.order < 1:
-                raise InputError(f"order must be positive, got {tr.order}")
+        first_at: dict[tuple[str, int], int] = {}
+        for i, tr in enumerate(rows):
             key = (tr.student_id, tr.order)
-            if key in seen:
-                raise InputError(f"duplicate (student, order) pair {key}")
-            seen.add(key)
             prev = last_order.get(tr.student_id)
-            if prev is not None and tr.order <= prev:
-                raise InputError(
-                    f"orders not strictly increasing for student "
-                    f"{tr.student_id!r} at order {tr.order}")
-            last_order[tr.student_id] = tr.order
+            if tr.outcome not in (0, 1):
+                problem = f"outcome must be 0 or 1, got {tr.outcome!r}"
+            elif tr.order < 1:
+                problem = f"order must be positive, got {tr.order}"
+            elif key in first_at:
+                problem = (f"duplicate (student, order) {key} first seen at "
+                           f"{where(first_at[key])}")
+            elif prev is not None and tr.order <= prev:
+                problem = (f"orders not strictly increasing for student "
+                           f"{tr.student_id!r} at order {tr.order}")
+            else:
+                first_at[key] = i
+                last_order[tr.student_id] = tr.order
+                continue
+            raise InputError(f"{where(i)}: {problem}")
         self.rows = rows
 
     def __len__(self):
@@ -73,11 +90,22 @@ class TransactionLog:
     def __iter__(self):
         return iter(self.rows)
 
+    @cached_property
+    def columns(self) -> LogColumns:
+        students, student = np.unique(np.array(
+            [tr.student_id for tr in self.rows], dtype=object),
+            return_inverse=True)
+        items, item = np.unique(np.array(
+            [tr.item_id for tr in self.rows], dtype=object),
+            return_inverse=True)
+        y = np.array([tr.outcome for tr in self.rows], dtype=np.float64)
+        return LogColumns(students.tolist(), items.tolist(), student, item, y)
+
     def students(self) -> list[str]:
-        return sorted({tr.student_id for tr in self.rows})
+        return list(self.columns.students)
 
     def items(self) -> list[str]:
-        return sorted({tr.item_id for tr in self.rows})
+        return list(self.columns.items)
 
     def by_student(self) -> dict[str, list[Transaction]]:
         out: dict[str, list[Transaction]] = {}
@@ -90,6 +118,35 @@ class TransactionLog:
 # opportunity counting
 
 
+# (row, KC, opportunity) triples as three arrays, ordered by row then by KC
+Pairs = namedtuple("Pairs", "row kc t")
+
+
+def opportunity_pairs(cols: LogColumns, q: QMatrix) -> Pairs:
+    """Per transaction and required KC, how many of the student's earlier
+    transactions required that KC, whatever their outcome."""
+    for item in cols.items:
+        if not q.has_item(item):
+            raise InputError(f"item {item!r} missing from Q-matrix")
+    cells = np.array([q.row(item) for item in cols.items],
+                     dtype=bool).reshape(len(cols.items), q.n_kcs)
+    per_item = cells.sum(axis=1)
+    lengths = per_item[cols.item]
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    # pair p of row r is KC number p - (first pair of r) of r's item
+    offset = (np.cumsum(per_item) - per_item)[cols.item] \
+        - (np.cumsum(lengths) - lengths)
+    kc = np.nonzero(cells)[1][np.arange(len(row)) + np.repeat(offset, lengths)]
+    # a stable sort keeps each (student, KC) group in row order
+    key = cols.student[row] * q.n_kcs + kc
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    t = np.empty(len(row), dtype=np.int64)
+    t[order] = np.arange(len(row)) - np.repeat(
+        starts, np.diff(starts, append=len(row)))
+    return Pairs(row, kc, t)
+
+
 @dataclass
 class OpportunityTable:
     """Per transaction, the prior-practice count for each KC its item needs."""
@@ -98,25 +155,11 @@ class OpportunityTable:
 
 
 def compute_opportunities(log: TransactionLog, q: QMatrix) -> OpportunityTable:
-    """Count, per transaction and required KC, the student's prior practice.
-
-    A prior transaction counts toward KC k if its own item requires k,
-    regardless of outcome.
-    """
-    item_kcs: dict[str, np.ndarray] = {}
-    for item in {tr.item_id for tr in log}:
-        if not q.has_item(item):
-            raise InputError(f"item {item!r} missing from Q-matrix")
-        item_kcs[item] = np.flatnonzero(q.row(item))
-    counters: dict[str, np.ndarray] = {}
-    rows = []
-    for tr in log:
-        cnt = counters.get(tr.student_id)
-        if cnt is None:
-            cnt = counters[tr.student_id] = np.zeros(q.n_kcs, dtype=np.int64)
-        kcs = item_kcs[tr.item_id]
-        rows.append({q.kc_names[j]: int(cnt[j]) for j in kcs})
-        cnt[kcs] += 1
+    """The opportunity pairs of ``log`` as one {KC name: count} per row."""
+    pairs = opportunity_pairs(log.columns, q)
+    rows: list[dict[str, int]] = [{} for _ in range(len(log))]
+    for r, k, t in zip(pairs.row.tolist(), pairs.kc.tolist(), pairs.t.tolist()):
+        rows[r][q.kc_names[k]] = t
     return OpportunityTable(rows)
 
 
@@ -151,10 +194,13 @@ class FitConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.l2_theta < 0 or self.l2_beta_gamma < 0:
-            raise ConfigurationError("L2 penalties must be non-negative")
-        if self.tol <= 0:
-            raise ConfigurationError("tol must be positive")
+        # written so that NaN fails every check
+        if not all(math.isfinite(v) and v >= 0
+                   for v in (self.l2_theta, self.l2_beta_gamma)):
+            raise ConfigurationError(
+                "L2 penalties must be finite and non-negative")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigurationError("tol must be finite and positive")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
 
@@ -180,7 +226,7 @@ class FitDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# prediction
+# prediction and scoring
 
 
 def afm_predict(params: AFMParams, q: QMatrix, student: str, item: str,
@@ -198,99 +244,110 @@ def afm_predict(params: AFMParams, q: QMatrix, student: str, item: str,
     return float(sigmoid(np.array([eta]))[0])
 
 
+def _probabilities(theta, beta, gamma, cols: LogColumns, pairs: Pairs,
+                   rows) -> np.ndarray:
+    """Predicted correctness of the rows the mask ``rows`` keeps; each adds
+    its KC terms to theta[student code] one at a time, in KC order."""
+    eta = theta[cols.student[rows]]
+    kept = rows[pairs.row]
+    np.add.at(eta, (np.cumsum(rows) - 1)[pairs.row[kept]],
+              beta[pairs.kc[kept]] + gamma[pairs.kc[kept]] * pairs.t[kept])
+    return sigmoid(eta)
+
+
+def afm_rmse(params: AFMParams, q: QMatrix, log: TransactionLog) -> float:
+    """Root mean squared error of predicted correctness over a log; unseen
+    students and KCs fall back to 0 parameters (the cross-validation
+    cold-start rule)."""
+    if len(log) == 0:
+        raise InputError("cannot score an empty log")
+    cols = log.columns
+    theta = np.array([params.theta.get(s, 0.0) for s in cols.students])
+    beta = np.array([params.beta.get(k, 0.0) for k in q.kc_names])
+    gamma = np.array([params.gamma.get(k, 0.0) for k in q.kc_names])
+    p = _probabilities(theta, beta, gamma, cols, opportunity_pairs(cols, q),
+                       np.ones(len(log), dtype=bool))
+    return float(np.sqrt(np.mean((cols.y - p) ** 2)))
+
+
 # ---------------------------------------------------------------------------
-# vectorized design shared by fit / rmse
+# vectorized design shared by fit and cross-validation
 
 
+def _softplus(x, e):
+    """log(1 + e^x), given e = exp(-|x|)."""
+    return np.maximum(x, 0.0) + np.log1p(e)
+
+
+@dataclass
 class _Design:
     """Flat index arrays for one set of transactions against one Q-matrix."""
 
-    def __init__(self, rows, opp_rows, q: QMatrix, students: list[str]):
-        self.students = students
-        self.kc_names = list(q.kc_names)
-        s_index = {s: i for i, s in enumerate(students)}
-        kc_index = {k: j for j, k in enumerate(q.kc_names)}
-        n = len(rows)
-        self.n = n
-        self.y = np.array([tr.outcome for tr in rows], dtype=np.float64)
-        self.s_idx = np.array([s_index[tr.student_id] for tr in rows],
-                              dtype=np.intp)
-        pair_trans, pair_kc, pair_t = [], [], []
-        for i, (tr, opps) in enumerate(zip(rows, opp_rows)):
-            for kc, t in opps.items():
-                pair_trans.append(i)
-                pair_kc.append(kc_index[kc])
-                pair_t.append(t)
-        self.pair_trans = np.array(pair_trans, dtype=np.intp)
-        self.pair_kc = np.array(pair_kc, dtype=np.intp)
-        self.pair_t = np.array(pair_t, dtype=np.float64)
+    s_idx: np.ndarray
+    n_students: int
+    y: np.ndarray
+    pair_trans: np.ndarray
+    pair_kc: np.ndarray
+    pair_t: np.ndarray
+    n_kcs: int
 
-    def linear_predictor(self, theta, beta, gamma):
-        eta = theta[self.s_idx].astype(np.float64, copy=True)
-        if len(self.pair_trans):
-            contrib = beta[self.pair_kc] + gamma[self.pair_kc] * self.pair_t
-            eta += np.bincount(self.pair_trans, weights=contrib, minlength=self.n)
-        return eta
+    def __post_init__(self):
+        self.pair_t2 = self.pair_t ** 2
 
-    def objective(self, theta, beta, gamma, cfg: FitConfig) -> float:
-        eta = self.linear_predictor(theta, beta, gamma)
-        ll = float(np.sum(self.y * eta - np.logaddexp(0.0, eta)))
+    @classmethod
+    def masked(cls, cols: LogColumns, pairs: Pairs, n_kcs: int, rows):
+        """The rows the mask ``rows`` keeps, with their students renumbered
+        in sorted order; returns the design and the kept student codes."""
+        students, s_idx = np.unique(cols.student[rows], return_inverse=True)
+        kept = rows[pairs.row]
+        design = cls(s_idx, len(students), cols.y[rows],
+                     (np.cumsum(rows) - 1)[pairs.row[kept]], pairs.kc[kept],
+                     pairs.t[kept].astype(np.float64), n_kcs)
+        return design, students
+
+    def objective(self, theta, beta, gamma, cfg: FitConfig):
+        """Penalized log-likelihood, with the eta and exp(-|eta|) it used."""
+        contrib = beta[self.pair_kc] + gamma[self.pair_kc] * self.pair_t
+        # np.bincount of no pairs is integer zeros: keep its uses out of place
+        eta = theta[self.s_idx] + np.bincount(self.pair_trans, contrib,
+                                              len(self.y))
+        e = np.exp(-np.abs(eta))
+        ll = float(np.sum(self.y * eta - _softplus(eta, e)))
         ll -= 0.5 * cfg.l2_theta * float(np.sum(theta * theta))
         ll -= 0.5 * cfg.l2_beta_gamma * float(np.sum(beta * beta)
                                               + np.sum(gamma * gamma))
-        return ll
+        return ll, eta, e
 
-    def gradient(self, theta, beta, gamma, cfg: FitConfig):
-        eta = self.linear_predictor(theta, beta, gamma)
-        p = sigmoid(eta)
+    def ascent_direction(self, eta, e, theta, beta, gamma, cfg: FitConfig):
+        """The gradient at the point with the given eta and exp(-|eta|),
+        divided by the diagonal of the penalized Fisher information there:
+        a shared KC sums over every transaction while a student sums over a
+        handful, and without this scaling one global step size stalls the
+        small coordinates. Coordinates with neither data nor penalty have
+        zero gradient and stay put."""
+        p = np.where(eta >= 0, 1.0, e) / (1.0 + e)
         r = self.y - p
-        g_theta = np.bincount(self.s_idx, weights=r,
-                              minlength=len(self.students))
-        g_theta -= cfg.l2_theta * theta
-        k = len(self.kc_names)
-        if len(self.pair_trans):
-            r_pairs = r[self.pair_trans]
-            g_beta = np.bincount(self.pair_kc, weights=r_pairs, minlength=k)
-            g_gamma = np.bincount(self.pair_kc, weights=r_pairs * self.pair_t,
-                                  minlength=k)
-        else:
-            g_beta = np.zeros(k)
-            g_gamma = np.zeros(k)
-        g_beta -= cfg.l2_beta_gamma * beta
-        g_gamma -= cfg.l2_beta_gamma * gamma
-        return (g_theta, g_beta, g_gamma), p
-
-    def fisher_diag(self, p, cfg: FitConfig):
-        """Diagonal of the penalized Fisher information at probabilities p.
-
-        Used to precondition the ascent direction; a shared KC sums over
-        every transaction while a student sums over a handful, and without
-        this scaling one global step size stalls the small coordinates.
-        """
         w = p * (1.0 - p)
-        d_theta = np.bincount(self.s_idx, weights=w,
-                              minlength=len(self.students)) + cfg.l2_theta
-        k = len(self.kc_names)
-        if len(self.pair_trans):
-            w_pairs = w[self.pair_trans]
-            d_beta = np.bincount(self.pair_kc, weights=w_pairs, minlength=k)
-            d_gamma = np.bincount(self.pair_kc,
-                                  weights=w_pairs * self.pair_t ** 2,
-                                  minlength=k)
-        else:
-            d_beta = np.zeros(k)
-            d_gamma = np.zeros(k)
-        d_beta += cfg.l2_beta_gamma
-        d_gamma += cfg.l2_beta_gamma
-        return d_theta, d_beta, d_gamma
+        r_pairs, w_pairs = r[self.pair_trans], w[self.pair_trans]
+        blocks = [
+            (self.s_idx, r, w, self.n_students, cfg.l2_theta, theta),
+            (self.pair_kc, r_pairs, w_pairs, self.n_kcs,
+             cfg.l2_beta_gamma, beta),
+            (self.pair_kc, r_pairs * self.pair_t, w_pairs * self.pair_t2,
+             self.n_kcs, cfg.l2_beta_gamma, gamma)]
+        steps = []
+        for index, grad_w, fisher_w, length, l2, x in blocks:
+            g = np.bincount(index, grad_w, length) - l2 * x
+            d = np.bincount(index, fisher_w, length) + l2
+            steps.append(np.divide(g, d, out=np.zeros_like(g), where=d > 0))
+        return steps
 
 
 # ---------------------------------------------------------------------------
 # fitting
 
 
-def afm_fit(log: TransactionLog, q: QMatrix, config: FitConfig | None = None,
-            opportunities: OpportunityTable | None = None):
+def afm_fit(log: TransactionLog, q: QMatrix, config: FitConfig | None = None):
     """Fit AFM parameters; returns (AFMParams, FitDiagnostics).
 
     Projected gradient ascent with step halving: the gradient is scaled by
@@ -298,28 +355,24 @@ def afm_fit(log: TransactionLog, q: QMatrix, config: FitConfig | None = None,
     per-student coordinates move at comparable rates), a candidate step is
     accepted only if the penalized log-likelihood does not decrease, and
     gamma is projected onto [0, inf) after every step. Convergence is a
-    relative objective change below config.tol. Pass ``opportunities`` to
-    reuse counts computed on a larger log (as cross-validation does).
+    relative objective change below config.tol.
     """
     config = config or FitConfig()
     if len(log) == 0:
         raise InputError("cannot fit on an empty log")
-    if opportunities is None:
-        opportunities = compute_opportunities(log, q)
-    if len(opportunities.rows) != len(log):
-        raise InputError("opportunity table does not match log length")
-    return _fit_rows(list(log.rows), opportunities.rows, q, config)
+    cols = log.columns
+    design, _ = _Design.masked(cols, opportunity_pairs(cols, q), q.n_kcs,
+                               np.ones(len(log), dtype=bool))
+    theta, beta, gamma, diag = _solve(design, config)
+    return AFMParams(theta=dict(zip(cols.students, theta.tolist())),
+                     beta=dict(zip(q.kc_names, beta.tolist())),
+                     gamma=dict(zip(q.kc_names, gamma.tolist()))), diag
 
 
-def _fit_rows(rows, opp_rows, q: QMatrix, config: FitConfig):
-    students = sorted({tr.student_id for tr in rows})
-    design = _Design(rows, opp_rows, q, students)
-    n_s, n_k = len(students), q.n_kcs
-    theta = np.zeros(n_s)
-    beta = np.zeros(n_k)
-    gamma = np.zeros(n_k)
-
-    f = design.objective(theta, beta, gamma, config)
+def _solve(design: _Design, config: FitConfig):
+    theta, beta, gamma = (np.zeros(n) for n in (design.n_students,
+                                                design.n_kcs, design.n_kcs))
+    f, eta, e = design.objective(theta, beta, gamma, config)
     if not np.isfinite(f):
         raise FitError("objective non-finite at the zero start")
     history = [f]
@@ -327,78 +380,37 @@ def _fit_rows(rows, opp_rows, q: QMatrix, config: FitConfig):
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
-        (g_theta, g_beta, g_gamma), p = design.gradient(theta, beta, gamma,
-                                                        config)
-        d_theta, d_beta, d_gamma = design.fisher_diag(p, config)
-        # preconditioned ascent direction; coordinates with neither data nor
-        # penalty have zero gradient and stay put
-        s_theta = np.divide(g_theta, d_theta,
-                            out=np.zeros_like(g_theta), where=d_theta > 0)
-        s_beta = np.divide(g_beta, d_beta,
-                           out=np.zeros_like(g_beta), where=d_beta > 0)
-        s_gamma = np.divide(g_gamma, d_gamma,
-                            out=np.zeros_like(g_gamma), where=d_gamma > 0)
-        accepted = False
+        s_theta, s_beta, s_gamma = design.ascent_direction(
+            eta, e, theta, beta, gamma, config)
         while alpha >= 1e-14:
             cand_theta = theta + alpha * s_theta
             cand_beta = beta + alpha * s_beta
             cand_gamma = np.maximum(gamma + alpha * s_gamma, 0.0)
-            fc = design.objective(cand_theta, cand_beta, cand_gamma, config)
+            fc, eta_c, e_c = design.objective(cand_theta, cand_beta,
+                                              cand_gamma, config)
             if not np.isfinite(fc):
                 raise FitError(
                     f"objective non-finite at iteration {iterations} "
                     f"(step {alpha:g}, |theta|max "
                     f"{np.max(np.abs(cand_theta)):g})")
             if fc >= f:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:  # no step size kept the objective from falling
             converged = True
             break
         rel = (fc - f) / max(1.0, abs(f))
         theta, beta, gamma, f = cand_theta, cand_beta, cand_gamma, fc
+        eta, e = eta_c, e_c
         history.append(f)
         if rel < config.tol:
             converged = True
             break
         alpha = min(alpha * 2.0, 2.0)
 
-    params = AFMParams(
-        theta={s: float(v) for s, v in zip(students, theta)},
-        beta={k: float(v) for k, v in zip(q.kc_names, beta)},
-        gamma={k: float(v) for k, v in zip(q.kc_names, gamma)},
-    )
-    return params, FitDiagnostics(converged=converged, iterations=iterations,
-                                  objective=f, objective_history=history)
-
-
-# ---------------------------------------------------------------------------
-# scoring
-
-
-def _probabilities(params: AFMParams, q: QMatrix, rows, opp_rows) -> np.ndarray:
-    """Predicted correctness per row; unseen students and KCs fall back to 0
-    parameters (the cross-validation cold-start rule)."""
-    eta = np.empty(len(rows))
-    for i, (tr, opps) in enumerate(zip(rows, opp_rows)):
-        e = params.theta.get(tr.student_id, 0.0)
-        for kc, t in opps.items():
-            e += params.beta.get(kc, 0.0) + params.gamma.get(kc, 0.0) * t
-        eta[i] = e
-    return sigmoid(eta)
-
-
-def afm_rmse(params: AFMParams, q: QMatrix, log: TransactionLog,
-             opportunities: OpportunityTable | None = None) -> float:
-    """Root mean squared error of predicted correctness over a log."""
-    if len(log) == 0:
-        raise InputError("cannot score an empty log")
-    if opportunities is None:
-        opportunities = compute_opportunities(log, q)
-    p = _probabilities(params, q, list(log.rows), opportunities.rows)
-    y = np.array([tr.outcome for tr in log], dtype=np.float64)
-    return float(np.sqrt(np.mean((y - p) ** 2)))
+    return theta, beta, gamma, FitDiagnostics(
+        converged=converged, iterations=iterations, objective=f,
+        objective_history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +425,8 @@ def assign_folds(item_ids, folds: int, seed: int) -> list[list[str]]:
             f"{folds} folds exceed {len(unique)} distinct items")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(unique))
-    shuffled = [unique[i] for i in perm]
-    return [list(chunk) for chunk in np.array_split(shuffled, folds)]
+    return [[unique[i] for i in chunk]
+            for chunk in np.array_split(perm, folds)]
 
 
 @dataclass
@@ -424,12 +436,14 @@ class CVResult:
     fold_items: list[list[str]]
 
 
-def _cv_fold_worker(payload):
-    train_rows, train_opps, test_rows, test_opps, q, fit = payload
-    params, _ = _fit_rows(train_rows, train_opps, q, fit)
-    p = _probabilities(params, q, test_rows, test_opps)
-    y = np.array([tr.outcome for tr in test_rows], dtype=np.float64)
-    return float(np.sqrt(np.mean((y - p) ** 2)))
+def _cv_fold(cols: LogColumns, pairs: Pairs, n_kcs: int, held,
+             fit: FitConfig) -> float:
+    design, students = _Design.masked(cols, pairs, n_kcs, ~held)
+    theta_fit, beta, gamma, _ = _solve(design, fit)
+    theta = np.zeros(len(cols.students))
+    theta[students] = theta_fit
+    p = _probabilities(theta, beta, gamma, cols, pairs, held)
+    return float(np.sqrt(np.mean((cols.y[held] - p) ** 2)))
 
 
 def item_stratified_cv(log: TransactionLog, q: QMatrix,
@@ -447,29 +461,13 @@ def item_stratified_cv(log: TransactionLog, q: QMatrix,
     """
     fit = fit or FitConfig()
     cv = cv or CVConfig()
-    folds = assign_folds([tr.item_id for tr in log], cv.folds, cv.seed)
-    opportunities = compute_opportunities(log, q)
-    payloads = []
-    for fold_items in folds:
-        held = set(fold_items)
-        train_rows, train_opps, test_rows, test_opps = [], [], [], []
-        for tr, opps in zip(log.rows, opportunities.rows):
-            if tr.item_id in held:
-                test_rows.append(tr)
-                test_opps.append(opps)
-            else:
-                train_rows.append(tr)
-                train_opps.append(opps)
-        if not train_rows:
-            raise InputError("a fold left the training split empty")
-        if not test_rows:
-            raise InputError("a fold has no held-out transactions")
-        payloads.append((train_rows, train_opps, test_rows, test_opps, q, fit))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fold_rmses = list(pool.map(_cv_fold_worker, payloads))
-    else:
-        fold_rmses = [_cv_fold_worker(p) for p in payloads]
+    cols = log.columns
+    folds = assign_folds(cols.items, cv.folds, cv.seed)
+    pairs = opportunity_pairs(cols, q)
+    fold_of = {item: k for k, fold in enumerate(folds) for item in fold}
+    row_fold = np.array([fold_of[item] for item in cols.items])[cols.item]
+    fold_rmses = run_tasks(_cv_fold, [(cols, pairs, q.n_kcs, row_fold == k, fit)
+                                      for k in range(len(folds))], jobs)
     return CVResult(mean_rmse=float(np.mean(fold_rmses)),
                     fold_rmses=fold_rmses, fold_items=folds)
 
@@ -503,7 +501,7 @@ def compare_models(log: TransactionLog, models,
     """Item-stratified CV-RMSE for several (name, QMatrix) pairs.
 
     Fold assignment depends only on the log's item ids and the seed, so
-    every model is scored on identical folds.
+    every model is scored on identical folds and shares the log's columns.
     """
     models = list(models)
     if not models:

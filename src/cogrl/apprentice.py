@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ from .afm import (
 )
 from .cogmodel import QMatrix
 from .errors import ConfigurationError, InputError
+from .parallel import run_tasks
 from .problems import ClozeContent, ProblemInstance
 
 TOKEN_RE = re.compile(r"[a-z]+")
@@ -324,11 +324,7 @@ def simulate_and_estimate(original_log: TransactionLog,
                                 refit_every=sim.refit_every)
         payloads.append((curriculum, student_cfg, student, labels,
                          [tr.order for tr in rows]))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_student = list(pool.map(simulate_learner, *zip(*payloads)))
-    else:
-        per_student = [simulate_learner(*p) for p in payloads]
+    per_student = run_tasks(simulate_learner, payloads, jobs)
     simulated_log = TransactionLog([tr for rows in per_student for tr in rows])
 
     params_sim, _ = afm_fit(simulated_log, q_eval, fit)

@@ -29,49 +29,39 @@ from .problems import DatasetBundle, ProblemInstance, split_blank
 # transactions TSV
 
 TRANSACTIONS_HEADER = ["student_id", "item_id", "outcome", "order"]
+_OUTCOMES = {"0": 0, "1": 1}
 
 
 def load_transactions(path) -> TransactionLog:
-    """Read and validate a transactions TSV."""
+    """Read and validate a transactions TSV.
+
+    The log rules (outcome 0 or 1, positive and strictly increasing order
+    per student) are ``TransactionLog``'s; a broken one names its line.
+    """
     lines = read_lines(path)
     if not lines or lines[0].split("\t") != TRANSACTIONS_HEADER:
         raise InputError(
             f"{path}: expected header {'<TAB>'.join(TRANSACTIONS_HEADER)}")
-    rows = []
-    seen: dict[tuple[str, int], int] = {}
-    last_order: dict[str, int] = {}
+    rows, line_numbers = [], []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split("\t")
         if len(fields) != 4 or not fields[0] or not fields[1]:
             raise InputError(f"{path}: line {ln}: expected 4 non-empty columns")
-        student, item = fields[0], fields[1]
-        if fields[2] not in ("0", "1"):
-            raise InputError(
-                f"{path}: line {ln}: outcome must be 0 or 1, got {fields[2]!r}")
         try:
             order = int(fields[3])
         except ValueError:
             raise InputError(
                 f"{path}: line {ln}: order must be an integer") from None
-        if order < 1:
-            raise InputError(f"{path}: line {ln}: order must be positive")
-        key = (student, order)
-        if key in seen:
-            raise InputError(
-                f"{path}: line {ln}: duplicate (student, order) "
-                f"{key} first seen at line {seen[key]}")
-        seen[key] = ln
-        prev = last_order.get(student)
-        if prev is not None and order <= prev:
-            raise InputError(
-                f"{path}: line {ln}: orders not strictly increasing for "
-                f"student {student!r}")
-        last_order[student] = order
-        rows.append(Transaction(student_id=student, item_id=item,
-                                outcome=int(fields[2]), order=order))
-    return TransactionLog(rows)
+        # an outcome other than the exact text 0 or 1 stays text, which the
+        # log's outcome rule rejects
+        outcome = _OUTCOMES.get(fields[2], fields[2])
+        rows.append(Transaction(student_id=fields[0], item_id=fields[1],
+                                outcome=outcome, order=order))
+        line_numbers.append(ln)
+    return TransactionLog(rows,
+                          where=lambda i: f"{path}: line {line_numbers[i]}")
 
 
 def write_transactions(path, log: TransactionLog) -> None:

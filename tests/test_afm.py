@@ -13,6 +13,10 @@ from cogrl.afm import (
     FitConfig,
     Transaction,
     TransactionLog,
+    _Design,
+    _probabilities,
+    _softplus,
+    _solve,
     afm_fit,
     afm_predict,
     afm_rmse,
@@ -20,12 +24,14 @@ from cogrl.afm import (
     compare_models,
     compute_opportunities,
     item_stratified_cv,
+    opportunity_pairs,
     param_report,
     pearson,
 )
 from cogrl.cogmodel import QMatrix, faculty_transfer, identical_transfer
-from cogrl.errors import InputError
+from cogrl.errors import ConfigurationError, InputError
 from cogrl.ingest import AfmLogSynthSpec, synth_afm_log
+from cogrl.neuralcore.layers import sigmoid
 
 
 def _log(rows):
@@ -296,6 +302,18 @@ class TestItemStratifiedCV:
         ide = item_stratified_cv(log, identical_transfer(items), None, cv)
         assert ide.mean_rmse > fac.mean_rmse
 
+    def test_item_ids_ending_in_nul_keep_their_folds(self):
+        # numpy's fixed-width strings drop trailing NULs, so folds must
+        # hold the ids themselves
+        rows = [(f"s{k}", item, k % 2, j + 1) for k in range(6)
+                for j, item in enumerate(["a\x00", "b", "c"])]
+        log = _log(rows)
+        result = item_stratified_cv(log, faculty_transfer(log.items()), None,
+                                    CVConfig(folds=3, seed=0))
+        assert sorted(i for fold in result.fold_items for i in fold) == \
+            ["a\x00", "b", "c"]
+        assert len(result.fold_rmses) == 3
+
     def test_jobs_do_not_change_results(self):
         log, q, _ = synth_afm_log(AfmLogSynthSpec(
             students=15, items=10, kcs=2, seed=3))
@@ -425,3 +443,194 @@ class TestIdentifiability:
             p0 = afm_predict(params, q, "s", item, {kc: 2})
             p1 = afm_predict(shifted, q, "s", item, {kc: 2})
             assert math.isclose(p0, p1, rel_tol=1e-9)
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
+        {"l2_theta": math.nan}, {"l2_theta": math.inf}, {"l2_theta": -1.0},
+        {"l2_beta_gamma": math.nan}, {"l2_beta_gamma": math.inf},
+    ])
+    def test_non_finite_or_out_of_range_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            FitConfig(**kwargs)
+
+    def test_defaults_accepted(self):
+        FitConfig(l2_theta=0.0, l2_beta_gamma=0.0, tol=1e-12)
+
+
+class TestSoftplus:
+    EDGES = [0.0, 1e-300, -1e-300, 36.0, -36.0, 710.0, -710.0, 1e300, -1e300]
+
+    @staticmethod
+    def _check(x):
+        x = np.asarray(x, dtype=np.float64)
+        got = _softplus(x, np.exp(-np.abs(x)))
+        want = np.logaddexp(0.0, x)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(x)))
+
+    def test_edges(self):
+        self._check(self.EDGES)
+
+    def test_dense_range(self):
+        self._check(np.linspace(-60.0, 60.0, 24_001))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_value(self, x):
+        self._check([x])
+
+
+# ---------------------------------------------------------------------------
+# dict-based oracle: the per-row opportunity dicts, fold designs and
+# held-out scoring that the columnar core replaced
+
+
+def _oracle_opportunities(log, q):
+    item_kcs = {item: np.flatnonzero(q.row(item))
+                for item in {tr.item_id for tr in log}}
+    counters = {}
+    rows = []
+    for tr in log:
+        cnt = counters.get(tr.student_id)
+        if cnt is None:
+            cnt = counters[tr.student_id] = np.zeros(q.n_kcs, dtype=np.int64)
+        kcs = item_kcs[tr.item_id]
+        rows.append({q.kc_names[j]: int(cnt[j]) for j in kcs})
+        cnt[kcs] += 1
+    return rows
+
+
+def _oracle_design(rows, opp_rows, q):
+    students = sorted({tr.student_id for tr in rows})
+    s_index = {s: i for i, s in enumerate(students)}
+    kc_index = {k: j for j, k in enumerate(q.kc_names)}
+    y = np.array([tr.outcome for tr in rows], dtype=np.float64)
+    s_idx = np.array([s_index[tr.student_id] for tr in rows], dtype=np.intp)
+    pair_trans, pair_kc, pair_t = [], [], []
+    for i, opps in enumerate(opp_rows):
+        for kc, t in opps.items():
+            pair_trans.append(i)
+            pair_kc.append(kc_index[kc])
+            pair_t.append(t)
+    design = _Design(s_idx, len(students), y,
+                     np.array(pair_trans, dtype=np.intp),
+                     np.array(pair_kc, dtype=np.intp),
+                     np.array(pair_t, dtype=np.float64), q.n_kcs)
+    return students, design
+
+
+def _oracle_probabilities(params, rows, opp_rows):
+    eta = np.empty(len(rows))
+    for i, (tr, opps) in enumerate(zip(rows, opp_rows)):
+        e = params.theta.get(tr.student_id, 0.0)
+        for kc, t in opps.items():
+            e += params.beta.get(kc, 0.0) + params.gamma.get(kc, 0.0) * t
+        eta[i] = e
+    return sigmoid(eta)
+
+
+@st.composite
+def _cv_cases(draw):
+    """A log with interleaved students, multi-KC items, items with no KC and
+    one student seen on a single item (so only in that item's held-out
+    fold), a Q-matrix over its items, a fold count and a seed."""
+    n_items = draw(st.integers(2, 7))
+    n_kcs = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_kcs,
+                                   max_size=n_kcs),
+                          min_size=n_items, max_size=n_items))
+    items = [f"i{k}" for k in range(n_items)]
+    q = QMatrix(items, [f"k{j}" for j in range(n_kcs)], np.array(cells))
+    events = draw(st.lists(st.tuples(st.sampled_from(["s0", "s1", "s2", "s3"]),
+                                     st.sampled_from(items),
+                                     st.integers(0, 1),
+                                     st.integers(1, 3)),
+                           min_size=1, max_size=40))
+    solo = (draw(st.integers(0, len(events))), draw(st.sampled_from(items)),
+            draw(st.integers(0, 1)))
+    events.insert(solo[0], ("solo", solo[1], solo[2], 1))
+    order: dict[str, int] = {}
+    rows = []
+    for student, item, outcome, gap in events:
+        order[student] = order.get(student, 0) + gap
+        rows.append(Transaction(student, item, outcome, order[student]))
+    n_log_items = len({tr.item_id for tr in rows})
+    folds = draw(st.integers(2, max(2, n_log_items)))
+    return TransactionLog(rows), q, folds, draw(st.integers(0, 1000))
+
+
+class TestColumnarEquivalence:
+    """The columnar core against the dict-based oracle, exactly."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(_cv_cases(), st.integers(0, 2**32 - 1))
+    def test_pairs_designs_and_held_out_probabilities(self, case, seed):
+        log, q, folds, fold_seed = case
+        n_log_items = len(log.items())
+        if folds > n_log_items:
+            with pytest.raises(InputError):
+                assign_folds(log.items(), folds, fold_seed)
+            return
+        oracle_opps = _oracle_opportunities(log, q)
+        assert compute_opportunities(log, q).rows == oracle_opps
+        cols = log.columns
+        pairs = opportunity_pairs(cols, q)
+        kc_index = {k: j for j, k in enumerate(q.kc_names)}
+        assert list(zip(pairs.row.tolist(), pairs.kc.tolist(),
+                        pairs.t.tolist())) == \
+            [(i, kc_index[kc], t) for i, opps in enumerate(oracle_opps)
+             for kc, t in opps.items()]
+
+        rng = np.random.default_rng(seed)
+        for fold_items in assign_folds(log.items(), folds, fold_seed):
+            held = set(fold_items)
+            mask = np.array([tr.item_id in held for tr in log])
+            train = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
+                     if tr.item_id not in held]
+            test = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
+                    if tr.item_id in held]
+            students, want = _oracle_design(*zip(*train), q)
+            got, codes = _Design.masked(cols, pairs, q.n_kcs, ~mask)
+            assert [cols.students[c] for c in codes] == students
+            for name in ("s_idx", "y", "pair_trans", "pair_kc", "pair_t"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert got.n_students == want.n_students
+
+            params = AFMParams(
+                theta={s: float(rng.normal()) for s in students},
+                beta={k: float(rng.normal()) for k in q.kc_names},
+                gamma={k: float(rng.uniform(0, 1)) for k in q.kc_names})
+            theta = np.array([params.theta.get(s, 0.0) for s in cols.students])
+            beta = np.array([params.beta[k] for k in q.kc_names])
+            gamma = np.array([params.gamma[k] for k in q.kc_names])
+            assert np.array_equal(
+                _probabilities(theta, beta, gamma, cols, pairs, mask),
+                _oracle_probabilities(params, *zip(*test)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(_cv_cases())
+    def test_fold_rmses_equal_oracle_cv(self, case):
+        log, q, folds, fold_seed = case
+        if folds > len(log.items()):
+            return
+        fit = FitConfig(max_iter=40)
+        result = item_stratified_cv(log, q, fit, CVConfig(folds, fold_seed))
+        oracle_opps = _oracle_opportunities(log, q)
+        expected = []
+        for fold_items in assign_folds(log.items(), folds, fold_seed):
+            held = set(fold_items)
+            train = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
+                     if tr.item_id not in held]
+            test = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
+                    if tr.item_id in held]
+            students, design = _oracle_design(*zip(*train), q)
+            theta, beta, gamma, _ = _solve(design, fit)
+            params = AFMParams(dict(zip(students, theta.tolist())),
+                               dict(zip(q.kc_names, beta.tolist())),
+                               dict(zip(q.kc_names, gamma.tolist())))
+            p = _oracle_probabilities(params, *zip(*test))
+            y = np.array([tr.outcome for tr, _ in test], dtype=np.float64)
+            expected.append(float(np.sqrt(np.mean((y - p) ** 2))))
+        assert result.fold_rmses == expected

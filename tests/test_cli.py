@@ -316,3 +316,25 @@ class TestGradcheckAndErrors:
             env={**os.environ, "PYTHONPATH": str(package_root)})
         assert result.returncode == 0, result.stderr
         assert "gradcheck cnn: max_relative_error=" in result.stdout
+
+
+class TestFitSettings:
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "nan"), ("--l2-theta", "nan"), ("--l2-theta", "inf"),
+        ("--l2-bg", "nan")])
+    def test_non_finite_fit_setting_is_a_configuration_error(
+            self, log_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "params.tsv"
+        code = run(["fit-afm", "--log", log_dir / "transactions.tsv",
+                    "--qmatrix", log_dir / "qmatrix.tsv", "--out", out,
+                    flag, value])
+        assert code == 4
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_configuration_error(self, log_dir, tmp_path,
+                                                     jobs):
+        assert run(["compare", "--log", log_dir / "transactions.tsv",
+                    "--models", "faculty", "--folds", "3",
+                    "--out", tmp_path / "cmp.tsv", "--jobs", jobs]) == 4
