@@ -25,11 +25,18 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .cogmodel import QMatrix
-from .errors import ConfigurationError, FitError, InputError, read_lines
+from .errors import (
+    ConfigurationError,
+    FitError,
+    InputError,
+    read_table,
+    write_lines,
+)
 from .neuralcore.layers import sigmoid
 from .parallel import run_tasks
 
@@ -544,18 +551,9 @@ class ParamReport:
     slope_correlation: float | None = None
 
     def to_tsv_lines(self) -> list[str]:
-        if self.ref_intercepts is None:
-            lines = ["kc\tintercept\tslope"]
-            for kc, i, s in zip(self.kc_names, self.intercepts, self.slopes):
-                lines.append(f"{kc}\t{i:.6f}\t{s:.6f}")
-            return lines
-        lines = ["kc\tintercept\tslope\tref_intercept\tref_slope"]
-        for kc, i, s, ri, rs in zip(self.kc_names, self.intercepts, self.slopes,
-                                    self.ref_intercepts, self.ref_slopes):
-            lines.append(f"{kc}\t{i:.6f}\t{s:.6f}\t{ri:.6f}\t{rs:.6f}")
-        lines.append(
-            f"correlation_with_reference\t{self.intercept_correlation:.6f}"
-            f"\t{self.slope_correlation:.6f}\t\t")
+        lines = ["kc\tintercept\tslope"]
+        for kc, i, s in zip(self.kc_names, self.intercepts, self.slopes):
+            lines.append(f"{kc}\t{i:.6f}\t{s:.6f}")
         return lines
 
 
@@ -591,32 +589,21 @@ def param_report(params: AFMParams, q: QMatrix,
 
 
 def write_params(path, params: AFMParams) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("entity\trole\tvalue\n")
-        for s in sorted(params.theta):
-            fh.write(f"{s}\ttheta\t{format(params.theta[s], '.17g')}\n")
-        for k in sorted(params.beta):
-            fh.write(f"{k}\tbeta\t{format(params.beta[k], '.17g')}\n")
-        for k in sorted(params.gamma):
-            fh.write(f"{k}\tgamma\t{format(params.gamma[k], '.17g')}\n")
+    write_lines(path, chain(["entity\trole\tvalue"], (
+        f"{name}\t{role}\t{format(table[name], '.17g')}"
+        for role, table in (("theta", params.theta), ("beta", params.beta),
+                            ("gamma", params.gamma))
+        for name in sorted(table))))
 
 
 def read_params(path) -> AFMParams:
-    lines = read_lines(path)
-    if not lines or lines[0].split("\t") != ["entity", "role", "value"]:
-        raise InputError(f"{path}: expected header entity<TAB>role<TAB>value")
-    theta: dict[str, float] = {}
-    beta: dict[str, float] = {}
-    gamma: dict[str, float] = {}
-    roles = {"theta": theta, "beta": beta, "gamma": gamma}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3 or fields[1] not in roles:
-            raise InputError(f"{path}: line {ln}: malformed parameter row")
+    roles: dict[str, dict[str, float]] = {"theta": {}, "beta": {}, "gamma": {}}
+    for ln, (name, role, value) in read_table(
+            path, ["entity", "role", "value"])[1]:
+        if role not in roles:
+            raise InputError(f"{path}: line {ln}: unknown role {role!r}")
         try:
-            roles[fields[1]][fields[0]] = float(fields[2])
+            roles[role][name] = float(value)
         except ValueError:
             raise InputError(f"{path}: line {ln}: bad value") from None
-    return AFMParams(theta=theta, beta=beta, gamma=gamma)
+    return AFMParams(**roles)

@@ -53,6 +53,7 @@ from .errors import (
     FitError,
     InputError,
     NumericError,
+    write_lines,
 )
 from .ingest import (
     FULL_FEATURE_NAMES,
@@ -115,11 +116,6 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_text(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +208,7 @@ def cmd_qmatrix(args, seed):
     q, report = threshold_qmatrix(reps, args.tau)
     write_qmatrix(args.out, q)
     report_path = args.report or args.out + ".report.txt"
-    _write_text(report_path, report.lines())
+    write_lines(report_path, report.lines())
     inputs = [args.reps]
     outputs = [args.out, report_path]
     if args.emit_faculty:
@@ -245,7 +241,7 @@ def cmd_fit_afm(args, seed):
     write_params(args.out, params)
     outputs = [args.out]
     if args.report:
-        _write_text(args.report, param_report(params, q).to_tsv_lines())
+        write_lines(args.report, param_report(params, q).to_tsv_lines())
         outputs.append(args.report)
     print(f"fit: converged={diag.converged} iterations={diag.iterations} "
           f"objective={diag.objective:.6f}")
@@ -262,13 +258,14 @@ def cmd_cv(args, seed):
     for i, rmse in enumerate(result.fold_rmses):
         lines.append(f"{i}\t{rmse:.6f}")
     lines.append(f"mean\t{result.mean_rmse:.6f}")
-    _write_text(args.out, lines)
+    write_lines(args.out, lines)
     print(f"cv: mean_rmse={result.mean_rmse:.6f} folds={args.folds}")
     return [args.log, args.qmatrix], [args.out]
 
 
 def _parse_models(spec: str, item_ids):
-    models = []
+    """(name, QMatrix) per entry of a --models list, and the paths read."""
+    models, paths = [], []
     for entry in spec.split(","):
         entry = entry.strip()
         if not entry:
@@ -280,26 +277,25 @@ def _parse_models(spec: str, item_ids):
         elif "=" in entry:
             name, path = entry.split("=", 1)
             models.append((name, read_qmatrix(path)))
+            paths.append(path)
         else:
             raise ConfigurationError(
                 f"model entry {entry!r} is not faculty, identical or "
                 f"NAME=QMATRIX_PATH")
     if not models:
         raise ConfigurationError("no models given")
-    return models
+    return models, paths
 
 
 def cmd_compare(args, seed):
     log = load_transactions(args.log)
-    models = _parse_models(args.models, log.items())
+    models, paths = _parse_models(args.models, log.items())
     table = compare_models(log, models, _fit_config(args),
                            CVConfig(folds=args.folds, seed=seed),
                            jobs=args.jobs)
-    _write_text(args.out, table.to_tsv_lines())
+    write_lines(args.out, table.to_tsv_lines())
     print(table.to_text())
-    inputs = [args.log] + [entry.split("=", 1)[1]
-                           for entry in args.models.split(",") if "=" in entry]
-    return inputs, [args.out]
+    return [args.log] + paths, [args.out]
 
 
 def cmd_simulate(args, seed):
@@ -326,7 +322,7 @@ def cmd_simulate(args, seed):
         log, bundle.problems, mode, q_eval, fit=_fit_config(args),
         sim=SimConfig(seed=seed, refit_every=args.refit_every),
         jobs=args.jobs, **kwargs)
-    _write_text(args.out, study.to_tsv_lines())
+    write_lines(args.out, study.to_tsv_lines())
     outputs = [args.out]
     if args.out_sim_log:
         write_transactions(args.out_sim_log, study.simulated_log)
@@ -570,8 +566,7 @@ def main(argv=None) -> int:
             "outputs": outputs,
             "duration_s": round(time.time() - start, 3),
         }
-        with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        write_lines(manifest_path, [json.dumps(record, sort_keys=True)])
     return EXIT_OK
 
 

@@ -10,10 +10,11 @@ Additive Factors Model fitting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .errors import InputError, read_lines
+from .errors import InputError, read_binary, read_table, write_lines
 
 
 @dataclass
@@ -178,55 +179,29 @@ def load_human_model(path, item_ids: list[str]) -> QMatrix:
 
 def read_kc_map(path) -> dict[str, list[str]]:
     """Parse a (item_id, kc_name) TSV into an ordered item -> KCs map."""
-    lines = read_lines(path)
-    if not lines:
-        raise InputError(f"{path}: empty file")
-    header = lines[0].split("\t")
-    if header[:2] != ["item_id", "kc_name"]:
-        raise InputError(f"{path}: expected header item_id<TAB>kc_name")
     mapping: dict[str, list[str]] = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
+    for ln, (item, kc) in read_table(path, ["item_id", "kc_name"])[1]:
+        if not item or not kc:
             raise InputError(f"{path}: line {ln}: expected item_id<TAB>kc_name")
-        mapping.setdefault(fields[0], [])
-        if fields[1] not in mapping[fields[0]]:
-            mapping[fields[0]].append(fields[1])
+        kcs = mapping.setdefault(item, [])
+        if kc not in kcs:
+            kcs.append(kc)
     if not mapping:
         raise InputError(f"{path}: no item-to-KC rows")
     return mapping
 
 
 def write_qmatrix(path, q: QMatrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("item_id\t" + "\t".join(q.kc_names) + "\n")
-        for item, row in zip(q.item_ids, q.cells):
-            fh.write(item + "\t" + "\t".join(str(int(v)) for v in row) + "\n")
+    write_lines(path, chain(
+        ["item_id\t" + "\t".join(q.kc_names)],
+        (item + "\t" + "\t".join(str(int(v)) for v in row)
+         for item, row in zip(q.item_ids, q.cells))))
 
 
 def read_qmatrix(path) -> QMatrix:
-    lines = read_lines(path)
-    if not lines:
-        raise InputError(f"{path}: empty file")
-    header = lines[0].split("\t")
-    if header[0] != "item_id" or len(header) < 2:
-        raise InputError(f"{path}: expected header item_id<TAB><kc names...>")
-    kc_names = header[1:]
-    item_ids, rows = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(header):
-            raise InputError(f"{path}: line {ln}: expected {len(header)} columns")
+    columns, rows = read_table(path)
+    item_ids, cells = [], []
+    for ln, fields in rows:
         item_ids.append(fields[0])
-        try:
-            row = [int(v) for v in fields[1:]]
-        except ValueError:
-            raise InputError(f"{path}: line {ln}: non-integer cell") from None
-        if any(v not in (0, 1) for v in row):
-            raise InputError(f"{path}: line {ln}: cells must be 0 or 1")
-        rows.append(row)
-    return QMatrix(item_ids, kc_names, np.array(rows, dtype=np.int64))
+        cells.append(read_binary(path, ln, fields[1:]))
+    return QMatrix(item_ids, columns[1:], np.array(cells, dtype=np.int64))

@@ -1,9 +1,18 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps each subclass to a distinct exit code, so raise the most
-specific class that applies. ``read_lines`` is the one place text input
-files are decoded, so undecodable bytes end in ``InputError`` everywhere.
+specific class that applies.
+
+The text-file dialect lives here too. ``read_lines`` is the one place text
+input files are decoded, so undecodable bytes end in ``InputError``
+everywhere; ``read_table`` is the one TSV reader on top of it, and
+``write_lines`` the one text writer.
 """
+
+from __future__ import annotations
+
+from collections import Counter
+from collections.abc import Iterable, Iterator
 
 
 class CogrlError(Exception):
@@ -30,16 +39,79 @@ class FitError(CogrlError):
     """Likelihood optimization failed to produce a usable iterate."""
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; undecodable bytes raise InputError."""
+def read_lines(path) -> Iterator[str]:
+    """Stream the lines of a UTF-8 text file, without their line endings.
+
+    Undecodable bytes raise InputError. Only newlines end a line (CR LF
+    and a lone CR read as one): str.splitlines would also break a row at a
+    form feed, U+2028 or another Unicode line boundary inside a cell.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            for line in fh:
+                yield line.rstrip("\n")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
-    # only newlines end a line: str.splitlines would also break a row at a
-    # form feed, U+2028 or another Unicode line boundary inside a cell
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+
+
+# the one rule for binary cells: exactly the text 0 or 1
+BINARY = {"0": 0, "1": 1}
+
+
+def read_table(path, header: list[str] | None = None
+               ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Check a TSV's header; returns (columns, stream of data rows).
+
+    With ``header``, the first line must equal it exactly. Without, the
+    table is item-keyed and wide: ``item_id`` then one or more distinct,
+    non-empty column names, and no two rows share an item id. The stream
+    yields (file line number, fields) for each data row that is not blank;
+    every row has exactly as many fields as the header.
+    """
+    lines = read_lines(path)
+    columns = next(lines, "").split("\t")
+    if header is not None:
+        if columns != header:
+            raise InputError(f"{path}: expected header {'<TAB>'.join(header)}")
+    elif columns[0] != "item_id" or len(columns) < 2 or not all(columns):
+        raise InputError(
+            f"{path}: expected header item_id<TAB><one or more column names>")
+    else:
+        twice = [c for c, n in Counter(columns).items() if n > 1]
+        if twice:
+            raise InputError(
+                f"{path}: line 1: duplicate column name {twice[0]!r}")
+
+    def rows():
+        width, keyed, items = len(columns), header is None, set()
+        for ln, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise InputError(f"{path}: line {ln}: expected {width} "
+                                 f"columns, got {len(fields)}")
+            if keyed:
+                if fields[0] in items:
+                    raise InputError(
+                        f"{path}: line {ln}: duplicate item_id {fields[0]!r}")
+                items.add(fields[0])
+            yield ln, fields
+
+    return columns, rows()
+
+
+def read_binary(path, ln: int, cells: list[str]) -> list[int]:
+    """Parse 0/1 cells of a table row; any other text raises InputError."""
+    try:
+        return [BINARY[c] for c in cells]
+    except KeyError as exc:
+        raise InputError(f"{path}: line {ln}: cells must be 0 or 1, "
+                         f"got {exc.args[0]!r}") from None
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write lines as UTF-8 text, each ended by a newline, streaming them."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")

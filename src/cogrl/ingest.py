@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .afm import AFMParams, Transaction, TransactionLog
 from .apprentice import ARTICLE_FEATURE_NAMES, TOKEN_RE, article_human_features
 from .cogmodel import QMatrix
-from .errors import InputError, read_lines
+from .errors import BINARY, InputError, read_binary, read_table, write_lines
 from .neuralcore.layers import sigmoid
 from .problems import DatasetBundle, ProblemInstance, split_blank
 
@@ -29,7 +30,6 @@ from .problems import DatasetBundle, ProblemInstance, split_blank
 # transactions TSV
 
 TRANSACTIONS_HEADER = ["student_id", "item_id", "outcome", "order"]
-_OUTCOMES = {"0": 0, "1": 1}
 
 
 def load_transactions(path) -> TransactionLog:
@@ -38,37 +38,32 @@ def load_transactions(path) -> TransactionLog:
     The log rules (outcome 0 or 1, positive and strictly increasing order
     per student) are ``TransactionLog``'s; a broken one names its line.
     """
-    lines = read_lines(path)
-    if not lines or lines[0].split("\t") != TRANSACTIONS_HEADER:
-        raise InputError(
-            f"{path}: expected header {'<TAB>'.join(TRANSACTIONS_HEADER)}")
     rows, line_numbers = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4 or not fields[0] or not fields[1]:
-            raise InputError(f"{path}: line {ln}: expected 4 non-empty columns")
+    for ln, (student, item, outcome, order) in read_table(
+            path, TRANSACTIONS_HEADER)[1]:
+        if not student or not item:
+            raise InputError(
+                f"{path}: line {ln}: student_id and item_id must be non-empty")
         try:
-            order = int(fields[3])
+            order = int(order)
         except ValueError:
             raise InputError(
                 f"{path}: line {ln}: order must be an integer") from None
         # an outcome other than the exact text 0 or 1 stays text, which the
         # log's outcome rule rejects
-        outcome = _OUTCOMES.get(fields[2], fields[2])
-        rows.append(Transaction(student_id=fields[0], item_id=fields[1],
-                                outcome=outcome, order=order))
+        rows.append(Transaction(student_id=student, item_id=item,
+                                outcome=BINARY.get(outcome, outcome),
+                                order=order))
         line_numbers.append(ln)
     return TransactionLog(rows,
                           where=lambda i: f"{path}: line {line_numbers[i]}")
 
 
 def write_transactions(path, log: TransactionLog) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(TRANSACTIONS_HEADER) + "\n")
-        for tr in log:
-            fh.write(f"{tr.student_id}\t{tr.item_id}\t{tr.outcome}\t{tr.order}\n")
+    write_lines(path, chain(
+        ["\t".join(TRANSACTIONS_HEADER)],
+        (f"{tr.student_id}\t{tr.item_id}\t{tr.outcome}\t{tr.order}"
+         for tr in log)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +142,11 @@ MANIFEST_HEADER = ["item_id", "image", "answer"]
 
 def load_images(manifest_path) -> DatasetBundle:
     """Load an image manifest TSV; paths are relative to the manifest."""
-    lines = read_lines(manifest_path)
-    if not lines or lines[0].split("\t") != MANIFEST_HEADER:
-        raise InputError(
-            f"{manifest_path}: expected header {'<TAB>'.join(MANIFEST_HEADER)}")
     base = os.path.dirname(os.path.abspath(manifest_path))
     problems: list[ProblemInstance] = []
     answer_labels: list[str] = []
     shape = None
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3 or not all(fields):
-            raise InputError(
-                f"{manifest_path}: line {ln}: expected 3 non-empty columns")
-        item, rel, answer = fields
+    for ln, (item, rel, answer) in _item_rows(manifest_path, MANIFEST_HEADER):
         image = read_image(os.path.join(base, rel))
         if shape is None:
             shape = image.shape
@@ -183,6 +167,20 @@ def load_images(manifest_path) -> DatasetBundle:
     return DatasetBundle(problems=problems, answer_labels=answer_labels)
 
 
+def _item_rows(path, header):
+    """The rows of a problem table: every cell non-empty, item ids unique."""
+    seen = set()
+    for ln, fields in read_table(path, header)[1]:
+        if not all(fields):
+            raise InputError(
+                f"{path}: line {ln}: expected {len(header)} non-empty columns")
+        if fields[0] in seen:
+            raise InputError(
+                f"{path}: line {ln}: duplicate item_id {fields[0]!r}")
+        seen.add(fields[0])
+        yield ln, fields
+
+
 # ---------------------------------------------------------------------------
 # cloze TSV
 
@@ -191,18 +189,9 @@ CLOZE_HEADER = ["item_id", "text", "answer"]
 
 def load_cloze(path) -> DatasetBundle:
     """Load a cloze TSV; each text carries exactly one >=3-underscore blank."""
-    lines = read_lines(path)
-    if not lines or lines[0].split("\t") != CLOZE_HEADER:
-        raise InputError(f"{path}: expected header {'<TAB>'.join(CLOZE_HEADER)}")
     problems: list[ProblemInstance] = []
     answer_labels: list[str] = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3 or not all(fields):
-            raise InputError(f"{path}: line {ln}: expected 3 non-empty columns")
-        item, text, answer = fields
+    for ln, (item, text, answer) in _item_rows(path, CLOZE_HEADER):
         try:
             content = split_blank(text)
         except InputError as exc:
@@ -217,11 +206,10 @@ def load_cloze(path) -> DatasetBundle:
 
 
 def write_cloze(path, bundle: DatasetBundle) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(CLOZE_HEADER) + "\n")
-        for p in bundle.problems:
-            fh.write(f"{p.item_id}\t{p.content.text}\t"
-                     f"{bundle.answer_labels[p.answer]}\n")
+    write_lines(path, chain(
+        ["\t".join(CLOZE_HEADER)],
+        (f"{p.item_id}\t{p.content.text}\t{bundle.answer_labels[p.answer]}"
+         for p in bundle.problems)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,33 +218,17 @@ def write_cloze(path, bundle: DatasetBundle) -> None:
 
 def write_features(path, features: dict[str, dict[str, int]],
                    feature_names: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("item_id\t" + "\t".join(feature_names) + "\n")
-        for item in features:
-            vals = "\t".join(str(int(features[item][n])) for n in feature_names)
-            fh.write(f"{item}\t{vals}\n")
+    write_lines(path, chain(
+        ["item_id\t" + "\t".join(feature_names)],
+        (item + "\t" + "\t".join(str(int(features[item][n]))
+                                  for n in feature_names)
+         for item in features)))
 
 
 def read_features(path) -> dict[str, dict[str, int]]:
-    lines = read_lines(path)
-    if not lines or not lines[0].startswith("item_id\t"):
-        raise InputError(f"{path}: expected header item_id<TAB>features")
-    names = lines[0].split("\t")[1:]
-    out: dict[str, dict[str, int]] = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(names) + 1:
-            raise InputError(f"{path}: line {ln}: wrong column count")
-        try:
-            vals = [int(v) for v in fields[1:]]
-        except ValueError:
-            raise InputError(f"{path}: line {ln}: features must be 0/1") from None
-        if any(v not in (0, 1) for v in vals):
-            raise InputError(f"{path}: line {ln}: features must be 0/1")
-        out[fields[0]] = dict(zip(names, vals))
-    return out
+    names, rows = read_table(path)
+    return {fields[0]: dict(zip(names[1:], read_binary(path, ln, fields[1:])))
+            for ln, fields in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +318,16 @@ def write_image_dataset(out_dir, bundle: DatasetBundle) -> str:
     images_dir = os.path.join(out_dir, "images")
     os.makedirs(images_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.tsv")
-    with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(MANIFEST_HEADER) + "\n")
+
+    def rows():
+        yield "\t".join(MANIFEST_HEADER)
         for p in bundle.problems:
             ext = "pgm" if p.content.shape[0] == 1 else "ppm"
             rel = os.path.join("images", f"{p.item_id}.{ext}")
             write_image(os.path.join(out_dir, rel), p.content)
-            fh.write(f"{p.item_id}\t{rel}\t{bundle.answer_labels[p.answer]}\n")
+            yield f"{p.item_id}\t{rel}\t{bundle.answer_labels[p.answer]}"
+
+    write_lines(manifest, rows())
     return manifest
 
 

@@ -11,7 +11,7 @@ from .layers import (
     flip_kernel,
     sigmoid,
 )
-from .network import Network, check_finite, softmax, softmax_cross_entropy
+from .network import Network, check_finite, softmax_cross_entropy
 from .train import SGDConfig, sgd_update
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "sigmoid",
-    "softmax",
     "softmax_cross_entropy",
     "sgd_update",
 ]

@@ -51,7 +51,7 @@ def save_checkpoint(path, meta: dict, params: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (meta, {name: float64 array})."""
-    lines = read_lines(path)
+    lines = list(read_lines(path))
     if not lines or lines[0].split() != [MAGIC, str(VERSION)]:
         raise InputError(f"{path}: not a {MAGIC} version {VERSION} file")
     if len(lines) < 2 or not lines[1].startswith("meta "):

@@ -14,12 +14,6 @@ import numpy as np
 from ..errors import DimensionError, NumericError
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits)
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def softmax_cross_entropy(logits: np.ndarray, label):
     """Return (loss, probs, dlogits) for (B, K) logits and B labels.
 

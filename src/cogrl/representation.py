@@ -11,7 +11,8 @@ wherever its activation exceeds the threshold (0.95 by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from .errors import (
     DimensionError,
     InputError,
     NumericError,
-    read_lines,
+    read_table,
+    write_lines,
 )
 from .neuralcore.checkpoint import load_checkpoint, save_checkpoint
 from .neuralcore.layers import ConvLayer, DenseLayer, EmbeddingTable, LSTMCell
@@ -411,26 +413,15 @@ def threshold_qmatrix(reps: RepresentationMatrix,
 
 def write_representations(path, reps: RepresentationMatrix) -> None:
     n_dims = reps.values.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("item_id\t" + "\t".join(kc_name_for_dim(k)
-                                         for k in range(n_dims)) + "\n")
-        for item, row in zip(reps.item_ids, reps.values):
-            vals = "\t".join(format(v, ".17g") for v in row)
-            fh.write(f"{item}\t{vals}\n")
+    write_lines(path, chain(
+        ["item_id\t" + "\t".join(kc_name_for_dim(k) for k in range(n_dims))],
+        (item + "\t" + "\t".join(format(v, ".17g") for v in row)
+         for item, row in zip(reps.item_ids, reps.values))))
 
 
 def read_representations(path) -> RepresentationMatrix:
-    lines = read_lines(path)
-    if not lines or not lines[0].startswith("item_id\t"):
-        raise InputError(f"{path}: expected header item_id<TAB>rep columns")
-    n_cols = len(lines[0].split("\t"))
     item_ids, rows = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != n_cols:
-            raise InputError(f"{path}: line {ln}: expected {n_cols} columns")
+    for ln, fields in read_table(path)[1]:
         item_ids.append(fields[0])
         try:
             rows.append([float(v) for v in fields[1:]])

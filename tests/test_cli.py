@@ -174,6 +174,16 @@ class TestFitCvCompare:
         oracle_row = [l for l in cmp_lines if l.startswith("oracle\t")][0]
         assert cv_mean.split("\t")[1] == oracle_row.split("\t")[1]
 
+    def test_compare_manifest_lists_the_stripped_model_paths(self, log_dir,
+                                                             tmp_path):
+        q_path = log_dir / "qmatrix.tsv"
+        assert run(["compare", "--log", log_dir / "transactions.tsv",
+                    "--models", f"faculty, mine={q_path} ,", "--folds", "2",
+                    "--out", tmp_path / "o.tsv"]) == 0
+        manifest = json.loads((tmp_path / "o.tsv.manifest.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(
+            [str(log_dir / "transactions.tsv"), str(q_path)])
+
     def test_compare_jobs_byte_identical(self, log_dir, tmp_path):
         base = ["compare", "--log", log_dir / "transactions.tsv",
                 "--models", "faculty,identical", "--folds", "3",
