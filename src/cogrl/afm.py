@@ -602,6 +602,9 @@ def read_params(path) -> AFMParams:
             path, ["entity", "role", "value"])[1]:
         if role not in roles:
             raise InputError(f"{path}: line {ln}: unknown role {role!r}")
+        if name in roles[role]:
+            raise InputError(
+                f"{path}: line {ln}: duplicate {role} row for {name!r}")
         try:
             roles[role][name] = float(value)
         except ValueError:

@@ -204,4 +204,6 @@ def read_qmatrix(path) -> QMatrix:
     for ln, fields in rows:
         item_ids.append(fields[0])
         cells.append(read_binary(path, ln, fields[1:]))
+    if not cells:
+        raise InputError(f"{path}: the table has no items")
     return QMatrix(item_ids, columns[1:], np.array(cells, dtype=np.int64))

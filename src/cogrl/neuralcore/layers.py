@@ -13,7 +13,8 @@ incoming gradient. A single sample without the batch axis, ``(C, H, W)``
 or ``(in_size,)``, runs as a batch of one through the same code and comes
 back without the batch axis. ``LSTMCell`` is time-major: it runs a
 (T, B, input_size) minibatch of left-padded sequences under a (T, B) mask,
-and a (T, input_size) sequence as a batch of one. ``EmbeddingTable`` looks
+computing only the cells of real steps, and a (T, input_size) sequence as
+a batch of one. ``EmbeddingTable`` looks
 up ids of any shape and scatters gradients for a flat list of ids.
 
 Weight matrices are initialized uniformly on (-1/sqrt(fan_in), +1/sqrt(fan_in))
@@ -243,6 +244,10 @@ class LSTMCell:
         self.w_h = rng.uniform(-lh, lh, size=(4 * hidden_size, hidden_size))
         self.b_x = np.zeros(4 * hidden_size, dtype=np.float64)
         self.b_h = np.zeros(4 * hidden_size, dtype=np.float64)
+        # column factors turning one tanh over the stacked pre-activations
+        # into the logistic on the i, f and o blocks (see _gates)
+        self._half = np.repeat([0.5, 0.5, 1.0, 0.5], hidden_size)
+        self._shift = np.repeat([0.5, 0.5, 0.0, 0.5], hidden_size)
 
     def _block(self, arr, gate):
         h = self.hidden_size
@@ -293,46 +298,84 @@ class LSTMCell:
         h, c, _ = self._step_full(x_t, h_prev, c_prev)
         return h, c
 
-    def _gates(self, x_t, h_prev, c_prev):
-        """Gates (i, f, g, o), new cell state and its tanh for a (B, ·) step."""
-        a = x_t @ self.w_x.T + self.b_x + h_prev @ self.w_h.T + self.b_h
-        s = sigmoid(a)
-        h = self.hidden_size
-        i, f, o = s[:, :h], s[:, h:2 * h], s[:, 3 * h:]
-        g = np.tanh(a[:, 2 * h:3 * h])
-        c = f * c_prev + i * g
+    def _gates(self, x_t, h_prev, c_prev, bias, buf):
+        """Gates (i, f, g, o), new cell state and its tanh for the live rows
+        of one step of a length-sorted minibatch.
+
+        ``x_t`` holds the live rows' inputs. Only the first len(h_prev) of
+        them carry state; the others start at this step from the zero
+        state, so they get no recurrent and no forget-gate term. ``bias`` is
+        b_x + b_h, and the gates are views into ``buf``, a (B, 4 hidden)
+        scratch buffer.
+        """
+        m, hs = len(h_prev), self.hidden_size
+        a = np.matmul(x_t, self.w_x.T, out=buf[:len(x_t)])
+        a += bias
+        a[:m] += h_prev @ self.w_h.T
+        # logistic(v) = 0.5 + 0.5 tanh(v/2) on the i, f and o blocks, tanh on
+        # g: one in-place tanh over the buffer between two column scalings
+        a *= self._half
+        np.tanh(a, out=a)
+        a *= self._half
+        a += self._shift
+        i, f, g, o = (a[:, k * hs:(k + 1) * hs] for k in range(4))
+        c = i * g
+        c[:m] += f[:m] * c_prev
         return i, f, g, o, c, np.tanh(c)
 
     def run(self, xs: np.ndarray, mask: np.ndarray | None = None):
         """Run a time-major minibatch from the zero initial state.
 
         ``xs`` is (T, B, input_size) and the boolean (T, B) ``mask`` marks
-        each row's real steps; a masked step sets the row's state to zero.
-        Sequences are padded on the left, so every row stays at the zero
-        state until its first real step and ends at step T. A (T,
-        input_size) sequence without a mask runs as a batch of one.
+        each row's real steps. Sequences are padded on the left: a row's
+        real steps are its last ones, with no gap, and a mask of any other
+        shape raises DimensionError. A (T, input_size) sequence without a
+        mask runs as a batch of one.
 
-        Returns the final hidden and cell states, (B, hidden) or (hidden,),
-        and one cache per step for backward_through_time. A cache holds only
-        the step's input, the state it started from and the mask column;
-        the gates are recomputed in the backward pass. An empty sequence
-        yields the zero initial states and no caches.
+        Only live cells are computed. The rows are stable-sorted by length,
+        longest first, so the rows whose sequence has started by step t are
+        a prefix of that order, and step t works on that prefix alone; a
+        row starting at step t starts from the zero state.
+
+        Returns the final hidden and cell states in the caller's row order,
+        (B, hidden) or (hidden,), zero for an empty row, and one cache per
+        step for backward_through_time. A cache holds the live rows' input,
+        the states they started from (only the rows already running) and
+        the live rows' positions in the caller's order; the gates are
+        recomputed in the backward pass. An empty sequence yields the zero
+        initial states and no caches.
         """
         xs = np.asarray(xs, dtype=np.float64)
         xb = xs[:, None, :] if xs.ndim == 2 else xs
-        keep = np.ones(xb.shape[:2]) if mask is None else np.asarray(mask)
+        keep = np.ones(xb.shape[:2], dtype=bool) if mask is None \
+            else np.asarray(mask, dtype=bool)
         if xb.ndim != 3 or xb.shape[2:] != (self.input_size,) \
                 or keep.shape != xb.shape[:2]:
             raise DimensionError(f"LSTM expects (T[, B], {self.input_size}) "
                                  f"input and a (T, B) mask, got {xs.shape}")
-        h = np.zeros((xb.shape[1], self.hidden_size))
-        c = np.zeros_like(h)
+        steps, batch = keep.shape
+        lengths = keep.sum(axis=0)
+        if not np.array_equal(keep, np.arange(steps)[:, None] >= steps - lengths):
+            raise DimensionError(
+                "LSTM mask must mark each row's last steps, without a gap "
+                "(left padding)")
+        order = np.argsort(-lengths, kind="stable")
+        bias = self.b_x + self.b_h
+        buf = np.empty((batch, 4 * self.hidden_size))
+        h = c = np.zeros((0, self.hidden_size))
         caches = []
-        for x_t, m in zip(xb, keep[:, :, None]):
-            caches.append((x_t, h, c, m))
-            _, _, _, o, c_new, tc = self._gates(x_t, h, c)
-            h, c = o * tc * m, c_new * m
-        return (h[0], c[0], caches) if xs.ndim == 2 else (h, c, caches)
+        for x_t, n in zip(xb, keep.sum(axis=1)):
+            rows = order[:n]
+            x_live = x_t[rows]
+            caches.append((x_live, h, c, rows))
+            _, _, _, o, c, tc = self._gates(x_live, h, c, bias, buf)
+            h = o * tc
+        h_out = np.zeros((batch, self.hidden_size))
+        c_out = np.zeros_like(h_out)
+        h_out[order[:len(h)]] = h
+        c_out[order[:len(c)]] = c
+        return (h_out[0], c_out[0], caches) if xs.ndim == 2 \
+            else (h_out, c_out, caches)
 
     def backward_through_time(self, caches, dh_last):
         """Backpropagate a gradient on the final hidden state.
@@ -340,35 +383,44 @@ class LSTMCell:
         ``dh_last`` is (B, hidden) for a minibatch run or (hidden,) for a
         single sequence. Each step's gates are rebuilt from its cache, so
         the backward pass costs one more forward step per step but the run
-        holds only the per-step states. Returns (dxs, grads): dxs is shaped
-        like the run's input, (T, B, input_size) or (T, input_size), and
-        zero at masked steps; grads holds the w_x, w_h, b_x, b_h gradients
-        summed over the minibatch.
+        holds only the per-step states. Like the run it works on the live
+        rows only: going back from step t to t-1, the state gradients
+        shrink to the rows already running at t-1. Returns (dxs, grads):
+        dxs is shaped like the run's input, (T, B, input_size) or
+        (T, input_size), in the caller's row order and zero at masked
+        steps; grads holds the w_x, w_h, b_x, b_h gradients summed over the
+        minibatch.
         """
         dh = np.asarray(dh_last, dtype=np.float64)
         single = dh.ndim == 1
         dh = dh.reshape(-1, self.hidden_size)
+        hs = self.hidden_size
         dwx = np.zeros_like(self.w_x)
         dwh = np.zeros_like(self.w_h)
         dbx = np.zeros_like(self.b_x)
         dxs = np.zeros((len(caches), dh.shape[0], self.input_size))
+        bias = self.b_x + self.b_h
+        buf = np.empty((dh.shape[0], 4 * hs))
+        da_buf = np.empty_like(buf)
+        if caches:
+            dh = dh[caches[-1][3]]
         dc = np.zeros_like(dh)
         for t in range(len(caches) - 1, -1, -1):
-            x_t, h_prev, c_prev, m = caches[t]
-            i, f, g, o, _, tc = self._gates(x_t, h_prev, c_prev)
-            dh, dc = dh * m, dc * m
-            dc = dc + dh * o * (1.0 - tc * tc)
-            da = np.concatenate([
-                dc * g * i * (1.0 - i),
-                dc * c_prev * f * (1.0 - f),
-                dc * i * (1.0 - g * g),
-                dh * tc * o * (1.0 - o),
-            ], axis=1)
+            x_t, h_prev, c_prev, rows = caches[t]
+            m = len(h_prev)
+            i, f, g, o, _, tc = self._gates(x_t, h_prev, c_prev, bias, buf)
+            dc += dh * o * (1.0 - tc * tc)
+            da = da_buf[:len(x_t)]
+            da[:, :hs] = dc * g * i * (1.0 - i)
+            da[:m, hs:2 * hs] = dc[:m] * c_prev * f[:m] * (1.0 - f[:m])
+            da[m:, hs:2 * hs] = 0.0
+            da[:, 2 * hs:3 * hs] = dc * i * (1.0 - g * g)
+            da[:, 3 * hs:] = dh * tc * o * (1.0 - o)
             dwx += da.T @ x_t
-            dwh += da.T @ h_prev
+            dwh += da[:m].T @ h_prev
             dbx += da.sum(axis=0)
-            dxs[t] = da @ self.w_x
-            dh = da @ self.w_h
-            dc = dc * f
+            dxs[t, rows] = da @ self.w_x
+            dh = da[:m] @ self.w_h
+            dc = dc[:m] * f[:m]
         grads = {"w_x": dwx, "w_h": dwh, "b_x": dbx, "b_h": dbx.copy()}
         return (dxs[:, 0] if single else dxs), grads

@@ -427,6 +427,8 @@ def read_representations(path) -> RepresentationMatrix:
             rows.append([float(v) for v in fields[1:]])
         except ValueError:
             raise InputError(f"{path}: line {ln}: bad value") from None
+    if not rows:
+        raise InputError(f"{path}: the table has no items")
     return RepresentationMatrix(item_ids, np.array(rows, dtype=np.float64))
 
 

@@ -287,6 +287,13 @@ class TestGradcheckAndErrors:
         assert run(["qmatrix", "--reps", bad,
                     "--out", tmp_path / "q.tsv"]) == 3
 
+    def test_header_only_reps_exit_code(self, tmp_path, capsys):
+        reps = tmp_path / "reps.tsv"
+        reps.write_text("item_id\trep_00\n")
+        assert run(["qmatrix", "--reps", reps,
+                    "--out", tmp_path / "q.tsv"]) == 3
+        assert "reps.tsv: the table has no items" in capsys.readouterr().err
+
     def test_image_byte_above_maxval_exit_code(self, tmp_path):
         (tmp_path / "a.pgm").write_bytes(b"P5 2 1 2\n" + bytes([200, 0]))
         (tmp_path / "b.pgm").write_bytes(b"P5 2 1 2\n" + bytes([0, 2]))

@@ -655,6 +655,56 @@ class TestBatchEquivalence:
         for name, g in grads.items():
             assert_close(g, grad_sum[name])
 
+    @settings(deadline=None, max_examples=40)
+    @given(lengths=st.one_of(
+               st.lists(st.integers(0, 12), min_size=1, max_size=40),
+               st.builds(lambda n, b: [n] * b, st.integers(0, 12),
+                         st.integers(1, 40))),
+           input_size=st.integers(1, 4), hidden=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[3, 0, 5, 5, 1, 0, 3, 5], input_size=2, hidden=3, seed=0)
+    @example(lengths=[7] * 40, input_size=1, hidden=2, seed=1)
+    @example(lengths=[0] * 39 + [1], input_size=3, hidden=1, seed=2)
+    @example(lengths=list(range(11, -1, -1)) + list(range(12)),
+             input_size=2, hidden=2, seed=3)
+    def test_lstm_live_prefix(self, lengths, input_size, hidden, seed):
+        """Unsorted lengths with ties and empty rows: the run computes one
+        cell per real step and matches the per-sequence oracle row by row."""
+        rng = np.random.default_rng(seed)
+        cell = LSTMCell(input_size, hidden, rng=rng)
+        cell.b_x[:] = rng.uniform(-0.5, 0.5, 4 * hidden)
+        cell.b_h[:] = rng.uniform(-0.5, 0.5, 4 * hidden)
+        steps, batch = max(lengths), len(lengths)
+        xs = rng.uniform(-2, 2, (steps, batch, input_size))
+        mask = np.arange(steps)[:, None] >= steps - np.array(lengths)
+        h, c, caches = cell.run(xs, mask)
+        assert sum(len(x_t) for x_t, *_ in caches) == sum(lengths)
+        dh = rng.uniform(-1, 1, (batch, hidden))
+        dxs, grads = cell.backward_through_time(caches, dh)
+        assert np.array_equal(dxs[~mask], np.zeros((np.sum(~mask), input_size)))
+        grad_sum = {name: np.zeros_like(g) for name, g in grads.items()}
+        for b, n in enumerate(lengths):
+            h_ref, c_ref, caches_ref = lstm_run_reference(
+                cell, xs[steps - n:, b])
+            dxs_ref, grads_ref = lstm_bptt_reference(cell, caches_ref, dh[b])
+            assert_close(h[b], h_ref)
+            assert_close(c[b], c_ref)
+            assert_close(dxs[steps - n:, b], dxs_ref)
+            for name, g in grads_ref.items():
+                grad_sum[name] += g
+        for name, g in grads.items():
+            assert_close(g, grad_sum[name])
+
+    @pytest.mark.parametrize("column", [[True, False, True],
+                                        [True, True, False],
+                                        [False, True, False]])
+    def test_lstm_mask_must_be_left_padded(self, column):
+        cell = LSTMCell(2, 3, rng=np.random.default_rng(0))
+        mask = np.array([[True, column[0]], [True, column[1]],
+                         [True, column[2]]])
+        with pytest.raises(DimensionError, match="left padding"):
+            cell.run(np.zeros((3, 2, 2)), mask)
+
     @settings(deadline=None, max_examples=30)
     @given(sides=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                           min_size=1, max_size=8),
@@ -695,6 +745,22 @@ class TestBatchEquivalence:
         assert set(grads) == set(mean_grads)
         for name in grads:
             assert_close(grads[name], mean_grads[name])
+
+    def test_cloze_lstm_shortest_first_minibatch_keeps_input_order(self):
+        from cogrl.problems import split_blank
+        from cogrl.representation import CharVocab, ClozeArchSpec, build_cloze_lstm
+
+        net = build_cloze_lstm(
+            ClozeArchSpec(n_classes=3, embedding_dim=3, lstm_hidden=4,
+                          combine_size=8, rep_size=5), CharVocab("abc "), seed=4)
+        # prefixes shortest first, suffixes longest first
+        contents = [split_blank(t) for t in
+                    ["___ abcabc", "a ___ cab", "ab ___ c", "abc ab ___",
+                     "abc abc ___"]]
+        logits, _ = net.forward_logits(net.collate(contents))
+        assert logits.shape == (5, 3)
+        for row, content in zip(logits, contents):
+            assert_close(row, net.forward_logits(content)[0])
 
     def test_cloze_lstm_readout_matches_single_samples(self):
         from cogrl.problems import ProblemInstance, split_blank

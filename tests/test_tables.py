@@ -383,8 +383,9 @@ TIGHTENED = {
     "features": _binary_tightening,
     "kc_map": lambda header, rows: header != ["item_id", "kc_name"],
     "qmatrix": _binary_tightening,
-    "params": lambda header, rows: False,
-    "representations": _wide_tightening,
+    "params": lambda header, rows: _repeats([tuple(r[:2]) for r in rows]),
+    "representations": lambda header, rows: (_wide_tightening(header, rows)
+                                             or not rows),
 }
 
 
@@ -588,6 +589,23 @@ class TestDuplicateKeys:
         with pytest.raises(InputError,
                            match="line 1: duplicate column name 'f1'"):
             read_features(path)
+
+    def test_repeated_params_row(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_text("entity\trole\tvalue\ns1\ttheta\t0.5\n"
+                        "s1\tbeta\t1\ns1\ttheta\t2\n")
+        with pytest.raises(InputError,
+                           match="line 4: duplicate theta row for 's1'"):
+            read_params(path)
+
+
+@pytest.mark.parametrize("reader, header", [
+    (read_qmatrix, "item_id\tk1"), (read_representations, "item_id\trep_00")])
+def test_header_only_table_names_the_file(tmp_path, reader, header):
+    path = tmp_path / "t.tsv"
+    path.write_text(header + "\n")
+    with pytest.raises(InputError, match=r"t\.tsv: the table has no items"):
+        reader(path)
 
 
 @pytest.mark.parametrize("reader", [read_qmatrix, read_features])
