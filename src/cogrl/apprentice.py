@@ -12,6 +12,13 @@ from the original log.
 Feature vectors are either the thresholded learned-representation
 dimensions, the six hand-written article-selection predicates below, or any
 caller-provided binary features.
+
+A learner's predictions come from one batched, level-synchronous descent:
+each attempt holds its current node as a 0/1 membership over the learner's
+worked examples, one matrix product per tree level gives every node's label
+counts, one vectorized split rule (``_best_split``) picks every node's
+feature, and the attempts that reach a leaf drop out. ``fit_decision_tree``
+builds whole trees with the same split rule.
 """
 
 from __future__ import annotations
@@ -120,48 +127,92 @@ def _encode(feature_rows, labels):
     return list(names), x.astype(np.int8), y, values
 
 
-def _best_split(x: np.ndarray, y: np.ndarray) -> int | None:
-    """Feature whose 0/1 split of the rows ``x`` (label codes ``y``) most
-    reduces Gini impurity, ties going to the lowest index; None when the node
-    is a leaf (one label, or no feature separates its rows).
+# attempts whose nodes are held at once: at most this many (attempt, row)
+# membership cells, so a long curriculum does not raise peak memory
+CELLS = 1 << 16
+
+
+def _basis(x: np.ndarray, y: np.ndarray, n_labels: int) -> np.ndarray:
+    """(n, (F + 1) * L) float64 rows: each row's one-hot label in the block
+    of every feature it has set, then once more in a last block, so a 0/1
+    row membership times this basis gives a node's label counts at
+    x[:, j] == 1 for each feature j, then over all of its rows."""
+    onehot = np.eye(n_labels)[y]
+    return np.concatenate([x[:, :, None] * onehot[:, None, :],
+                           onehot[:, None, :]], axis=1).reshape(len(y), -1)
+
+
+def _best_split(counts: np.ndarray) -> np.ndarray:
+    """For each node's (F + 1, L) label counts (as ``_basis`` lays them out,
+    int64), the feature whose 0/1 split most reduces Gini impurity, ties
+    going to the lowest index; -1 when the node is a leaf (one label, or no
+    feature separates its rows).
 
     Gini gain is monotone in S = A0/n0 + A1/n1, A being the sum of squared
     label counts on a side. Float S shortlists the features within rounding
     of the maximum; exact integer ratios pick among them.
     """
-    total = np.bincount(y)
-    if np.count_nonzero(total) == 1 or x.shape[1] == 0:
-        return None
-    ones = x.T @ np.eye(len(total), dtype=np.int64)[y]  # label counts at x == 1
+    ones, total = counts[:, :-1], counts[:, -1:]
+    if ones.shape[1] == 0:
+        return np.full(len(counts), -1)
     zeros = total - ones
-    n1, n0 = ones.sum(axis=1), zeros.sum(axis=1)
-    a1, a0 = (ones * ones).sum(axis=1), (zeros * zeros).sum(axis=1)
+    n1, n0 = ones.sum(axis=2), zeros.sum(axis=2)
+    a1, a0 = (ones * ones).sum(axis=2), (zeros * zeros).sum(axis=2)
     s = np.where((n0 > 0) & (n1 > 0),  # else the feature does not separate
                  a0 / np.maximum(n0, 1) + a1 / np.maximum(n1, 1), -1.0)
-    if s.max() < 0:
-        return None
-    shortlist = np.flatnonzero(s >= s.max() * (1.0 - 1e-9)).tolist()
-    den = {j: int(n0[j]) * int(n1[j]) for j in shortlist}
-    common = math.lcm(*den.values())  # S as Python-int numerators over this
-    return max(shortlist, key=lambda j: (common // den[j] * (
-        int(a0[j]) * int(n1[j]) + int(a1[j]) * int(n0[j])), -j))
+    top = s.max(axis=1)
+    best = np.where((np.count_nonzero(total[:, 0], axis=1) > 1) & (top >= 0),
+                    s.argmax(axis=1), -1)
+    shortlist = s >= top[:, None] * (1.0 - 1e-9)
+    for b in np.flatnonzero((best >= 0) & (shortlist.sum(axis=1) > 1)):
+        tied = np.flatnonzero(shortlist[b]).tolist()
+        den = {j: int(n0[b, j]) * int(n1[b, j]) for j in tied}
+        common = math.lcm(*den.values())  # S as Python-int numerators over this
+        best[b] = max(tied, key=lambda j: (common // den[j] * (
+            int(a0[b, j]) * int(n1[b, j]) + int(a1[b, j]) * int(n0[b, j])), -j))
+    return best
 
 
-def _build(x: np.ndarray, y: np.ndarray, labels: list) -> TreeNode:
-    if (j := _best_split(x, y)) is None:
-        return TreeNode(label=labels[np.bincount(y).argmax()])  # lowest tie
-    right = x[:, j] == 1
-    return TreeNode(feature=j, left=_build(x[~right], y[~right], labels),
-                    right=_build(x[right], y[right], labels))
+def _build(member: np.ndarray, x: np.ndarray, basis: np.ndarray,
+           labels: list) -> TreeNode:
+    counts = (member @ basis).astype(np.int64).reshape(1, x.shape[1] + 1, -1)
+    if (j := int(_best_split(counts)[0])) < 0:
+        return TreeNode(label=labels[counts[0, -1].argmax()])  # lowest tie
+    right = member * x[:, j]
+    return TreeNode(feature=j, left=_build(member - right, x, basis, labels),
+                    right=_build(right, x, basis, labels))
 
 
-def _path_code(x: np.ndarray, y: np.ndarray, query: np.ndarray) -> int:
-    """Label code that ``fit_decision_tree`` on (x, y) predicts for the
-    encoded ``query``, growing only the nodes on the query's path."""
-    while (j := _best_split(x, y)) is not None:
-        keep = x[:, j] == query[j]
-        x, y = x[keep], y[keep]
-    return int(np.bincount(y).argmax())
+def _attempt_codes(x: np.ndarray, y: np.ndarray,
+                   fitted: np.ndarray) -> np.ndarray:
+    """Label code that ``fit_decision_tree`` on rows ``[:fitted[i]]`` of
+    (x, y) predicts for the query ``x[i]``, for every i (-1 where
+    ``fitted[i]`` is 0).
+
+    Only the nodes on the queries' paths are grown, all attempts one tree
+    level per pass: each live attempt holds its node as a 0/1 membership
+    over the rows, one matrix product gives every node's label counts, and
+    each non-leaf keeps the rows that match its query on the split feature.
+    """
+    codes = np.full(len(y), -1)
+    n = int(fitted.max())  # the rows that any attempt's tree was fit on
+    if n == 0:
+        return codes
+    basis = _basis(x[:n], y[:n], int(y.max()) + 1)
+    live = np.flatnonzero(fitted > 0)
+    block = max(1, CELLS // n)
+    for start in range(0, len(live), block):
+        attempts = live[start:start + block]
+        member = (np.arange(n) < fitted[attempts, None]).astype(np.float64)
+        while len(attempts):
+            counts = (member @ basis).astype(np.int64).reshape(
+                len(attempts), x.shape[1] + 1, -1)
+            j = _best_split(counts)
+            leaf = j < 0
+            codes[attempts[leaf]] = counts[leaf, -1].argmax(axis=1)
+            attempts, member, j = attempts[~leaf], member[~leaf], j[~leaf]
+            member *= x[:n, j].T == x[attempts, j][:, None]
+    return codes
 
 
 def fit_decision_tree(examples) -> DecisionTree:
@@ -176,7 +227,8 @@ def fit_decision_tree(examples) -> DecisionTree:
     if not examples:
         raise InputError("fit_decision_tree needs at least one example")
     feature_names, x, y, labels = _encode(*zip(*examples))
-    return DecisionTree(feature_names=feature_names, root=_build(x, y, labels))
+    root = _build(np.ones(len(y)), x, _basis(x, y, len(labels)), labels)
+    return DecisionTree(feature_names=feature_names, root=root)
 
 
 def tree_predict(tree: DecisionTree, features: dict[str, int]):
@@ -214,8 +266,11 @@ def simulate_learner(curriculum, config: SimConfig, student_id: str = "sim",
     examples; the current problem's answer is never visible to its own
     attempt. ``labels`` is the dataset's answer-label universe used for the
     cold-start uniform guess (defaults to the labels present in the
-    curriculum); ``orders`` overrides the emitted order fields. An attempt
-    grows only its own path of the tree fit at the last refit.
+    curriculum); ``orders`` overrides the emitted order fields.
+
+    No tree is built: every attempt's root-to-leaf path in the tree of its
+    last refit is grown at once, one tree level per pass over all attempts
+    (``_attempt_codes``), in blocks of attempts that bound the memory held.
     """
     curriculum = list(curriculum)
     if not curriculum:
@@ -226,15 +281,16 @@ def simulate_learner(curriculum, config: SimConfig, student_id: str = "sim",
     problems, feature_rows = zip(*curriculum)
     _, x, y, answers = _encode(feature_rows, [p.answer for p in problems])
     labels = answers if labels is None else list(labels)
+    # attempt i's tree was last fit on the first i - i % refit_every examples
+    step = np.arange(len(y))
+    codes = _attempt_codes(x, y, step - step % config.refit_every)
     rng = np.random.default_rng(config.seed)
     rows = []
-    for i, (problem, order) in enumerate(zip(problems, orders)):
-        # the learner's tree was last fit on the first `fitted` examples
-        fitted = i - i % config.refit_every
-        if fitted == 0:
+    for problem, order, code in zip(problems, orders, codes.tolist()):
+        if code < 0:
             attempt = labels[int(rng.integers(len(labels)))]
         else:
-            attempt = answers[_path_code(x[:fitted], y[:fitted], x[i])]
+            attempt = answers[code]
         rows.append(Transaction(student_id, problem.item_id,
                                 int(attempt == problem.answer), order))
     return rows

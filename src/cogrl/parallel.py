@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from .errors import ConfigurationError
 
 
@@ -20,5 +18,9 @@ def run_tasks(fn, tasks, jobs: int) -> list:
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(*task) for task in tasks]
+    # imported here: the pool pulls in all of multiprocessing, which a
+    # one-worker run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*tasks)))

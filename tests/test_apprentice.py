@@ -1,18 +1,22 @@
 """Article features, decision trees, and simulated learners."""
 
 import math
+from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cogrl import apprentice
 from cogrl.afm import Transaction, TransactionLog, compute_opportunities
 from cogrl.apprentice import (
     ARTICLE_FEATURE_NAMES,
     SimConfig,
+    _attempt_codes,
     _encode,
-    _path_code,
     article_human_features,
     fit_decision_tree,
     qmatrix_features,
@@ -291,21 +295,99 @@ class TestPathDescentEquivalence:
             refit_oracle(curriculum, config, labels=labels)
 
     @settings(deadline=None, max_examples=150)
-    @given(curriculum=curricula(), fitted=st.integers(1, 60))
-    def test_path_label_matches_fitted_tree(self, curriculum, fitted):
+    @given(curriculum=curricula())
+    def test_path_label_matches_fitted_tree(self, curriculum):
+        # every (prefix, distinct query) pair in one call: the queries are
+        # appended as rows that no prefix reaches, each with its prefix
         examples = [(f, p.answer) for p, f in curriculum]
-        fitted = min(fitted, len(examples))
-        _, x, y, labels = _encode(*zip(*examples))
-        tree = fit_decision_tree(examples[:fitted])
-        for query, (features, _) in zip(x, examples):
-            assert labels[_path_code(x[:fitted], y[:fitted], query)] == \
-                tree_predict(tree, features)
+        names, x, y, labels = _encode(*zip(*examples))
+        queries = np.unique(x, axis=0)
+        n, m = len(y), len(queries)
+        prefixes = np.repeat(np.arange(1, n + 1), m)
+        codes = _attempt_codes(np.vstack([x, np.tile(queries, (n, 1))]),
+                               np.concatenate([y, np.zeros(n * m, np.int64)]),
+                               np.concatenate([np.zeros(n, np.int64), prefixes]))
+        assert (codes[:n] == -1).all()
+        trees = [fit_decision_tree(examples[:f]) for f in range(1, n + 1)]
+        for code, fitted, query in zip(codes[n:].tolist(), prefixes.tolist(),
+                                       np.tile(queries, (n, 1)).tolist()):
+            assert labels[code] == tree_predict(trees[fitted - 1],
+                                                dict(zip(names, query)))
 
     def test_inconsistent_feature_names_rejected(self):
         p = _cloze_problem("a", "I saw ___ dog", 0)
         curriculum = [(p, {"f0": 1}), (p, {"f1": 1})]
         with pytest.raises(InputError, match="feature names"):
             simulate_learner(curriculum, SimConfig(seed=0))
+
+
+def exact_path_code(x, y, fitted, query):
+    """Label code of the exact-Gini CART on rows ``[:fitted]`` for
+    ``query``, growing only the query's path: per node, the feature with the
+    largest S = A0/n0 + A1/n1 as a ``Fraction``, lowest index among equals;
+    a leaf at one label or when no feature separates the rows."""
+    rows = np.arange(fitted)
+    while True:
+        counts = Counter(y[rows].tolist())
+        best, best_s = None, None
+        for j in range(x.shape[1]) if len(counts) > 1 else ():
+            sides = [rows[x[rows, j] == v] for v in (0, 1)]
+            if all(len(side) for side in sides):
+                s = sum(Fraction(sum(c * c for c in Counter(
+                    y[side].tolist()).values()), len(side)) for side in sides)
+                if best_s is None or s > best_s:
+                    best, best_s = j, s
+        if best is None:
+            return min(counts, key=lambda label: (-counts[label], label))
+        rows = rows[x[rows, best] == query[best]]
+
+
+@st.composite
+def tied_curricula(draw):
+    """Up to 300 attempts whose 0-6 feature columns are copies or
+    complements of at most three source columns, so exact split ties are
+    the rule; 1-3 labels."""
+    n = draw(st.integers(1, 300))
+    n_labels = draw(st.integers(1, 3))
+    n_sources = draw(st.integers(1, 3))
+    columns = draw(st.lists(st.tuples(st.integers(0, n_sources - 1),
+                                      st.integers(0, 1)), max_size=6))
+    pool = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_sources,
+                                  max_size=n_sources), min_size=1, max_size=8))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.integers(0, n_labels - 1)),
+                          min_size=n, max_size=n))
+    x = np.array([[pool[v][src] ^ flip for src, flip in columns]
+                  for v, _ in picks], dtype=np.int8).reshape(n, len(columns))
+    return x, np.array([label for _, label in picks], dtype=np.int64)
+
+
+class TestBatchedPathDescent:
+    @settings(deadline=None, max_examples=60)
+    @given(data=tied_curricula(), refit_every=st.integers(1, 3),
+           cells=st.integers(1, 2000))
+    def test_codes_match_exact_fraction_oracle(self, data, refit_every,
+                                               cells):
+        x, y = data
+        fitted = np.arange(len(y)) - np.arange(len(y)) % refit_every
+        with mock.patch.object(apprentice, "CELLS", cells):  # many blocks
+            codes = _attempt_codes(x, y, fitted)
+        assert codes.tolist() == [
+            exact_path_code(x, y, f, q) if f else -1
+            for f, q in zip(fitted.tolist(), x)]
+
+    def test_exact_tie_with_different_denominators(self):
+        # both features score S = 4 exactly, f0 as 28/7 (n0, n1 = 7, 1) and
+        # f1 as 64/16 (4, 4); splitting on f0 (the lowest index) sends the
+        # last query (1, 1) to the one row labelled 2, splitting on f1 to
+        # a majority of 1s
+        bits = [(0, 0), (1, 0), (0, 0), (0, 1), (0, 1), (0, 1), (0, 1), (0, 0),
+                (1, 1)]
+        answers = [0, 2, 1, 1, 1, 1, 2, 0, 2]
+        curriculum = [(ProblemInstance(f"i{k}", None, answer), _vec(b))
+                      for k, (b, answer) in enumerate(zip(bits, answers))]
+        rows = simulate_learner(curriculum, SimConfig(seed=0), labels=[0, 1, 2])
+        assert rows[-1].outcome == 1
 
 
 class TestSimulateAndEstimate:

@@ -1,9 +1,15 @@
 """The worker-pool helper and its callers: pool size, order, arguments."""
 
+import concurrent.futures
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-import cogrl.parallel
+import cogrl
 from cogrl.afm import (
     CVConfig,
     Transaction,
@@ -43,7 +49,9 @@ class _RecordingPool:
 @pytest.fixture
 def pools(monkeypatch):
     _RecordingPool.made = []
-    monkeypatch.setattr(cogrl.parallel, "ProcessPoolExecutor", _RecordingPool)
+    # run_tasks imports the pool class from here when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
     return _RecordingPool.made
 
 
@@ -80,6 +88,18 @@ class TestRunTasks:
     def test_jobs_below_one_rejected(self, pools, jobs):
         with pytest.raises(ConfigurationError):
             run_tasks(_power, [(2, 3)], jobs=jobs)
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # a fresh interpreter, importing the same cogrl as this process
+        package_root = pathlib.Path(cogrl.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, cogrl.cli; print(sorted("
+             "m for m in sys.modules if m.startswith(('multiprocessing', "
+             "'concurrent.futures.process'))))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(package_root)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestCallers:
