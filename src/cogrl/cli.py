@@ -98,16 +98,17 @@ EXIT_NUMERIC = 5
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("COGRL_SEED")
-    if env:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("COGRL_SEED")
         try:
-            return int(env)
+            seed = int(env) if env else 0
         except ValueError:
             raise ConfigurationError(
                 f"COGRL_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:
+        raise ConfigurationError("seed must be non-negative")
+    return seed
 
 
 def _sha256(path: str) -> str:
@@ -364,7 +365,7 @@ def cmd_gradcheck(args, seed):
     worst = max(errors.values())
     for arch, err in errors.items():
         print(f"gradcheck {arch}: max_relative_error={err:.3e}")
-    if worst >= args.tolerance:
+    if not worst < args.tolerance:  # a NaN tolerance fails too
         raise NumericError(
             f"gradient check failed: {worst:.3e} >= {args.tolerance:g}")
     return [], []

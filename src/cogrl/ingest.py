@@ -252,8 +252,10 @@ class VisualSynthSpec:
         c, h, w = self.image_shape
         if c not in (1, 3) or h < 4 or w < 4:
             raise InputError("image_shape must be (1|3, H>=4, W>=4)")
-        if self.jitter < 0 or self.noise < 0:
-            raise InputError("jitter and noise must be non-negative")
+        # written so that NaN fails the check
+        if not (self.jitter >= 0 and math.isfinite(self.noise)
+                and self.noise >= 0):
+            raise InputError("jitter and noise must be finite and non-negative")
 
 
 def _template_block(spec: VisualSynthSpec, t: int) -> tuple[int, int, int, int]:
@@ -504,7 +506,9 @@ class AfmLogSynthSpec:
     q: QMatrix | None = None
 
     def __post_init__(self):
-        if min(self.students, self.items, self.kcs) < 1:
+        if min(self.students, self.items, self.kcs) < 1 or (
+                self.transactions_per_student is not None
+                and self.transactions_per_student < 1):
             raise InputError("counts must be at least 1")
         if self.theta_sd < 0 or self.gamma_range[0] < 0:
             raise InputError("theta_sd and gamma must be non-negative")

@@ -8,7 +8,6 @@ from .layers import (
     DenseLayer,
     EmbeddingTable,
     LSTMCell,
-    flip_kernel,
     sigmoid,
 )
 from .network import Network, check_finite, softmax_cross_entropy
@@ -23,7 +22,6 @@ __all__ = [
     "Network",
     "SGDConfig",
     "check_finite",
-    "flip_kernel",
     "grad_check",
     "load_checkpoint",
     "save_checkpoint",

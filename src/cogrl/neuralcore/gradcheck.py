@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -16,8 +18,8 @@ def grad_check(net, sample, epsilon: float = 1e-5) -> float:
     |a - n| / max(|a| + |n|, 1e-4); the floor keeps the ratio meaningful
     where both gradients are numerically tiny.
     """
-    if epsilon <= 0:
-        raise ConfigurationError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigurationError("epsilon must be finite and positive")
     content, label = sample
     _, grads = net.batch_loss_and_grads([sample])
     worst = 0.0

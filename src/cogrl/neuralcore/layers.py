@@ -48,17 +48,6 @@ ACTIVATIONS = {
 }
 
 
-def flip_kernel(kernel: np.ndarray) -> np.ndarray:
-    """Spatial flip relating true convolution and cross-correlation.
-
-    Convolving an input with ``k`` equals cross-correlating it with
-    ``flip_kernel(k)``; flipping twice returns the original kernel. The
-    convolution layer itself evaluates the index-reversed (true) form, so
-    this adapter is for callers holding cross-correlation-oriented kernels.
-    """
-    return np.asarray(kernel)[..., ::-1, ::-1].copy()
-
-
 class ConvLayer:
     """2-D valid convolution with a per-output-channel tanh gain.
 
@@ -229,6 +218,8 @@ class LSTMCell:
     stored stacked (order i, f, g, o) so one step costs two matrix products;
     the per-gate matrices ``w_ii, w_if, w_ig, w_io`` / ``w_hi, w_hf, w_hc,
     w_ho`` and the eight biases are live views into the stacked arrays.
+    ``_gates`` is the one implementation of the gate math: ``step``, ``run``
+    and ``backward_through_time`` all go through it.
     """
 
     def __init__(self, input_size: int, hidden_size: int,
@@ -273,30 +264,20 @@ class LSTMCell:
     b_hg = property(lambda self: self._block(self.b_h, 2))
     b_ho = property(lambda self: self._block(self.b_h, 3))
 
-    def _step_full(self, x_t, h_prev, c_prev):
-        x_t = np.asarray(x_t, dtype=np.float64)
-        h_prev = np.asarray(h_prev, dtype=np.float64)
-        c_prev = np.asarray(c_prev, dtype=np.float64)
+    def step(self, x_t, h_prev, c_prev):
+        """Single recurrence step, through the gate routine ``run`` uses, on
+        a batch of one; returns (h_t, c_t)."""
+        x_t, h_prev, c_prev = (np.asarray(v, dtype=np.float64)
+                               for v in (x_t, h_prev, c_prev))
         if x_t.shape != (self.input_size,) or h_prev.shape != (self.hidden_size,) \
                 or c_prev.shape != (self.hidden_size,):
             raise DimensionError(
                 f"LSTM step expects input {self.input_size} and state "
                 f"{self.hidden_size}, got {x_t.shape}/{h_prev.shape}/{c_prev.shape}")
-        a = self.w_x @ x_t + self.b_x + self.w_h @ h_prev + self.b_h
-        ai, af, ag, ao = np.split(a, 4)
-        i = sigmoid(ai)
-        f = sigmoid(af)
-        g = np.tanh(ag)
-        o = sigmoid(ao)
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        return h, c, (x_t, h_prev, c_prev, i, f, g, o, tc)
-
-    def step(self, x_t, h_prev, c_prev):
-        """Single recurrence step; returns (h_t, c_t)."""
-        h, c, _ = self._step_full(x_t, h_prev, c_prev)
-        return h, c
+        _, _, _, o, c, tc = self._gates(
+            x_t[None], h_prev[None], c_prev[None], self.b_x + self.b_h,
+            np.empty((1, 4 * self.hidden_size)))
+        return o[0] * tc[0], c[0]
 
     def _gates(self, x_t, h_prev, c_prev, bias, buf):
         """Gates (i, f, g, o), new cell state and its tanh for the live rows

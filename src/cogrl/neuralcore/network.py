@@ -65,6 +65,11 @@ class Network:
     parameter gradients summed over the minibatch. ``forward_logits`` also
     takes one uncollated content, runs it as a batch of one and returns
     (K,) logits; ``predict`` and ``loss_and_probs`` rely on that.
+
+    The content architectures also provide ``representation(batch)``, the
+    pre-output rows, computed by the same forward pass as the logits, and
+    ``meta()``, the checkpoint meta: the architecture name plus the fields
+    of its spec.
     """
 
     def collate(self, contents):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -16,14 +17,16 @@ class SGDConfig:
     target_loss: float = 0.01
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError("learning_rate must be finite and positive")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be at least 1")
         if self.max_epochs < 1:
             raise ConfigurationError("max_epochs must be at least 1")
-        if self.target_loss < 0:
-            raise ConfigurationError("target_loss must be non-negative")
+        if not (math.isfinite(self.target_loss) and self.target_loss >= 0):
+            raise ConfigurationError(
+                "target_loss must be finite and non-negative")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
 

@@ -11,8 +11,9 @@ wherever its activation exceeds the threshold (0.95 by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -35,9 +36,26 @@ REP_SIZE_DEFAULT = 50
 THRESHOLD_DEFAULT = 0.95
 
 
+def _is_size(v, least: int = 1) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool) and v >= least
+
+
+def _check_sizes(spec, **least: int) -> None:
+    """ConfigurationError unless each named field of ``spec`` is an integer
+    of at least its bound."""
+    for name, bound in least.items():
+        if not _is_size(getattr(spec, name), bound):
+            raise ConfigurationError(f"{name} must be an integer of at least "
+                                     f"{bound}, got {getattr(spec, name)!r}")
+
+
 @dataclass
 class ImageArchSpec:
-    """Convolutional architecture over fixed-size channel-first images."""
+    """Convolutional architecture over fixed-size channel-first images.
+
+    The fields are the checkpoint meta; ``in_shape`` is normalized to a
+    tuple of 3 integers.
+    """
 
     in_shape: tuple[int, int, int]
     n_classes: int
@@ -47,16 +65,20 @@ class ImageArchSpec:
     rep_size: int = REP_SIZE_DEFAULT
 
     def __post_init__(self):
-        c, h, w = self.in_shape
-        if min(c, h, w) < 1 or self.n_classes < 2:
-            raise ConfigurationError("bad image shape or class count")
-        if min(self.filters, self.kernel, self.stride, self.rep_size) < 1:
-            raise ConfigurationError("architecture sizes must be positive")
+        shape = self.in_shape
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 3
+                and all(map(_is_size, shape))):
+            raise ConfigurationError(
+                f"in_shape must be 3 positive integers, got {shape!r}")
+        self.in_shape = tuple(shape)
+        _check_sizes(self, n_classes=2, filters=1, kernel=1, stride=1,
+                     rep_size=1)
 
 
 @dataclass
 class ClozeArchSpec:
-    """Bidirectional character LSTM over text split at the blank."""
+    """Bidirectional character LSTM over text split at the blank. The
+    fields are the checkpoint meta, with the vocabulary beside them."""
 
     n_classes: int
     embedding_dim: int = 32
@@ -65,11 +87,8 @@ class ClozeArchSpec:
     rep_size: int = REP_SIZE_DEFAULT
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ConfigurationError("need at least 2 answer classes")
-        if min(self.embedding_dim, self.lstm_hidden, self.combine_size,
-               self.rep_size) < 1:
-            raise ConfigurationError("architecture sizes must be positive")
+        _check_sizes(self, n_classes=2, embedding_dim=1, lstm_hidden=1,
+                     combine_size=1, rep_size=1)
         if self.combine_size != 2 * self.lstm_hidden:
             raise ConfigurationError(
                 "combine_size must equal twice the per-direction hidden size")
@@ -111,9 +130,6 @@ class ImageCNN(Network):
     def __init__(self, spec: ImageArchSpec, seed: int = 0):
         rng = np.random.default_rng(seed)
         c, h, w = spec.in_shape
-        if spec.kernel > h or spec.kernel > w:
-            raise DimensionError(
-                f"kernel {spec.kernel} larger than {h}x{w} image")
         self.spec = spec
         self.conv = ConvLayer(c, spec.filters, spec.kernel, spec.stride, rng)
         _, oh, ow = self.conv.output_shape(h, w)
@@ -122,21 +138,26 @@ class ImageCNN(Network):
         self.rep = DenseLayer(self.flat_size, spec.rep_size, "sigmoid", rng)
         self.out = DenseLayer(spec.rep_size, spec.n_classes, "identity", rng)
 
-    def forward_logits(self, image):
-        """Logits for one (C, H, W) image, or (B, K) logits for a
-        (B, C, H, W) stack of images."""
+    def _to_rep(self, image):
+        """Pre-output rows of one image or a stack, and the caches up to the
+        pre-output layer."""
         image = np.asarray(image, dtype=np.float64)
         if image.ndim not in (3, 4) or image.shape[-3:] != self.spec.in_shape:
             raise DimensionError(
                 f"expected image shape {self.spec.in_shape}, got {image.shape}")
         conv_y, conv_cache = self.conv.forward(image)
-        check_finite(conv_y, "conv")
-        flat = conv_y.reshape(image.shape[:-3] + (self.flat_size,))
+        flat = check_finite(conv_y, "conv").reshape(
+            image.shape[:-3] + (self.flat_size,))
         rep_y, rep_cache = self.rep.forward(flat)
-        check_finite(rep_y, "rep")
+        return check_finite(rep_y, "rep"), (conv_cache, rep_cache)
+
+    def forward_logits(self, image):
+        """Logits for one (C, H, W) image, or (B, K) logits for a
+        (B, C, H, W) stack of images."""
+        rep_y, cache = self._to_rep(image)
         logits, out_cache = self.out.forward(rep_y)
         check_finite(logits, "out")
-        return logits, (conv_cache, rep_cache, out_cache)
+        return logits, cache + (out_cache,)
 
     def backward_from_logits(self, dlogits, cache):
         conv_cache, rep_cache, out_cache = cache
@@ -154,22 +175,10 @@ class ImageCNN(Network):
 
     def representation(self, image) -> np.ndarray:
         """Pre-output row of one image, or (B, rep_size) rows for a stack."""
-        image = np.asarray(image, dtype=np.float64)
-        conv_y, _ = self.conv.forward(image)
-        rep_y, _ = self.rep.forward(
-            conv_y.reshape(image.shape[:-3] + (self.flat_size,)))
-        return rep_y
+        return self._to_rep(image)[0]
 
     def meta(self) -> dict:
-        return {
-            "architecture": self.variant,
-            "in_shape": list(self.spec.in_shape),
-            "n_classes": self.spec.n_classes,
-            "filters": self.spec.filters,
-            "kernel": self.spec.kernel,
-            "stride": self.spec.stride,
-            "rep_size": self.spec.rep_size,
-        }
+        return {"architecture": self.variant, **asdict(self.spec)}
 
 
 class ClozeLSTM(Network):
@@ -265,15 +274,8 @@ class ClozeLSTM(Network):
         return rep_y[0] if single else rep_y
 
     def meta(self) -> dict:
-        return {
-            "architecture": self.variant,
-            "n_classes": self.spec.n_classes,
-            "embedding_dim": self.spec.embedding_dim,
-            "lstm_hidden": self.spec.lstm_hidden,
-            "combine_size": self.spec.combine_size,
-            "rep_size": self.spec.rep_size,
-            "vocab_chars": "".join(self.vocab.chars),
-        }
+        return {"architecture": self.variant, **asdict(self.spec),
+                "vocab_chars": "".join(self.vocab.chars)}
 
 
 def _prefixed(**layers) -> dict[str, np.ndarray]:
@@ -437,23 +439,28 @@ def save_network(path, net: Network) -> None:
 
 
 def load_network(path) -> Network:
-    """Rebuild a checkpointed network, restoring exact parameters."""
+    """Rebuild a checkpointed network, restoring exact parameters.
+
+    The meta fields other than ``architecture`` (and the cloze network's
+    ``vocab_chars``) go to the architecture's spec constructor; a missing,
+    unknown or ill-typed field ends in InputError.
+    """
     meta, params = load_checkpoint(path)
-    variant = meta.get("architecture")
-    if variant == ImageCNN.variant:
-        spec = ImageArchSpec(
-            in_shape=tuple(meta["in_shape"]), n_classes=meta["n_classes"],
-            filters=meta["filters"], kernel=meta["kernel"],
-            stride=meta["stride"], rep_size=meta["rep_size"])
-        net: Network = ImageCNN(spec)
-    elif variant == ClozeLSTM.variant:
-        spec = ClozeArchSpec(
-            n_classes=meta["n_classes"], embedding_dim=meta["embedding_dim"],
-            lstm_hidden=meta["lstm_hidden"], combine_size=meta["combine_size"],
-            rep_size=meta["rep_size"])
-        net = ClozeLSTM(spec, CharVocab(meta["vocab_chars"]))
-    else:
-        raise InputError(f"{path}: unknown architecture {variant!r}")
+    fields = dict(meta)
+    variant = fields.pop("architecture", None)
+    try:
+        if variant == ImageCNN.variant:
+            net: Network = ImageCNN(ImageArchSpec(**fields))
+        elif variant == ClozeLSTM.variant:
+            chars = fields.pop("vocab_chars", None)
+            if not isinstance(chars, str):
+                raise ConfigurationError(
+                    f"vocab_chars must be a string, got {chars!r}")
+            net = ClozeLSTM(ClozeArchSpec(**fields), CharVocab(chars))
+        else:
+            raise InputError(f"{path}: unknown architecture {variant!r}")
+    except (TypeError, ConfigurationError, DimensionError) as exc:
+        raise InputError(f"{path}: bad architecture meta: {exc}") from None
     live = net.parameters()
     if set(live) != set(params):
         raise InputError(f"{path}: parameter names do not match architecture")

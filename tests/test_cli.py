@@ -355,3 +355,57 @@ class TestFitSettings:
         assert run(["compare", "--log", log_dir / "transactions.tsv",
                     "--models", "faculty", "--folds", "3",
                     "--out", tmp_path / "cmp.tsv", "--jobs", jobs]) == 4
+
+
+class TestSettingBounds:
+    @pytest.mark.parametrize("variant", ["visual", "cloze", "afm-log"])
+    def test_negative_seed_flag_is_a_configuration_error(self, tmp_path,
+                                                         capsys, variant):
+        assert run(["synth", variant, "--out-dir", tmp_path / "out",
+                    "--seed", "-1"]) == 4
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_env_seed_is_a_configuration_error(self, monkeypatch,
+                                                        capsys):
+        monkeypatch.setenv("COGRL_SEED", "-5")
+        assert run(["gradcheck", "--arch", "cnn"]) == 4
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_nan_tolerance_fails_the_gradient_check(self, capsys):
+        assert run(["gradcheck", "--arch", "cnn", "--seed", "1",
+                    "--tolerance", "nan"]) == 5
+        assert "gradient check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0"])
+    def test_non_finite_epsilon_is_a_configuration_error(self, epsilon):
+        assert run(["gradcheck", "--arch", "cnn", "--seed", "1",
+                    "--epsilon", epsilon]) == 4
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--target-loss", "nan"), ("--target-loss", "inf"),
+        ("--lr", "nan"), ("--lr", "inf")])
+    def test_non_finite_training_setting_is_a_configuration_error(
+            self, visual_dir, tmp_path, capsys, flag, value):
+        ckpt = tmp_path / "m.ckpt"
+        assert run(["train-rep", "--images", visual_dir / "manifest.tsv",
+                    "--out-checkpoint", ckpt, "--out-reps", tmp_path / "r.tsv",
+                    "--kernel", "3", "--stride", "2", "--epochs", "2",
+                    flag, value]) == 4
+        assert "configuration error" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_transactions_per_student_below_one_is_an_input_error(
+            self, tmp_path, count):
+        assert run(["synth", "afm-log", "--out-dir", tmp_path / "out",
+                    "--students", "4", "--items", "6", "--kcs", "2",
+                    "--transactions-per-student", count]) == 3
+        assert not (tmp_path / "out" / "transactions.tsv").exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_non_finite_noise_is_an_input_error(self, tmp_path, noise):
+        assert run(["synth", "visual", "--out-dir", tmp_path / "out",
+                    "--templates", "2", "--per-template", "2",
+                    "--noise", noise]) == 3
+        assert not (tmp_path / "out" / "manifest.tsv").exists()

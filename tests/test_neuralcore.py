@@ -19,11 +19,11 @@ from cogrl.neuralcore import (
     LSTMCell,
     Network,
     SGDConfig,
-    flip_kernel,
     grad_check,
     load_checkpoint,
     save_checkpoint,
     sgd_update,
+    sigmoid,
     softmax_cross_entropy,
 )
 
@@ -86,14 +86,27 @@ def conv_tensordot_backward(x, t, dy, kernels, gains, stride):
     return dx, dk, dgains
 
 
+def lstm_step_full_reference(cell, x_t, h_prev, c_prev):
+    """One LSTM step on the stacked arrays, written apart from the cell's
+    own gate routine: four gates from one pre-activation vector, each
+    through its own nonlinearity. Returns (h_t, c_t, cache of the step's
+    input, states and gates)."""
+    a = cell.w_x @ x_t + cell.b_x + cell.w_h @ h_prev + cell.b_h
+    ai, af, ag, ao = np.split(a, 4)
+    i, f, g, o = sigmoid(ai), sigmoid(af), np.tanh(ag), sigmoid(ao)
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (x_t, h_prev, c_prev, i, f, g, o, tc)
+
+
 def lstm_run_reference(cell, xs):
     """The one-sequence LSTM run the time-major batched run replaced: one
-    ``_step_full`` per row of a (T, input_size) sequence, caching all gates."""
+    reference step per row of a (T, input_size) sequence, caching all gates."""
     h = np.zeros(cell.hidden_size)
     c = np.zeros(cell.hidden_size)
     caches = []
     for x_t in xs:
-        h, c, cache = cell._step_full(x_t, h, c)
+        h, c, cache = lstm_step_full_reference(cell, x_t, h, c)
         caches.append(cache)
     return h, c, caches
 
@@ -232,14 +245,14 @@ class TestConvForward:
     def test_flip_kernel_is_involution_and_relates_correlation(self):
         rng = np.random.default_rng(3)
         k = rng.uniform(-1, 1, (1, 1, 3, 3))
-        assert np.array_equal(flip_kernel(flip_kernel(k)), k)
+        assert np.array_equal(k[..., ::-1, ::-1][..., ::-1, ::-1], k)
         # conv with k == cross-correlation with flipped k, checked via oracle
         conv = ConvLayer(1, 1, 3, stride=1, rng=rng)
         conv.kernels = k
         conv.gains[:] = 1.0
         x = rng.uniform(-1, 1, (1, 5, 5))
         y, _ = conv.forward(x)
-        kf = flip_kernel(k)[0, 0]
+        kf = k[0, 0, ::-1, ::-1]
         corr = np.zeros((3, 3))
         for a in range(3):
             for b in range(3):
@@ -379,8 +392,14 @@ class TestLSTMStep:
         x = rng.uniform(-3, 3, 3)
         h_prev = rng.uniform(-1, 1, 4)
         c_prev = rng.uniform(-3, 3, 4)
-        h, c, cache = cell._step_full(x, h_prev, c_prev)
-        _, _, _, i, f, g, o, _ = cache
+        h_ref, c_ref, cache = lstm_step_full_reference(cell, x, h_prev, c_prev)
+        _, _, _, i_ref, f_ref, g_ref, o_ref, _ = cache
+        # the production gate routine, on a batch of one, against the reference
+        i, f, g, o, c, tc = cell._gates(x[None], h_prev[None], c_prev[None],
+                                        cell.b_x + cell.b_h, np.empty((1, 16)))
+        for got, want in ((i, i_ref), (f, f_ref), (g, g_ref), (o, o_ref),
+                          (c, c_ref), (o * tc, h_ref)):
+            assert np.max(np.abs(got[0] - want)) <= 1e-12
         for gate in (i, f, o):
             assert np.all((gate > 0) & (gate < 1))
         assert np.all(np.abs(c) <= np.abs(c_prev) + 1.0 + 1e-12)

@@ -1,5 +1,7 @@
 """Architecture wiring, training behavior, and Q-matrix extraction."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from cogrl.representation import (
     training_accuracy,
     write_representations,
 )
+from test_neuralcore import lstm_step_full_reference
 
 
 class TestBuildImageCNN:
@@ -52,6 +55,38 @@ class TestBuildImageCNN:
         spec = ImageArchSpec(in_shape=(1, 8, 8), n_classes=2, kernel=10)
         with pytest.raises(DimensionError):
             build_image_cnn(spec, seed=0)
+
+    @pytest.mark.parametrize("in_shape", [(1, 8), (1, 8, 8, 1), 8,
+                                          (1, 8.0, 8), (1, True, 8)])
+    def test_in_shape_must_be_three_integers(self, in_shape):
+        with pytest.raises(ConfigurationError, match="in_shape"):
+            ImageArchSpec(in_shape=in_shape, n_classes=2)
+
+    def test_in_shape_is_normalized_to_a_tuple(self):
+        spec = ImageArchSpec(in_shape=[1, 8, 8], n_classes=2, kernel=3)
+        assert spec.in_shape == (1, 8, 8)
+        assert build_image_cnn(spec).forward_logits(
+            np.zeros((1, 8, 8)))[0].shape == (2,)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_classes", 2.5), ("n_classes", 1), ("kernel", "3"),
+        ("filters", 0), ("stride", 2.0), ("rep_size", None)])
+    def test_sizes_must_be_integers_in_range(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ImageArchSpec(**{"in_shape": (1, 8, 8), "n_classes": 2,
+                             field: value})
+
+    def test_representation_gets_the_training_checks(self):
+        from cogrl.errors import NumericError
+
+        spec = ImageArchSpec(in_shape=(1, 6, 6), n_classes=2, filters=2,
+                             kernel=3, stride=1, rep_size=4)
+        net = build_image_cnn(spec, seed=0)
+        with pytest.raises(DimensionError):
+            net.representation(np.zeros((1, 7, 7)))
+        net.rep.weights[0, 0] = np.nan
+        with pytest.raises(NumericError, match="rep"):
+            net.representation(np.ones((1, 6, 6)))
 
     def test_parameter_count_reported(self):
         spec = ImageArchSpec(in_shape=(1, 8, 8), n_classes=2, filters=2,
@@ -86,14 +121,17 @@ class TestBuildClozeLSTM:
         content = split_blank("abc ___ hged")
         pre = vocab.encode("abc ")
         post = vocab.encode(" hged")[::-1]
+        # the reference step is written apart from LSTMCell's gate routine
         h_f = np.zeros(4)
         c_f = np.zeros(4)
         for t in pre:
-            h_f, c_f = net.fwd.step(net.embed.vectors[t], h_f, c_f)
+            h_f, c_f, _ = lstm_step_full_reference(
+                net.fwd, net.embed.vectors[t], h_f, c_f)
         h_b = np.zeros(4)
         c_b = np.zeros(4)
         for t in post:
-            h_b, c_b = net.bwd.step(net.embed.vectors[t], h_b, c_b)
+            h_b, c_b, _ = lstm_step_full_reference(
+                net.bwd, net.embed.vectors[t], h_b, c_b)
         comb, _ = net.combine.forward(np.concatenate([h_f, h_b]))
         rep, _ = net.rep.forward(comb)
         expected, _ = net.out.forward(rep)
@@ -350,3 +388,59 @@ class TestNetworkCheckpoint:
         assert np.array_equal(net.representation(content),
                               restored.representation(content))
         assert restored.vocab.chars == vocab.chars
+
+    def test_meta_is_the_architecture_and_its_spec(self):
+        cnn = build_image_cnn(ImageArchSpec(
+            in_shape=(1, 8, 8), n_classes=2, filters=3, kernel=3, stride=2,
+            rep_size=6))
+        assert json.dumps(cnn.meta(), sort_keys=True) == json.dumps({
+            "architecture": "image_cnn", "in_shape": [1, 8, 8],
+            "n_classes": 2, "filters": 3, "kernel": 3, "stride": 2,
+            "rep_size": 6}, sort_keys=True)
+        lstm = build_cloze_lstm(ClozeArchSpec(
+            n_classes=2, embedding_dim=3, lstm_hidden=4, combine_size=8,
+            rep_size=5), CharVocab("cab _"))
+        assert json.dumps(lstm.meta(), sort_keys=True) == json.dumps({
+            "architecture": "cloze_lstm", "n_classes": 2, "embedding_dim": 3,
+            "lstm_hidden": 4, "combine_size": 8, "rep_size": 5,
+            "vocab_chars": " _abc"}, sort_keys=True)
+
+    @pytest.mark.parametrize("arch,field,value", [
+        ("cnn", "stride", None),            # missing
+        ("cnn", "kernel", "3"),             # string size
+        ("cnn", "n_classes", 2.5),          # float size
+        ("cnn", "in_shape", [8, 8]),        # 2-element in_shape
+        ("cnn", "in_shape", "188"),
+        ("cnn", "kernel", 9),               # larger than the 8x8 image
+        ("cnn", "dropout", 0.5),            # unknown field
+        ("cnn", "architecture", None),
+        ("lstm", "lstm_hidden", None),
+        ("lstm", "combine_size", 9),
+        ("lstm", "rep_size", [5]),
+        ("lstm", "vocab_chars", 7),         # non-string vocab_chars
+        ("lstm", "vocab_chars", ["a", "b"]),
+        ("lstm", "vocab_chars", None),
+        ("lstm", "vocab_chars", ""),
+    ])
+    def test_malformed_meta_is_an_input_error(self, tmp_path, arch, field,
+                                              value):
+        if arch == "cnn":
+            net = build_image_cnn(ImageArchSpec(
+                in_shape=(1, 8, 8), n_classes=2, filters=3, kernel=3,
+                stride=2, rep_size=6))
+        else:
+            net = build_cloze_lstm(ClozeArchSpec(
+                n_classes=2, embedding_dim=3, lstm_hidden=4, combine_size=8,
+                rep_size=5), CharVocab("abc _"))
+        path = tmp_path / "net.ckpt"
+        save_network(path, net)
+        lines = path.read_text().split("\n")
+        meta = json.loads(lines[1][len("meta "):])
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
+        lines[1] = "meta " + json.dumps(meta)
+        path.write_text("\n".join(lines))
+        with pytest.raises(InputError, match="net.ckpt"):
+            load_network(path)
