@@ -12,9 +12,9 @@ learning rates non-negative. Model comparison uses item-stratified
 cross-validated RMSE: folds partition items, so a model only scores well if
 its KCs carry information across problems.
 
-Data are columnar: a log is coded once into integer columns, and each
-Q-matrix adds one CSR-ordered array of (row, KC, opportunity) pairs. A
-cross-validation fold is a boolean mask over those arrays. The
+Data are columnar: a log is its columns, coded and validated in one pass,
+and each Q-matrix adds one CSR-ordered array of (row, KC, opportunity)
+pairs. A cross-validation fold is a boolean mask over those arrays. The
 log-likelihood uses the softplus max(eta, 0) + log1p(exp(-|eta|)), whose
 exp(-|eta|) the next gradient reuses.
 """
@@ -25,7 +25,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,80 +46,86 @@ from .parallel import run_tasks
 # transaction logs
 
 
-@dataclass(frozen=True)
-class Transaction:
-    student_id: str
-    item_id: str
-    outcome: int
-    order: int
+Transaction = NamedTuple("Transaction", [
+    ("student_id", str), ("item_id", str), ("outcome", int), ("order", int)])
 
 
 # a log column-wise: the sorted distinct student and item ids, and per row
-# the student's and the item's index into them and the outcome as a float
-LogColumns = namedtuple("LogColumns", "students items student item y")
+# the student's and item's index into them, the outcome (float) and the order
+LogColumns = namedtuple("LogColumns", "students items student item y order")
+
+
+def _code(ids):
+    """The sorted distinct ids, and each id's index into them."""
+    distinct = sorted(set(ids))
+    index = {v: k for k, v in enumerate(distinct)}
+    return distinct, np.array([index[v] for v in ids], dtype=np.intp)
 
 
 class TransactionLog:
-    """Ordered first-attempt records.
+    """Ordered first-attempt records, stored as columns.
 
-    Per student, order values must be strictly increasing in the sequence
-    the rows appear; (student, order) pairs are unique. A broken rule raises
-    InputError naming the row through ``where(index)`` (default "row N").
+    Takes (student_id, item_id, outcome, order) tuples. Per student, orders
+    strictly increase in row sequence and (student, order) pairs are unique;
+    the first broken rule raises InputError naming its row via ``where``.
     """
 
     def __init__(self, rows, where=None):
-        rows = tuple(rows)
         where = where or (lambda i: f"row {i + 1}")
-        last_order: dict[str, int] = {}
-        first_at: dict[tuple[str, int], int] = {}
-        for i, tr in enumerate(rows):
-            key = (tr.student_id, tr.order)
-            prev = last_order.get(tr.student_id)
-            if tr.outcome not in (0, 1):
-                problem = f"outcome must be 0 or 1, got {tr.outcome!r}"
-            elif tr.order < 1:
-                problem = f"order must be positive, got {tr.order}"
-            elif key in first_at:
+        rows = list(rows)
+        student_ids, item_ids, outcomes, orders = (
+            [row[k] for row in rows] for k in range(4))
+        students, student = _code(student_ids)
+        items, item = _code(item_ids)
+        # an outcome other than 0 or 1 reads as NaN
+        y = np.fromiter(map({0: 0.0, 1: 1.0}.get, outcomes, repeat(math.nan)),
+                        np.float64, len(outcomes))
+        order = np.array(orders, dtype=np.int64)
+        # rows whose order does not exceed their student's previous order
+        by = np.argsort(student, kind="stable")
+        behind = np.zeros(len(order), dtype=bool)
+        behind[by[1:]] = (student[by[1:]] == student[by[:-1]]) \
+            & (order[by[1:]] <= order[by[:-1]])
+        bad = np.flatnonzero(np.isnan(y) | (order < 1) | behind)
+        if len(bad):
+            i = int(bad[0])
+            key = (student_ids[i], orders[i])
+            seen = [j for j in range(i) if (student_ids[j], orders[j]) == key]
+            if np.isnan(y[i]):
+                problem = f"outcome must be 0 or 1, got {outcomes[i]!r}"
+            elif order[i] < 1:
+                problem = f"order must be positive, got {orders[i]}"
+            elif seen:
                 problem = (f"duplicate (student, order) {key} first seen at "
-                           f"{where(first_at[key])}")
-            elif prev is not None and tr.order <= prev:
-                problem = (f"orders not strictly increasing for student "
-                           f"{tr.student_id!r} at order {tr.order}")
+                           f"{where(seen[0])}")
             else:
-                first_at[key] = i
-                last_order[tr.student_id] = tr.order
-                continue
+                problem = (f"orders not strictly increasing for student "
+                           f"{student_ids[i]!r} at order {orders[i]}")
             raise InputError(f"{where(i)}: {problem}")
-        self.rows = rows
+        self.columns = LogColumns(students, items, student, item, y, order)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.columns.y)
 
     def __iter__(self):
         return iter(self.rows)
 
+    def records(self):
+        """Per row, (student_id, item_id, outcome, order) as plain values."""
+        c = self.columns
+        return zip(map(c.students.__getitem__, c.student.tolist()),
+                   map(c.items.__getitem__, c.item.tolist()),
+                   c.y.astype(np.int64).tolist(), c.order.tolist())
+
     @cached_property
-    def columns(self) -> LogColumns:
-        students, student = np.unique(np.array(
-            [tr.student_id for tr in self.rows], dtype=object),
-            return_inverse=True)
-        items, item = np.unique(np.array(
-            [tr.item_id for tr in self.rows], dtype=object),
-            return_inverse=True)
-        y = np.array([tr.outcome for tr in self.rows], dtype=np.float64)
-        return LogColumns(students.tolist(), items.tolist(), student, item, y)
+    def rows(self) -> tuple[Transaction, ...]:
+        return tuple(map(Transaction._make, self.records()))
 
     def students(self) -> list[str]:
         return list(self.columns.students)
 
     def items(self) -> list[str]:
         return list(self.columns.items)
-
-    def by_student(self) -> dict[str, list[Transaction]]:
-        out: dict[str, list[Transaction]] = {}
-        for tr in self.rows:
-            out.setdefault(tr.student_id, []).append(tr)
-        return out
 
 
 # ---------------------------------------------------------------------------

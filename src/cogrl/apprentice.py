@@ -363,23 +363,24 @@ def simulate_and_estimate(original_log: TransactionLog,
     else:
         raise ConfigurationError(f"unknown feature_mode {feature_mode!r}")
 
-    for item in original_log.items():
+    cols = original_log.columns
+    for item in cols.items:
         if item not in by_id:
             raise InputError(f"log item {item!r} has no problem content")
         if item not in features:
             raise InputError(f"log item {item!r} has no feature row")
     labels = sorted({p.answer for p in problems})
-    by_student = original_log.by_student()
-    students = sorted(by_student)
-    seeds = np.random.SeedSequence(sim.seed).spawn(len(students))
+    groups = np.split(np.argsort(cols.student, kind="stable"),
+                      np.cumsum(np.bincount(cols.student))[:-1])
+    entries = [(by_id[item], features[item]) for item in cols.items]
+    seeds = np.random.SeedSequence(sim.seed).spawn(len(cols.students))
     payloads = []
-    for student, seq in zip(students, seeds):
-        rows = by_student[student]
-        curriculum = [(by_id[tr.item_id], features[tr.item_id]) for tr in rows]
+    for student, seq, rows in zip(cols.students, seeds, groups):
+        curriculum = [entries[i] for i in cols.item[rows].tolist()]
         student_cfg = SimConfig(seed=int(seq.generate_state(1)[0]),
                                 refit_every=sim.refit_every)
         payloads.append((curriculum, student_cfg, student, labels,
-                         [tr.order for tr in rows]))
+                         cols.order[rows].tolist()))
     per_student = run_tasks(simulate_learner, payloads, jobs)
     simulated_log = TransactionLog([tr for rows in per_student for tr in rows])
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -266,23 +267,25 @@ def cmd_cv(args, seed):
 
 def _parse_models(spec: str, item_ids):
     """(name, QMatrix) per entry of a --models list, and the paths read."""
+    baselines = {"faculty": faculty_transfer, "identical": identical_transfer}
     models, paths = [], []
     for entry in spec.split(","):
         entry = entry.strip()
         if not entry:
             continue
-        if entry == "faculty":
-            models.append(("faculty", faculty_transfer(item_ids)))
-        elif entry == "identical":
-            models.append(("identical", identical_transfer(item_ids)))
-        elif "=" in entry:
-            name, path = entry.split("=", 1)
-            models.append((name, read_qmatrix(path)))
-            paths.append(path)
-        else:
+        name, eq, path = entry.partition("=")
+        if not name or not (eq or name in baselines):
             raise ConfigurationError(
                 f"model entry {entry!r} is not faculty, identical or "
                 f"NAME=QMATRIX_PATH")
+        if name in dict(models):
+            raise ConfigurationError(
+                f"model entry {entry!r} repeats the model name {name!r}")
+        if eq:
+            models.append((name, read_qmatrix(path)))
+            paths.append(path)
+        else:
+            models.append((name, baselines[name](item_ids)))
     if not models:
         raise ConfigurationError("no models given")
     return models, paths
@@ -357,6 +360,8 @@ def _gradcheck_lstm(seed, epsilon):
 
 
 def cmd_gradcheck(args, seed):
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConfigurationError("tolerance must be finite and positive")
     errors = {}
     if args.arch in ("cnn", "both"):
         errors["cnn"] = _gradcheck_cnn(seed, args.epsilon)
@@ -365,7 +370,7 @@ def cmd_gradcheck(args, seed):
     worst = max(errors.values())
     for arch, err in errors.items():
         print(f"gradcheck {arch}: max_relative_error={err:.3e}")
-    if not worst < args.tolerance:  # a NaN tolerance fails too
+    if not worst < args.tolerance:  # a NaN error fails too
         raise NumericError(
             f"gradient check failed: {worst:.3e} >= {args.tolerance:g}")
     return [], []

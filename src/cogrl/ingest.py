@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
 
 import numpy as np
 
-from .afm import AFMParams, Transaction, TransactionLog
+from .afm import AFMParams, TransactionLog
 from .apprentice import ARTICLE_FEATURE_NAMES, TOKEN_RE, article_human_features
 from .cogmodel import QMatrix
 from .errors import BINARY, InputError, read_binary, read_table, write_lines
@@ -30,6 +31,12 @@ from .problems import DatasetBundle, ProblemInstance, split_blank
 # transactions TSV
 
 TRANSACTIONS_HEADER = ["student_id", "item_id", "outcome", "order"]
+
+
+# an order cell: the exact text of an ASCII decimal integer, optionally
+# negative, within int64
+_ORDER = re.compile(r"-?[0-9]+")
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def load_transactions(path) -> TransactionLog:
@@ -44,26 +51,21 @@ def load_transactions(path) -> TransactionLog:
         if not student or not item:
             raise InputError(
                 f"{path}: line {ln}: student_id and item_id must be non-empty")
-        try:
-            order = int(order)
-        except ValueError:
+        if not (_ORDER.fullmatch(order) and int(order) in _INT64):
             raise InputError(
-                f"{path}: line {ln}: order must be an integer") from None
+                f"{path}: line {ln}: order must be a decimal integer within "
+                f"int64, got {order!r}")
         # an outcome other than the exact text 0 or 1 stays text, which the
         # log's outcome rule rejects
-        rows.append(Transaction(student_id=student, item_id=item,
-                                outcome=BINARY.get(outcome, outcome),
-                                order=order))
+        rows.append((student, item, BINARY.get(outcome, outcome), int(order)))
         line_numbers.append(ln)
     return TransactionLog(rows,
                           where=lambda i: f"{path}: line {line_numbers[i]}")
 
 
 def write_transactions(path, log: TransactionLog) -> None:
-    write_lines(path, chain(
-        ["\t".join(TRANSACTIONS_HEADER)],
-        (f"{tr.student_id}\t{tr.item_id}\t{tr.outcome}\t{tr.order}"
-         for tr in log)))
+    write_lines(path, chain(["\t".join(TRANSACTIONS_HEADER)],
+                            starmap("{}\t{}\t{}\t{}".format, log.records())))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +551,7 @@ def synth_afm_log(spec: AfmLogSynthSpec):
     per_student = spec.transactions_per_student or n_items
     per_student = min(per_student, n_items)
     item_kcs = [np.flatnonzero(q.cells[i]) for i in range(n_items)]
-    rows: list[Transaction] = []
+    rows = []
     for s_idx, student in enumerate(students):
         seq = rng.permutation(n_items)[:per_student]
         counts = np.zeros(n_kcs, dtype=np.int64)
@@ -558,9 +560,7 @@ def synth_afm_log(spec: AfmLogSynthSpec):
             eta = theta[s_idx] + float(np.sum(beta[kcs] + gamma[kcs] * counts[kcs]))
             p = float(sigmoid(np.array([eta]))[0])
             outcome = int(rng.uniform() < p)
-            rows.append(Transaction(student_id=student,
-                                    item_id=q.item_ids[i_idx],
-                                    outcome=outcome, order=order))
+            rows.append((student, q.item_ids[i_idx], outcome, order))
             counts[kcs] += 1
     true_params = AFMParams(
         theta={s: float(v) for s, v in zip(students, theta)},

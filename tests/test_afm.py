@@ -1,6 +1,7 @@
 """Additive Factors Model: counting, prediction, fitting and evaluation."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -634,3 +635,128 @@ class TestColumnarEquivalence:
             y = np.array([tr.outcome for tr, _ in test], dtype=np.float64)
             expected.append(float(np.sqrt(np.mean((y - p) ** 2))))
         assert result.fold_rmses == expected
+
+
+# ---------------------------------------------------------------------------
+# the log as columns against the row-object log it replaced
+
+
+@dataclass(frozen=True)
+class _OldTransaction:
+    student_id: str
+    item_id: str
+    outcome: int
+    order: int
+
+
+class _OldTransactionLog:
+    """The log as a tuple of row objects, validated row by row, with
+    columns derived from the rows by np.unique over object arrays."""
+
+    def __init__(self, rows, where=None):
+        rows = tuple(rows)
+        where = where or (lambda i: f"row {i + 1}")
+        last_order: dict[str, int] = {}
+        first_at: dict[tuple[str, int], int] = {}
+        for i, tr in enumerate(rows):
+            key = (tr.student_id, tr.order)
+            prev = last_order.get(tr.student_id)
+            if tr.outcome not in (0, 1):
+                problem = f"outcome must be 0 or 1, got {tr.outcome!r}"
+            elif tr.order < 1:
+                problem = f"order must be positive, got {tr.order}"
+            elif key in first_at:
+                problem = (f"duplicate (student, order) {key} first seen at "
+                           f"{where(first_at[key])}")
+            elif prev is not None and tr.order <= prev:
+                problem = (f"orders not strictly increasing for student "
+                           f"{tr.student_id!r} at order {tr.order}")
+            else:
+                first_at[key] = i
+                last_order[tr.student_id] = tr.order
+                continue
+            raise InputError(f"{where(i)}: {problem}")
+        self.rows = rows
+
+    @property
+    def columns(self):
+        students, student = np.unique(np.array(
+            [tr.student_id for tr in self.rows], dtype=object),
+            return_inverse=True)
+        items, item = np.unique(np.array(
+            [tr.item_id for tr in self.rows], dtype=object),
+            return_inverse=True)
+        y = np.array([tr.outcome for tr in self.rows], dtype=np.float64)
+        return students.tolist(), items.tolist(), student, item, y
+
+
+LOG_IDS = ["s", "s\x00", "s\x00\x00", "t", "\x00", "a b"]
+OUTCOMES = [0, 1, True, False, 0.0, 1.0, -0.0, "0", "1", "", "true", 2, -1,
+            0.5, math.nan, math.inf]
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@st.composite
+def _raw_logs(draw):
+    """(student, item, outcome, order) rows of interleaved students with
+    increasing orders, then up to three faults put in: any outcome, or an
+    order that is zero, negative, another row's (a duplicate when that row
+    is the same student's), or any int64."""
+    students = draw(st.lists(st.sampled_from(LOG_IDS), min_size=1,
+                             max_size=4, unique=True))
+    owners = draw(st.lists(st.sampled_from(students), max_size=14))
+    last = dict.fromkeys(students, 0)
+    rows = []
+    for s in owners:
+        last[s] += draw(st.integers(1, 3))
+        rows.append([s, draw(st.sampled_from(LOG_IDS)),
+                     draw(st.sampled_from([0, 1, True, 1.0])), last[s]])
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row[2] = draw(st.sampled_from(OUTCOMES))
+        else:
+            row[3] = draw(st.one_of(
+                st.sampled_from([0, -1, -2 ** 63, 2 ** 63 - 1]),
+                st.sampled_from([r[3] for r in rows]), INT64))
+    return [tuple(r) for r in rows]
+
+
+class TestColumnarLogEquivalence:
+    """Coded and validated in one columnar pass, a log accepts, rejects
+    (message included), codes and derives rows exactly as the row-object
+    log did."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(_raw_logs())
+    def test_same_decision_columns_and_rows(self, rows):
+        try:
+            old = _OldTransactionLog([_OldTransaction(*r) for r in rows])
+        except InputError as exc:
+            with pytest.raises(InputError) as new_exc:
+                TransactionLog(rows)
+            assert str(new_exc.value) == str(exc)
+            return
+        new = TransactionLog(rows)
+        students, items, student, item, y = old.columns
+        cols = new.columns
+        assert cols.students == students and cols.items == items
+        for mine, theirs in ((cols.student, student), (cols.item, item),
+                             (cols.y, y)):
+            assert mine.dtype == theirs.dtype
+            np.testing.assert_array_equal(mine, theirs)
+        assert [(t.student_id, t.item_id, t.outcome, t.order)
+                for t in old.rows] == list(new.rows)
+        assert len(new) == len(rows)
+
+    def test_empty_log(self):
+        assert _OldTransactionLog([]).rows == TransactionLog([]).rows == ()
+        cols = TransactionLog([]).columns
+        assert cols.students == cols.items == [] and len(cols.y) == 0
+
+    def test_rows_are_built_on_first_read_only(self):
+        log = TransactionLog([("s", "a", 1, 1), ("s", "b", 0, 2)])
+        assert "rows" not in vars(log)
+        assert log.rows == (Transaction("s", "a", 1, 1),
+                            Transaction("s", "b", 0, 2))
+        assert log.rows is log.rows

@@ -279,6 +279,15 @@ class TestGradcheckAndErrors:
         assert run(["fit-afm", "--log", bad, "--qmatrix", bad,
                     "--out", tmp_path / "p.tsv"]) == 3
 
+    def test_order_beyond_int64_exit_code(self, tmp_path, capsys):
+        log, q = tmp_path / "log.tsv", tmp_path / "q.tsv"
+        log.write_text("student_id\titem_id\toutcome\torder\n"
+                       "s1\ta\t1\t100000000000000000000000000000\n")
+        q.write_text("item_id\tk1\na\t1\n")
+        assert run(["fit-afm", "--log", log, "--qmatrix", q,
+                    "--out", tmp_path / "p.tsv"]) == 3
+        assert "log.tsv: line 2: order must be" in capsys.readouterr().err
+
     def test_undecodable_input_exit_code(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(b"\xff\xfe\x00bad")
@@ -310,6 +319,19 @@ class TestGradcheckAndErrors:
         assert run(["compare", "--log", tmp_path / "transactions.tsv",
                     "--models", "mystery", "--folds", "2",
                     "--out", tmp_path / "c.tsv"]) == 4
+
+    @pytest.mark.parametrize("models,entry", [
+        ("=qmatrix.tsv", "=qmatrix.tsv"), ("faculty,faculty", "faculty"),
+        ("faculty,faculty=qmatrix.tsv", "faculty=qmatrix.tsv"),
+        ("q=qmatrix.tsv,identical,q=qmatrix.tsv", "q=qmatrix.tsv")])
+    def test_empty_or_repeated_model_name_exit_code(
+            self, log_dir, tmp_path, monkeypatch, capsys, models, entry):
+        monkeypatch.chdir(log_dir)
+        out = tmp_path / "c.tsv"
+        assert run(["compare", "--log", "transactions.tsv", "--models", models,
+                    "--folds", "2", "--out", out]) == 4
+        assert f"model entry {entry!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COGRL_SEED", "11")
@@ -372,10 +394,17 @@ class TestSettingBounds:
         assert run(["gradcheck", "--arch", "cnn"]) == 4
         assert "seed must be non-negative" in capsys.readouterr().err
 
-    def test_nan_tolerance_fails_the_gradient_check(self, capsys):
-        assert run(["gradcheck", "--arch", "cnn", "--seed", "1",
-                    "--tolerance", "nan"]) == 5
-        assert "gradient check failed" in capsys.readouterr().err
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+    def test_tolerance_not_finite_and_positive_is_a_configuration_error(
+            self, monkeypatch, capsys, tolerance):
+        def no_gradients(*args):
+            raise AssertionError("a gradient was computed")
+
+        monkeypatch.setattr("cogrl.cli.grad_check", no_gradients)
+        assert run(["gradcheck", "--seed", "1",
+                    "--tolerance", tolerance]) == 4
+        assert "tolerance must be finite and positive" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "0"])
     def test_non_finite_epsilon_is_a_configuration_error(self, epsilon):

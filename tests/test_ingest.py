@@ -62,6 +62,31 @@ class TestTransactionsIO:
         with pytest.raises(InputError, match="line 3"):
             load_transactions(path)
 
+    @pytest.mark.parametrize("order", [
+        "1_0", " 7", "7 ", "+3", "\u0663", "2\u00b2", "0x1", "1e3", "--1",
+        "-", "9223372036854775808", "100000000000000000000000000000"])
+    def test_order_cell_not_an_int64_decimal_reports_line(self, tmp_path,
+                                                          order):
+        path = tmp_path / "t.tsv"
+        path.write_text("student_id\titem_id\toutcome\torder\n"
+                        f"s1\ta\t1\t1\ns1\tb\t0\t{order}\n",
+                        encoding="utf-8")
+        with pytest.raises(InputError, match="line 3: order must be a "
+                           "decimal integer within int64"):
+            load_transactions(path)
+
+    def test_order_cells_at_the_int64_bounds(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("student_id\titem_id\toutcome\torder\n"
+                        "s1\ta\t1\t0009223372036854775807\n"
+                        "s2\ta\t1\t-9223372036854775808\n")
+        with pytest.raises(InputError,
+                           match="line 3: order must be positive"):
+            load_transactions(path)
+        path.write_text("student_id\titem_id\toutcome\torder\n"
+                        "s1\ta\t1\t0009223372036854775807\n")
+        assert load_transactions(path).rows[0].order == 2 ** 63 - 1
+
     def test_round_trip(self, tmp_path):
         log, _, _ = synth_afm_log(AfmLogSynthSpec(
             students=5, items=6, kcs=2, seed=3))
@@ -437,10 +462,10 @@ class TestSynthAfmLog:
     def test_transactions_per_student_cap(self):
         log, _, _ = synth_afm_log(AfmLogSynthSpec(
             students=4, items=10, kcs=2, transactions_per_student=6, seed=1))
-        for rows in log.by_student().values():
-            assert len(rows) == 6
-            # each item at most once per student
-            assert len({r.item_id for r in rows}) == 6
+        cols = log.columns
+        assert np.bincount(cols.student).tolist() == [6] * 4
+        # each item at most once per student
+        assert len(set(zip(cols.student.tolist(), cols.item.tolist()))) == 24
 
     def test_fit_recovers_choice_of_q(self):
         # generator oracle loop: every KC in the emitted Q-matrix is used
