@@ -14,9 +14,9 @@ its KCs carry information across problems.
 
 Data are columnar: a log is its columns, coded and validated in one pass,
 and each Q-matrix adds one CSR-ordered array of (row, KC, opportunity)
-pairs. A cross-validation fold is a boolean mask over those arrays. The
-log-likelihood uses the softplus max(eta, 0) + log1p(exp(-|eta|)), whose
-exp(-|eta|) the next gradient reuses.
+pairs, from which ``afm_logits`` computes every logit of the fit, scoring
+and log sampler. A CV fold is a boolean mask over those arrays; the softplus
+max(eta, 0) + log1p(exp(-|eta|)) leaves exp(-|eta|) to the next gradient.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ Transaction = NamedTuple("Transaction", [
     ("student_id", str), ("item_id", str), ("outcome", int), ("order", int)])
 
 
-# a log column-wise: the sorted distinct student and item ids, and per row
-# the student's and item's index into them, the outcome (float) and the order
+# a log column-wise: the distinct student and item ids (a TransactionLog
+# sorts them), per row their indices into them, the outcome and the order
 LogColumns = namedtuple("LogColumns", "students items student item y order")
 
 
@@ -62,12 +62,16 @@ def _code(ids):
     return distinct, np.array([index[v] for v in ids], dtype=np.intp)
 
 
+_INT64 = range(-2 ** 63, 2 ** 63)
+
+
 class TransactionLog:
     """Ordered first-attempt records, stored as columns.
 
     Takes (student_id, item_id, outcome, order) tuples. Per student, orders
     strictly increase in row sequence and (student, order) pairs are unique;
-    the first broken rule raises InputError naming its row via ``where``.
+    the first broken rule raises InputError naming its row via ``where``,
+    after every order is checked to be an integer within int64.
     """
 
     def __init__(self, rows, where=None):
@@ -80,6 +84,12 @@ class TransactionLog:
         # an outcome other than 0 or 1 reads as NaN
         y = np.fromiter(map({0: 0.0, 1: 1.0}.get, outcomes, repeat(math.nan)),
                         np.float64, len(outcomes))
+        # an order is a Python or numpy integer within int64
+        if not all(type(o) is int and o in _INT64 for o in orders):
+            for i, o in enumerate(orders):
+                if not (isinstance(o, (int, np.integer)) and int(o) in _INT64):
+                    raise InputError(f"{where(i)}: order must be an integer "
+                                     f"within int64, got {o!r}")
         order = np.array(orders, dtype=np.int64)
         # rows whose order does not exceed their student's previous order
         by = np.argsort(student, kind="stable")
@@ -243,30 +253,29 @@ class FitDiagnostics:
 # prediction and scoring
 
 
+def afm_logits(theta, beta, gamma, pairs: Pairs) -> np.ndarray:
+    """The AFM logit of each row from its student's theta (one value per
+    row) and its (row, KC, opportunity) pairs: theta + (0 + c_1 + c_2 + ...)
+    with c = beta[kc] + gamma[kc] * opportunity, summed in pair order."""
+    # np.bincount of no pairs is integer zeros: keep its uses out of place
+    return theta + np.bincount(
+        pairs.row, beta[pairs.kc] + gamma[pairs.kc] * pairs.t, len(theta))
+
+
 def afm_predict(params: AFMParams, q: QMatrix, student: str, item: str,
                 opportunities: dict[str, int]) -> float:
-    """Probability of a correct first attempt for (student, item)."""
+    """Probability of a correct first attempt for (student, item); the same
+    value ``afm_logits`` gives the row, to the bit."""
     if student not in params.theta:
         raise InputError(f"unknown student {student!r}")
-    eta = params.theta[student]
+    terms = 0.0
     for kc in q.kcs_for_item(item):
         if kc not in params.beta or kc not in params.gamma:
             raise InputError(f"unknown KC {kc!r} in params")
         if kc not in opportunities:
             raise InputError(f"no opportunity count for KC {kc!r}")
-        eta += params.beta[kc] + params.gamma[kc] * opportunities[kc]
-    return float(sigmoid(np.array([eta]))[0])
-
-
-def _probabilities(theta, beta, gamma, cols: LogColumns, pairs: Pairs,
-                   rows) -> np.ndarray:
-    """Predicted correctness of the rows the mask ``rows`` keeps; each adds
-    its KC terms to theta[student code] one at a time, in KC order."""
-    eta = theta[cols.student[rows]]
-    kept = rows[pairs.row]
-    np.add.at(eta, (np.cumsum(rows) - 1)[pairs.row[kept]],
-              beta[pairs.kc[kept]] + gamma[pairs.kc[kept]] * pairs.t[kept])
-    return sigmoid(eta)
+        terms += params.beta[kc] + params.gamma[kc] * opportunities[kc]
+    return float(sigmoid(np.array([params.theta[student] + terms]))[0])
 
 
 def afm_rmse(params: AFMParams, q: QMatrix, log: TransactionLog) -> float:
@@ -279,8 +288,8 @@ def afm_rmse(params: AFMParams, q: QMatrix, log: TransactionLog) -> float:
     theta = np.array([params.theta.get(s, 0.0) for s in cols.students])
     beta = np.array([params.beta.get(k, 0.0) for k in q.kc_names])
     gamma = np.array([params.gamma.get(k, 0.0) for k in q.kc_names])
-    p = _probabilities(theta, beta, gamma, cols, opportunity_pairs(cols, q),
-                       np.ones(len(log), dtype=bool))
+    p = sigmoid(afm_logits(theta[cols.student], beta, gamma,
+                           opportunity_pairs(cols, q)))
     return float(np.sqrt(np.mean((cols.y - p) ** 2)))
 
 
@@ -306,6 +315,7 @@ class _Design:
     n_kcs: int
 
     def __post_init__(self):
+        self.pairs = Pairs(self.pair_trans, self.pair_kc, self.pair_t)
         self.pair_t2 = self.pair_t ** 2
 
     @classmethod
@@ -321,10 +331,7 @@ class _Design:
 
     def objective(self, theta, beta, gamma, cfg: FitConfig):
         """Penalized log-likelihood, with the eta and exp(-|eta|) it used."""
-        contrib = beta[self.pair_kc] + gamma[self.pair_kc] * self.pair_t
-        # np.bincount of no pairs is integer zeros: keep its uses out of place
-        eta = theta[self.s_idx] + np.bincount(self.pair_trans, contrib,
-                                              len(self.y))
+        eta = afm_logits(theta[self.s_idx], beta, gamma, self.pairs)
         e = np.exp(-np.abs(eta))
         ll = float(np.sum(self.y * eta - _softplus(eta, e)))
         ll -= 0.5 * cfg.l2_theta * float(np.sum(theta * theta))
@@ -456,7 +463,7 @@ def _cv_fold(cols: LogColumns, pairs: Pairs, n_kcs: int, held,
     theta_fit, beta, gamma, _ = _solve(design, fit)
     theta = np.zeros(len(cols.students))
     theta[students] = theta_fit
-    p = _probabilities(theta, beta, gamma, cols, pairs, held)
+    p = sigmoid(afm_logits(theta[cols.student], beta, gamma, pairs)[held])
     return float(np.sqrt(np.mean((cols.y[held] - p) ** 2)))
 
 
@@ -494,18 +501,16 @@ class ComparisonTable:
     results: list[CVResult]
 
     def to_tsv_lines(self) -> list[str]:
-        lines = ["model\tmean_rmse\tfold_rmses"]
-        for name, res in zip(self.names, self.results):
-            folds = ",".join(f"{v:.6f}" for v in res.fold_rmses)
-            lines.append(f"{name}\t{res.mean_rmse:.6f}\t{folds}")
-        return lines
+        return ["model\tmean_rmse\tfold_rmses"] + [
+            f"{name}\t{res.mean_rmse:.6f}\t"
+            + ",".join(f"{v:.6f}" for v in res.fold_rmses)
+            for name, res in zip(self.names, self.results)]
 
     def to_text(self) -> str:
         width = max(len(n) for n in self.names + ["model"])
-        out = [f"{'model'.ljust(width)}  mean CV-RMSE"]
-        for name, res in zip(self.names, self.results):
-            out.append(f"{name.ljust(width)}  {res.mean_rmse:.6f}")
-        return "\n".join(out)
+        return "\n".join([f"{'model'.ljust(width)}  mean CV-RMSE"] + [
+            f"{name.ljust(width)}  {res.mean_rmse:.6f}"
+            for name, res in zip(self.names, self.results)])
 
 
 def compare_models(log: TransactionLog, models,
@@ -558,10 +563,9 @@ class ParamReport:
     slope_correlation: float | None = None
 
     def to_tsv_lines(self) -> list[str]:
-        lines = ["kc\tintercept\tslope"]
-        for kc, i, s in zip(self.kc_names, self.intercepts, self.slopes):
-            lines.append(f"{kc}\t{i:.6f}\t{s:.6f}")
-        return lines
+        return ["kc\tintercept\tslope"] + [
+            f"{kc}\t{i:.6f}\t{s:.6f}"
+            for kc, i, s in zip(self.kc_names, self.intercepts, self.slopes)]
 
 
 def param_report(params: AFMParams, q: QMatrix,
@@ -571,20 +575,17 @@ def param_report(params: AFMParams, q: QMatrix,
     With a reference parameter set, both columns are correlated against the
     reference's over the Q-matrix's KCs.
     """
-    for kc in q.kc_names:
-        if kc not in params.beta or kc not in params.gamma:
-            raise InputError(f"params missing KC {kc!r}")
-    intercepts = [float(sigmoid(np.array([params.beta[k]]))[0])
-                  for k in q.kc_names]
-    slopes = [params.gamma[k] for k in q.kc_names]
-    report = ParamReport(list(q.kc_names), intercepts, slopes)
-    if reference is not None:
+    def columns(p: AFMParams, what: str):
         for kc in q.kc_names:
-            if kc not in reference.beta or kc not in reference.gamma:
-                raise InputError(f"reference params missing KC {kc!r}")
-        report.ref_intercepts = [float(sigmoid(np.array([reference.beta[k]]))[0])
-                                 for k in q.kc_names]
-        report.ref_slopes = [reference.gamma[k] for k in q.kc_names]
+            if kc not in p.beta or kc not in p.gamma:
+                raise InputError(f"{what} missing KC {kc!r}")
+        return (sigmoid(np.array([p.beta[k] for k in q.kc_names])).tolist(),
+                [p.gamma[k] for k in q.kc_names])
+
+    report = ParamReport(list(q.kc_names), *columns(params, "params"))
+    if reference is not None:
+        report.ref_intercepts, report.ref_slopes = columns(
+            reference, "reference params")
         report.intercept_correlation = pearson(report.intercepts,
                                                report.ref_intercepts)
         report.slope_correlation = pearson(report.slopes, report.ref_slopes)

@@ -256,11 +256,9 @@ def cmd_cv(args, seed):
     result = item_stratified_cv(log, q, _fit_config(args),
                                 CVConfig(folds=args.folds, seed=seed),
                                 jobs=args.jobs)
-    lines = ["fold\trmse"]
-    for i, rmse in enumerate(result.fold_rmses):
-        lines.append(f"{i}\t{rmse:.6f}")
-    lines.append(f"mean\t{result.mean_rmse:.6f}")
-    write_lines(args.out, lines)
+    write_lines(args.out, ["fold\trmse"] + [
+        f"{i}\t{rmse:.6f}" for i, rmse in enumerate(result.fold_rmses)]
+        + [f"mean\t{result.mean_rmse:.6f}"])
     print(f"cv: mean_rmse={result.mean_rmse:.6f} folds={args.folds}")
     return [args.log, args.qmatrix], [args.out]
 

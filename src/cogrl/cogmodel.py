@@ -90,17 +90,12 @@ class SanitationReport:
                     or self.residual_items)
 
     def lines(self) -> list[str]:
-        out = []
-        for name in self.dropped_columns:
-            out.append(f"dropped all-zero column {name}")
-        for kept, merged in self.merged_columns:
-            out.append(f"merged duplicate columns {', '.join(merged)} "
-                       f"into {kept}")
-        for item in self.residual_items:
-            out.append(f"added residual KC membership for all-zero row {item}")
-        if not out:
-            out.append("no changes")
-        return out
+        return [f"dropped all-zero column {name}"
+                for name in self.dropped_columns] + [
+            f"merged duplicate columns {', '.join(merged)} into {kept}"
+            for kept, merged in self.merged_columns] + [
+            f"added residual KC membership for all-zero row {item}"
+            for item in self.residual_items] or ["no changes"]
 
 
 RESIDUAL_KC = "residual"

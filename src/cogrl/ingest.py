@@ -19,7 +19,14 @@ from itertools import chain, starmap
 
 import numpy as np
 
-from .afm import AFMParams, TransactionLog
+from .afm import (
+    _INT64,
+    AFMParams,
+    LogColumns,
+    TransactionLog,
+    afm_logits,
+    opportunity_pairs,
+)
 from .apprentice import ARTICLE_FEATURE_NAMES, TOKEN_RE, article_human_features
 from .cogmodel import QMatrix
 from .errors import BINARY, InputError, read_binary, read_table, write_lines
@@ -36,7 +43,6 @@ TRANSACTIONS_HEADER = ["student_id", "item_id", "outcome", "order"]
 # an order cell: the exact text of an ASCII decimal integer, optionally
 # negative, within int64
 _ORDER = re.compile(r"-?[0-9]+")
-_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def load_transactions(path) -> TransactionLog:
@@ -307,9 +313,8 @@ def synth_visual(spec: VisualSynthSpec) -> DatasetBundle:
             template_of[item] = t
     answer_labels = ["c0", "c1"]
     item_ids = [p.item_id for p in problems]
-    cells = np.zeros((len(item_ids), spec.templates), dtype=np.int64)
-    for i, item in enumerate(item_ids):
-        cells[i, template_of[item]] = 1
+    cells = np.eye(spec.templates, dtype=np.int64)[
+        [template_of[item] for item in item_ids]]
     oracle = QMatrix(item_ids, [f"template_{t}" for t in range(spec.templates)],
                      cells)
     return DatasetBundle(
@@ -453,9 +458,8 @@ def synth_cloze(spec: ClozeSynthSpec) -> DatasetBundle:
 
     item_ids = [p.item_id for p in problems]
     kc_names = sorted(rules)
-    cells = np.zeros((len(item_ids), len(kc_names)), dtype=np.int64)
-    for i, item in enumerate(item_ids):
-        cells[i, kc_names.index(rule_of[item])] = 1
+    cells = np.eye(len(kc_names), dtype=np.int64)[
+        [kc_names.index(rule_of[item]) for item in item_ids]]
     oracle = QMatrix(item_ids, kc_names, cells)
     return DatasetBundle(
         problems=problems, answer_labels=answer_labels,
@@ -512,8 +516,15 @@ class AfmLogSynthSpec:
                 self.transactions_per_student is not None
                 and self.transactions_per_student < 1):
             raise InputError("counts must be at least 1")
-        if self.theta_sd < 0 or self.gamma_range[0] < 0:
-            raise InputError("theta_sd and gamma must be non-negative")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.theta_sd) and self.theta_sd >= 0):
+            raise InputError("theta_sd must be finite and non-negative")
+        for name, (low, high), floor, rule in (
+                ("beta_range", self.beta_range, -math.inf, "low <= high"),
+                ("gamma_range", self.gamma_range, 0.0, "0 <= low <= high")):
+            if not (floor <= low <= high and math.isfinite(high - low)):
+                raise InputError(f"{name} must be finite with {rule}, got "
+                                 f"{(low, high)}")
 
 
 def synth_afm_log(spec: AfmLogSynthSpec):
@@ -523,8 +534,8 @@ def synth_afm_log(spec: AfmLogSynthSpec):
     Q-matrix, each item gets one round-robin KC plus a second random KC
     half the time. Every student works a seeded shuffle of the items (or
     the first transactions_per_student of it), and outcomes are Bernoulli
-    draws from the model probability given the accumulated opportunity
-    counts.
+    draws from the model probability given the opportunity counts, each
+    student's items and uniforms drawn in turn.
     """
     rng = np.random.default_rng(spec.seed)
     if spec.q is not None:
@@ -542,29 +553,23 @@ def synth_afm_log(spec: AfmLogSynthSpec):
                 cells[i, extra] = 1
         q = QMatrix(item_ids, kc_names, cells)
 
-    n_items, n_kcs = q.n_items, q.n_kcs
     students = [f"s{i:03d}" for i in range(spec.students)]
     theta = rng.normal(0.0, spec.theta_sd, size=spec.students)
-    beta = rng.uniform(*spec.beta_range, size=n_kcs)
-    gamma = rng.uniform(*spec.gamma_range, size=n_kcs)
+    beta = rng.uniform(*spec.beta_range, size=q.n_kcs)
+    gamma = rng.uniform(*spec.gamma_range, size=q.n_kcs)
 
-    per_student = spec.transactions_per_student or n_items
-    per_student = min(per_student, n_items)
-    item_kcs = [np.flatnonzero(q.cells[i]) for i in range(n_items)]
-    rows = []
-    for s_idx, student in enumerate(students):
-        seq = rng.permutation(n_items)[:per_student]
-        counts = np.zeros(n_kcs, dtype=np.int64)
-        for order, i_idx in enumerate(seq, start=1):
-            kcs = item_kcs[i_idx]
-            eta = theta[s_idx] + float(np.sum(beta[kcs] + gamma[kcs] * counts[kcs]))
-            p = float(sigmoid(np.array([eta]))[0])
-            outcome = int(rng.uniform() < p)
-            rows.append((student, q.item_ids[i_idx], outcome, order))
-            counts[kcs] += 1
-    true_params = AFMParams(
-        theta={s: float(v) for s, v in zip(students, theta)},
-        beta={k: float(v) for k, v in zip(q.kc_names, beta)},
-        gamma={k: float(v) for k, v in zip(q.kc_names, gamma)},
-    )
+    per_student = min(spec.transactions_per_student or q.n_items, q.n_items)
+    item, uniform = map(np.concatenate, zip(*[
+        (rng.permutation(q.n_items)[:per_student],
+         rng.uniform(size=per_student)) for _ in students]))
+    student = np.repeat(np.arange(spec.students), per_student)
+    cols = LogColumns(students, q.item_ids, student, item, None, None)
+    eta = afm_logits(theta[student], beta, gamma, opportunity_pairs(cols, q))
+    outcome = uniform < sigmoid(eta)
+    rows = zip(map(students.__getitem__, student.tolist()),
+               map(q.item_ids.__getitem__, item.tolist()),
+               outcome.astype(np.int64).tolist(),
+               np.tile(np.arange(1, per_student + 1), spec.students).tolist())
+    true_params = AFMParams(*(dict(zip(names, v.tolist())) for names, v in (
+        (students, theta), (q.kc_names, beta), (q.kc_names, gamma))))
     return TransactionLog(rows), q, true_params

@@ -427,8 +427,12 @@ def read_representations(path) -> RepresentationMatrix:
         item_ids.append(fields[0])
         try:
             rows.append([float(v) for v in fields[1:]])
+            # closed: a saturated sigmoid writes exactly 0 or 1; NaN fails
+            if not all(0.0 <= v <= 1.0 for v in rows[-1]):
+                raise ValueError
         except ValueError:
-            raise InputError(f"{path}: line {ln}: bad value") from None
+            raise InputError(f"{path}: line {ln}: bad value, need a number "
+                             f"in [0, 1]") from None
     if not rows:
         raise InputError(f"{path}: the table has no items")
     return RepresentationMatrix(item_ids, np.array(rows, dtype=np.float64))

@@ -15,10 +15,10 @@ from cogrl.afm import (
     Transaction,
     TransactionLog,
     _Design,
-    _probabilities,
     _softplus,
     _solve,
     afm_fit,
+    afm_logits,
     afm_predict,
     afm_rmse,
     assign_folds,
@@ -55,6 +55,20 @@ class TestTransactionLog:
     def test_bad_outcome_rejected(self):
         with pytest.raises(InputError):
             _log([("s1", "a", 2, 1)])
+
+    @pytest.mark.parametrize("order", [
+        2.9, 2.0, "3", None, 2 ** 63, -2 ** 63 - 1, np.float64(2),
+        np.uint64(2 ** 64 - 1)])
+    def test_order_not_an_int64_integer_rejected(self, order):
+        with pytest.raises(InputError) as info:
+            _log([("s1", "a", 1, 1), ("s1", "b", 0, order)])
+        assert str(info.value) == \
+            f"row 2: order must be an integer within int64, got {order!r}"
+
+    def test_numpy_integer_orders_accepted(self):
+        log = _log([("s1", "a", 1, np.int32(1)), ("s1", "b", 0, np.uint64(2)),
+                    ("s1", "c", 0, 2 ** 63 - 1)])
+        assert log.columns.order.tolist() == [1, 2, 2 ** 63 - 1]
 
     def test_interleaved_students_fine(self):
         log = _log([("s1", "a", 1, 1), ("s2", "a", 0, 1),
@@ -524,10 +538,9 @@ def _oracle_design(rows, opp_rows, q):
 def _oracle_probabilities(params, rows, opp_rows):
     eta = np.empty(len(rows))
     for i, (tr, opps) in enumerate(zip(rows, opp_rows)):
-        e = params.theta.get(tr.student_id, 0.0)
-        for kc, t in opps.items():
-            e += params.beta.get(kc, 0.0) + params.gamma.get(kc, 0.0) * t
-        eta[i] = e
+        eta[i] = params.theta.get(tr.student_id, 0.0) + sum(
+            params.beta.get(kc, 0.0) + params.gamma.get(kc, 0.0) * t
+            for kc, t in opps.items())
     return sigmoid(eta)
 
 
@@ -607,8 +620,29 @@ class TestColumnarEquivalence:
             beta = np.array([params.beta[k] for k in q.kc_names])
             gamma = np.array([params.gamma[k] for k in q.kc_names])
             assert np.array_equal(
-                _probabilities(theta, beta, gamma, cols, pairs, mask),
+                sigmoid(afm_logits(theta[cols.student], beta, gamma,
+                                   pairs)[mask]),
                 _oracle_probabilities(params, *zip(*test)))
+
+    @settings(deadline=None, max_examples=80)
+    @given(_cv_cases(), st.data())
+    def test_afm_predict_equals_shared_logits(self, case, data):
+        log, q, _, _ = case
+        value = st.floats(-20, 20)
+        params = AFMParams(
+            theta={s: data.draw(value) for s in log.students()},
+            beta={k: data.draw(value) for k in q.kc_names},
+            gamma={k: data.draw(st.floats(0, 5)) for k in q.kc_names})
+        cols = log.columns
+        theta = np.array([params.theta[s] for s in cols.students])
+        beta = np.array([params.beta[k] for k in q.kc_names])
+        gamma = np.array([params.gamma[k] for k in q.kc_names])
+        p = sigmoid(afm_logits(theta[cols.student], beta, gamma,
+                               opportunity_pairs(cols, q)))
+        assert [afm_predict(params, q, tr.student_id, tr.item_id, opps)
+                for tr, opps in zip(log.rows,
+                                    compute_opportunities(log, q).rows)] \
+            == p.tolist()
 
     @settings(deadline=None, max_examples=40)
     @given(_cv_cases())

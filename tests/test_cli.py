@@ -303,6 +303,17 @@ class TestGradcheckAndErrors:
                     "--out", tmp_path / "q.tsv"]) == 3
         assert "reps.tsv: the table has no items" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-3", "1.5"])
+    def test_reps_cell_outside_unit_interval_exit_code(self, tmp_path, capsys,
+                                                       cell):
+        reps = tmp_path / "reps.tsv"
+        reps.write_text(f"item_id\trep_00\trep_01\na\t0.5\t1\nb\t0\t{cell}\n")
+        assert run(["qmatrix", "--reps", reps,
+                    "--out", tmp_path / "q.tsv"]) == 3
+        assert "reps.tsv: line 3: bad value, need a number in [0, 1]" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "q.tsv").exists()
+
     def test_image_byte_above_maxval_exit_code(self, tmp_path):
         (tmp_path / "a.pgm").write_bytes(b"P5 2 1 2\n" + bytes([200, 0]))
         (tmp_path / "b.pgm").write_bytes(b"P5 2 1 2\n" + bytes([0, 2]))

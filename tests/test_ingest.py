@@ -1,13 +1,21 @@
 """Loaders (with line diagnostics) and synthetic-domain generators."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cogrl.afm import Transaction, compute_opportunities, read_params
+from cogrl.afm import (
+    AFMParams,
+    Transaction,
+    TransactionLog,
+    compute_opportunities,
+    read_params,
+)
 from cogrl.apprentice import ARTICLE_FEATURE_NAMES
-from cogrl.cogmodel import read_kc_map, read_qmatrix
+from cogrl.cogmodel import QMatrix, read_kc_map, read_qmatrix
 from cogrl.errors import InputError
 from cogrl.ingest import (
     AfmLogSynthSpec,
@@ -28,6 +36,7 @@ from cogrl.ingest import (
     write_transactions,
 )
 from cogrl.neuralcore import load_checkpoint
+from cogrl.neuralcore.layers import sigmoid
 from cogrl.problems import split_blank
 from cogrl.representation import read_representations
 
@@ -426,6 +435,82 @@ class TestSynthCloze:
         assert len({p.answer for p in bundle.problems}) == 3
 
 
+@st.composite
+def _afm_log_specs(draw):
+    """Sampler specs with the default or a drawn Q-matrix (items without a
+    KC and up to 30 KCs per item included), a few or over 1,000 students,
+    and transactions_per_student below, at or above the item count."""
+    items = draw(st.integers(1, 10))
+    kcs = draw(st.integers(1, 30))
+    q = None
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.lists(st.integers(0, 1), min_size=kcs,
+                                       max_size=kcs),
+                              min_size=items, max_size=items))
+        q = QMatrix([f"p{i}" for i in range(items)],
+                    [f"k{j}" for j in range(kcs)], np.array(cells))
+
+    def interval(low, high):
+        return tuple(sorted(draw(st.lists(st.floats(low, high), min_size=2,
+                                          max_size=2))))
+
+    return AfmLogSynthSpec(
+        students=draw(st.integers(1, 30) | st.integers(1001, 1100)),
+        items=items, kcs=kcs,
+        transactions_per_student=draw(st.none() | st.integers(1, items + 2)),
+        theta_sd=draw(st.floats(0, 3)), beta_range=interval(-3, 3),
+        gamma_range=interval(0, 1), seed=draw(st.integers(0, 2 ** 32 - 1)),
+        q=q)
+
+
+def _per_transaction_afm_log(spec):
+    """The sampler as it was: one Python step per transaction, with its own
+    running opportunity counts and one scalar sigmoid per row."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.q is not None:
+        q = spec.q
+    else:
+        item_ids = [f"i{i:03d}" for i in range(spec.items)]
+        kc_names = [f"kc{j}" for j in range(spec.kcs)]
+        cells = np.zeros((spec.items, spec.kcs), dtype=np.int64)
+        for i in range(spec.items):
+            cells[i, i % spec.kcs] = 1
+            if spec.kcs > 1 and rng.uniform() < 0.5:
+                extra = int(rng.integers(spec.kcs - 1))
+                if extra >= i % spec.kcs:
+                    extra += 1
+                cells[i, extra] = 1
+        q = QMatrix(item_ids, kc_names, cells)
+
+    n_items, n_kcs = q.n_items, q.n_kcs
+    students = [f"s{i:03d}" for i in range(spec.students)]
+    theta = rng.normal(0.0, spec.theta_sd, size=spec.students)
+    beta = rng.uniform(*spec.beta_range, size=n_kcs)
+    gamma = rng.uniform(*spec.gamma_range, size=n_kcs)
+
+    per_student = spec.transactions_per_student or n_items
+    per_student = min(per_student, n_items)
+    item_kcs = [np.flatnonzero(q.cells[i]) for i in range(n_items)]
+    rows = []
+    for s_idx, student in enumerate(students):
+        seq = rng.permutation(n_items)[:per_student]
+        counts = np.zeros(n_kcs, dtype=np.int64)
+        for order, i_idx in enumerate(seq, start=1):
+            kcs = item_kcs[i_idx]
+            eta = theta[s_idx] + float(
+                np.sum(beta[kcs] + gamma[kcs] * counts[kcs]))
+            p = float(sigmoid(np.array([eta]))[0])
+            outcome = int(rng.uniform() < p)
+            rows.append((student, q.item_ids[i_idx], outcome, order))
+            counts[kcs] += 1
+    true_params = AFMParams(
+        theta={s: float(v) for s, v in zip(students, theta)},
+        beta={k: float(v) for k, v in zip(q.kc_names, beta)},
+        gamma={k: float(v) for k, v in zip(q.kc_names, gamma)},
+    )
+    return TransactionLog(rows), q, true_params
+
+
 class TestSynthAfmLog:
     def test_zero_gamma_flat_success_over_buckets(self):
         log, q, _ = synth_afm_log(AfmLogSynthSpec(
@@ -474,3 +559,36 @@ class TestSynthAfmLog:
         assert np.all(q.cells.sum(axis=0) >= 1)
         assert np.all(q.cells.sum(axis=1) >= 1)
         compute_opportunities(log, q)  # no missing items
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(theta_sd=math.nan), "theta_sd"),
+        (dict(theta_sd=math.inf), "theta_sd"),
+        (dict(theta_sd=-0.1), "theta_sd"),
+        (dict(beta_range=(1.0, math.inf)), "beta_range"),
+        (dict(beta_range=(math.nan, 1.0)), "beta_range"),
+        (dict(beta_range=(1.0, -1.0)), "beta_range"),
+        (dict(beta_range=(-1e308, 1e308)), "beta_range"),
+        (dict(gamma_range=(0.3, 0.1)), "gamma_range"),
+        (dict(gamma_range=(0.0, math.nan)), "gamma_range"),
+        (dict(gamma_range=(-0.1, 0.3)), "gamma_range")])
+    def test_bad_parameter_spec_rejected_before_any_draw(self, kwargs, field):
+        with pytest.raises(InputError, match=field):
+            AfmLogSynthSpec(**kwargs)
+
+    @settings(deadline=None, max_examples=30)
+    @example(AfmLogSynthSpec(students=1200, items=7, kcs=3, seed=9))
+    @example(AfmLogSynthSpec(
+        students=6, transactions_per_student=2, seed=5,
+        q=QMatrix(["a", "b", "c"], ["k1", "k2"],
+                  np.array([[1, 0], [0, 0], [1, 1]]))))
+    @given(_afm_log_specs())
+    def test_equals_per_transaction_sampler(self, spec):
+        new_log, new_q, new_params = synth_afm_log(spec)
+        old_log, old_q, old_params = _per_transaction_afm_log(spec)
+        assert list(new_log.records()) == list(old_log.records())
+        assert new_q.item_ids == old_q.item_ids
+        assert new_q.kc_names == old_q.kc_names
+        assert np.array_equal(new_q.cells, old_q.cells)
+        assert (new_params.theta, new_params.beta, new_params.gamma) == \
+            (old_params.theta, old_params.beta, old_params.gamma)
+

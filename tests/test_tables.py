@@ -375,6 +375,14 @@ def _binary_tightening(header, rows):
         c not in ("0", "1") for r in rows for c in r[1:])
 
 
+def _outside_unit_interval(cell):
+    """A number cell that is NaN, infinite or outside [0, 1]."""
+    try:
+        return not 0.0 <= float(cell) <= 1.0
+    except ValueError:
+        return False
+
+
 # the inputs a reader may now reject that the previous reader accepted
 TIGHTENED = {
     "transactions": lambda header, rows: False,
@@ -384,8 +392,9 @@ TIGHTENED = {
     "kc_map": lambda header, rows: header != ["item_id", "kc_name"],
     "qmatrix": _binary_tightening,
     "params": lambda header, rows: _repeats([tuple(r[:2]) for r in rows]),
-    "representations": lambda header, rows: (_wide_tightening(header, rows)
-                                             or not rows),
+    "representations": lambda header, rows: (
+        _wide_tightening(header, rows) or not rows
+        or any(_outside_unit_interval(c) for r in rows for c in r[1:])),
 }
 
 
@@ -548,7 +557,7 @@ class TestRoundTrip:
         ids = _distinct(data, any_cell, 1, 4)
         dims = data.draw(st.integers(1, 3))
         values = np.array(data.draw(st.lists(
-            st.lists(st.floats(allow_nan=False), min_size=dims,
+            st.lists(st.floats(0.0, 1.0), min_size=dims,
                      max_size=dims), min_size=len(ids), max_size=len(ids))))
         reps = RepresentationMatrix(ids, values)
         back = _round_trip(tmp_path, write_representations,
