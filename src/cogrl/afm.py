@@ -7,10 +7,12 @@ The model predicts first-attempt correctness as
 
 where the opportunity count is how many of the student's prior transactions
 required that KC. Fitting maximizes the L2-penalized Bernoulli
-log-likelihood by projected gradient ascent with step halving, keeping all
-learning rates non-negative. Model comparison uses item-stratified
-cross-validated RMSE: folds partition items, so a model only scores well if
-its KCs carry information across problems.
+log-likelihood, keeping all learning rates non-negative, by projected
+Newton iterated until the Newton decrement is negligible: every Hessian
+block is one ``np.bincount`` pass, and one Schur step reduces each Newton
+system to the students or to the KC coordinates. Model comparison uses
+item-stratified cross-validated RMSE: folds partition items, so a model
+only scores well if its KCs carry information across problems.
 
 Data are columnar: a log is its columns, coded and validated in one pass,
 and each Q-matrix adds one CSR-ordered array of (row, KC, opportunity)
@@ -212,9 +214,12 @@ class AFMParams:
 
 @dataclass
 class FitConfig:
+    """L2 penalties, and when a fit stops: once the Newton decrement is at
+    most tol * max(1, |objective|), or after max_iter Newton steps."""
+
     l2_theta: float = 1.0
     l2_beta_gamma: float = 0.0
-    tol: float = 1e-6
+    tol: float = 1e-14
     max_iter: int = 500
 
     def __post_init__(self):
@@ -246,6 +251,7 @@ class FitDiagnostics:
     converged: bool
     iterations: int
     objective: float
+    residual: float  # max-norm of the projected gradient at the fit
     objective_history: list[float] = field(default_factory=list)
 
 
@@ -302,9 +308,32 @@ def _softplus(x, e):
     return np.maximum(x, 0.0) + np.log1p(e)
 
 
+def _psd_solve(m, b):
+    """A solution of m x = b for a symmetric positive semi-definite m.
+
+    An LU solve of the unit-diagonal scaling of m once its Cholesky factor
+    shows m is positive definite (numpy has no triangular solve); where the
+    factorization fails or a pivot is numerically zero (m is singular, as
+    with collinear KC columns and no penalty), the minimum-norm
+    least-squares solution instead."""
+    if len(b) == 0:
+        return np.zeros(0)
+    scale = np.sqrt(np.maximum(np.diagonal(m), 0.0))
+    scale = 1.0 / np.where(scale > 0, scale, 1.0)
+    m = m * scale[:, None] * scale
+    b = b * scale
+    try:
+        if np.min(np.diagonal(np.linalg.cholesky(m))) ** 2 > 1e-12:
+            return scale * np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        pass
+    return scale * np.linalg.lstsq(m, b, rcond=None)[0]
+
+
 @dataclass
 class _Design:
-    """Flat index arrays for one set of transactions against one Q-matrix."""
+    """Flat index arrays for one set of transactions against one Q-matrix,
+    the pairs in row order. A point is (theta, x) with x = (beta, gamma)."""
 
     s_idx: np.ndarray
     n_students: int
@@ -316,7 +345,14 @@ class _Design:
 
     def __post_init__(self):
         self.pairs = Pairs(self.pair_trans, self.pair_kc, self.pair_t)
-        self.pair_t2 = self.pair_t ** 2
+        self.right = self.y > 0
+        self.sign = 2.0 * self.y - 1.0
+        # each pair's flat (KC, student) cell of the KC-by-theta block
+        self.pair_cell = self.pair_kc * self.n_students \
+            + self.s_idx[self.pair_trans]
+        # no row needs two KCs: the KC-by-KC block is then block-diagonal,
+        # one 2 x 2 (beta, gamma) block per KC
+        self.single_kc = not np.any(np.diff(self.pair_trans) == 0)
 
     @classmethod
     def masked(cls, cols: LogColumns, pairs: Pairs, n_kcs: int, rows):
@@ -339,29 +375,108 @@ class _Design:
                                               + np.sum(gamma * gamma))
         return ll, eta, e
 
-    def ascent_direction(self, eta, e, theta, beta, gamma, cfg: FitConfig):
-        """The gradient at the point with the given eta and exp(-|eta|),
-        divided by the diagonal of the penalized Fisher information there:
-        a shared KC sums over every transaction while a student sums over a
-        handful, and without this scaling one global step size stalls the
-        small coordinates. Coordinates with neither data nor penalty have
-        zero gradient and stay put."""
-        p = np.where(eta >= 0, 1.0, e) / (1.0 + e)
-        r = self.y - p
-        w = p * (1.0 - p)
-        r_pairs, w_pairs = r[self.pair_trans], w[self.pair_trans]
-        blocks = [
-            (self.s_idx, r, w, self.n_students, cfg.l2_theta, theta),
-            (self.pair_kc, r_pairs, w_pairs, self.n_kcs,
-             cfg.l2_beta_gamma, beta),
-            (self.pair_kc, r_pairs * self.pair_t, w_pairs * self.pair_t2,
-             self.n_kcs, cfg.l2_beta_gamma, gamma)]
-        steps = []
-        for index, grad_w, fisher_w, length, l2, x in blocks:
-            g = np.bincount(index, grad_w, length) - l2 * x
-            d = np.bincount(index, fisher_w, length) + l2
-            steps.append(np.divide(g, d, out=np.zeros_like(g), where=d > 0))
-        return steps
+    def newton_direction(self, eta, e, theta, x, cfg: FitConfig):
+        """The gradient (g_theta, g_x) at the point with the given eta and
+        exp(-|eta|), and the projected Newton direction (d_theta, d_x) there.
+
+        The direction solves H d = g, H the penalized Fisher information
+        (the negated Hessian), over the free coordinates: every gamma except
+        those at 0 whose gradient points below 0 (the active set), and no
+        coordinate that has neither data nor penalty. Each row has one
+        student, so the theta block of H is diagonal and one Schur step
+        eliminates a side: the KCs when each row has at most one (leaving
+        an S x S system), theta otherwise (a P x P one, P <= 2K)."""
+        k, n_s = self.n_kcs, self.n_students
+        inv = 1.0 / (1.0 + e)
+        small = e * inv  # min(p, 1 - p), so never rounded to 0
+        w = small * inv  # p (1 - p)
+        # y - p is small where the outcome agrees with the sign of eta
+        r = self.sign * np.where((eta >= 0) == self.right, small, inv)
+        rp, wp, t = r[self.pair_trans], w[self.pair_trans], self.pair_t
+        g_theta = np.bincount(self.s_idx, r, n_s) - cfg.l2_theta * theta
+        g_x = np.concatenate([np.bincount(self.pair_kc, rp, k),
+                              np.bincount(self.pair_kc, rp * t, k)]) \
+            - cfg.l2_beta_gamma * x
+        wt = wp * t
+        # the (beta, beta), (beta, gamma) and (gamma, gamma) curvature per KC
+        c = [np.bincount(self.pair_kc, v, k) for v in (wp, wt, wt * t)]
+        free = np.concatenate([c[0], c[2]]) + cfg.l2_beta_gamma > 0
+        free[k:] &= (x[k:] > 0) | (g_x[k:] >= 0)
+        a = np.bincount(self.s_idx, w, n_s) + cfg.l2_theta
+        # the KC-by-theta block: its beta rows and its gamma rows
+        b_b, b_g = (np.bincount(self.pair_cell, v, k * n_s).reshape(k, n_s)
+                    for v in (wp, wt))
+        b_b *= free[:k, None]
+        b_g *= free[k:, None]
+        eliminate = self._eliminate_kcs if self.single_kc \
+            else self._eliminate_theta
+        d_theta, d_x = eliminate(w, a, b_b, b_g, c, g_theta,
+                                 np.where(free, g_x, 0.0), free,
+                                 cfg.l2_beta_gamma)
+        return g_theta, g_x, d_theta, d_x
+
+    def _eliminate_kcs(self, w, a, b_b, b_g, c, g_theta, g_x, free, l2):
+        """Solve by the S x S Schur complement of the KC block, given that
+        each row has at most one KC; b_b, b_g and g_x are 0 off the free
+        set, and c holds the unpenalized 2 x 2 block entries per KC."""
+        k = self.n_kcs
+        c_bb = (c[0] + l2) * free[:k]
+        c_bg = c[1] * (free[:k] & free[k:])
+        c_gg = (c[2] + l2) * free[k:]
+        # per KC, the pseudo-inverse of its block [c_bb c_bg; c_bg c_gg]; a
+        # singular block has rank <= 1, and then it is C / tr(C)^2
+        trace = c_bb + c_gg
+        det = c_bb * c_gg - c_bg * c_bg
+        regular = det > 1e-12 * trace * trace
+        s = np.divide(1.0, np.where(regular, det, trace * trace),
+                      out=np.zeros(k), where=trace > 0)
+        i_bb = s * np.where(regular, c_gg, c_bb)
+        i_gg = s * np.where(regular, c_bb, c_gg)
+        i_bg = s * np.where(regular, -c_bg, c_bg)
+        u_b = b_b * i_bb[:, None]
+        u_b += b_g * i_bg[:, None]
+        u_g = b_b * i_bg[:, None]
+        u_g += b_g * i_gg[:, None]
+        v_b = i_bb * g_x[:k] + i_bg * g_x[k:]
+        v_g = i_bg * g_x[:k] + i_gg * g_x[k:]
+        schur = np.diag(a) - b_b.T @ u_b - b_g.T @ u_g
+        d_theta = _psd_solve(schur, g_theta - b_b.T @ v_b - b_g.T @ v_g)
+        return d_theta, np.concatenate([v_b - u_b @ d_theta,
+                                        v_g - u_g @ d_theta])
+
+    @cached_property
+    def _pair_products(self):
+        """Every ordered (p, q) of two pairs on one row, p = q included: its
+        flat (KC_p, KC_q) cell, its row, t_q and t_p * t_q."""
+        per_row = np.bincount(self.pair_trans, minlength=len(self.y))
+        m = per_row[self.pair_trans]
+        p = np.repeat(np.arange(len(m)), m)
+        first = (np.cumsum(per_row) - per_row)[self.pair_trans]
+        q = np.repeat(first - (np.cumsum(m) - m), m) + np.arange(len(p))
+        return (self.pair_kc[p] * self.n_kcs + self.pair_kc[q],
+                self.pair_trans[p], self.pair_t[q],
+                self.pair_t[p] * self.pair_t[q])
+
+    def _eliminate_theta(self, w, a, b_b, b_g, c, g_theta, g_x, free, l2):
+        """Solve by the P x P Schur complement of the theta block, P the
+        number of free KC coordinates; takes what ``_eliminate_kcs`` takes
+        and builds the KC-by-KC block from the row weights w."""
+        k = self.n_kcs
+        cell, row, t_q, t_pq = self._pair_products
+        w_row = w[row]
+        c_bb, c_bg, c_gg = (
+            np.bincount(cell, weights, k * k).reshape(k, k)
+            for weights in (w_row, w_row * t_q, w_row * t_pq))
+        on = np.flatnonzero(free)
+        h_kk = (np.block([[c_bb, c_bg], [c_bg.T, c_gg]])
+                + l2 * np.eye(2 * k))[np.ix_(on, on)]
+        inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0)
+        b_on = np.concatenate([b_b, b_g])[on]
+        d_on = _psd_solve(h_kk - (b_on * inv_a) @ b_on.T,
+                          g_x[on] - b_on @ (inv_a * g_theta))
+        d_x = np.zeros(2 * k)
+        d_x[on] = d_on
+        return inv_a * (g_theta - b_on.T @ d_on), d_x
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +486,14 @@ class _Design:
 def afm_fit(log: TransactionLog, q: QMatrix, config: FitConfig | None = None):
     """Fit AFM parameters; returns (AFMParams, FitDiagnostics).
 
-    Projected gradient ascent with step halving: the gradient is scaled by
-    the diagonal of the penalized Fisher information (so shared-KC and
-    per-student coordinates move at comparable rates), a candidate step is
-    accepted only if the penalized log-likelihood does not decrease, and
-    gamma is projected onto [0, inf) after every step. Convergence is a
-    relative objective change below config.tol.
+    Projected Newton (Bertsekas 1982): each iteration solves for the Newton
+    direction over the free coordinates (``_Design.newton_direction``),
+    then backtracks by halving from a unit step, projecting gamma onto
+    [0, inf) and accepting the first step that does not lower the
+    penalized log-likelihood. The fit has converged when the Newton
+    decrement g'd is at most config.tol * max(1, |objective|); it stops
+    unconverged after config.max_iter steps, or when no step of at least
+    1e-14 keeps the objective from falling.
     """
     config = config or FitConfig()
     if len(log) == 0:
@@ -384,54 +501,50 @@ def afm_fit(log: TransactionLog, q: QMatrix, config: FitConfig | None = None):
     cols = log.columns
     design, _ = _Design.masked(cols, opportunity_pairs(cols, q), q.n_kcs,
                                np.ones(len(log), dtype=bool))
-    theta, beta, gamma, diag = _solve(design, config)
+    theta, beta, gamma, diag = _newton(design, config)
     return AFMParams(theta=dict(zip(cols.students, theta.tolist())),
                      beta=dict(zip(q.kc_names, beta.tolist())),
                      gamma=dict(zip(q.kc_names, gamma.tolist()))), diag
 
 
-def _solve(design: _Design, config: FitConfig):
-    theta, beta, gamma = (np.zeros(n) for n in (design.n_students,
-                                                design.n_kcs, design.n_kcs))
-    f, eta, e = design.objective(theta, beta, gamma, config)
+def _newton(design: _Design, config: FitConfig):
+    """The fit ``afm_fit`` describes, on one design: theta, beta, gamma and
+    the FitDiagnostics."""
+    k = design.n_kcs
+    theta, x = np.zeros(design.n_students), np.zeros(2 * k)
+    f, eta, e = design.objective(theta, x[:k], x[k:], config)
     if not np.isfinite(f):
         raise FitError("objective non-finite at the zero start")
     history = [f]
-    alpha = 1.0
-    converged = False
     iterations = 0
-    for iterations in range(1, config.max_iter + 1):
-        s_theta, s_beta, s_gamma = design.ascent_direction(
-            eta, e, theta, beta, gamma, config)
+    while True:
+        g_theta, g_x, d_theta, d_x = design.newton_direction(
+            eta, e, theta, x, config)
+        decrement = float(g_theta @ d_theta + g_x @ d_x)
+        converged = decrement <= config.tol * max(1.0, abs(f))
+        if converged or iterations == config.max_iter:
+            break
+        iterations += 1
+        alpha = 1.0
         while alpha >= 1e-14:
-            cand_theta = theta + alpha * s_theta
-            cand_beta = beta + alpha * s_beta
-            cand_gamma = np.maximum(gamma + alpha * s_gamma, 0.0)
-            fc, eta_c, e_c = design.objective(cand_theta, cand_beta,
-                                              cand_gamma, config)
-            if not np.isfinite(fc):
-                raise FitError(
-                    f"objective non-finite at iteration {iterations} "
-                    f"(step {alpha:g}, |theta|max "
-                    f"{np.max(np.abs(cand_theta)):g})")
-            if fc >= f:
+            cand_theta = theta + alpha * d_theta
+            cand_x = x + alpha * d_x
+            cand_x[k:] = np.maximum(cand_x[k:], 0.0)
+            fc, eta_c, e_c = design.objective(cand_theta, cand_x[:k],
+                                              cand_x[k:], config)
+            if fc >= f:  # a NaN never is
                 break
             alpha *= 0.5
-        else:  # no step size kept the objective from falling
-            converged = True
+        else:
             break
-        rel = (fc - f) / max(1.0, abs(f))
-        theta, beta, gamma, f = cand_theta, cand_beta, cand_gamma, fc
-        eta, e = eta_c, e_c
+        theta, x, f, eta, e = cand_theta, cand_x, fc, eta_c, e_c
         history.append(f)
-        if rel < config.tol:
-            converged = True
-            break
-        alpha = min(alpha * 2.0, 2.0)
-
-    return theta, beta, gamma, FitDiagnostics(
+    # gamma at 0 may keep a gradient that points below 0
+    g_x[k:] = np.where(x[k:] > 0, g_x[k:], np.maximum(g_x[k:], 0.0))
+    residual = float(np.max(np.abs(np.concatenate([g_theta, g_x]))))
+    return theta, x[:k], x[k:], FitDiagnostics(
         converged=converged, iterations=iterations, objective=f,
-        objective_history=history)
+        residual=residual, objective_history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +568,17 @@ class CVResult:
     mean_rmse: float
     fold_rmses: list[float]
     fold_items: list[list[str]]
+    fold_fits: list[FitDiagnostics]
 
 
 def _cv_fold(cols: LogColumns, pairs: Pairs, n_kcs: int, held,
-             fit: FitConfig) -> float:
+             fit: FitConfig) -> tuple[float, FitDiagnostics]:
     design, students = _Design.masked(cols, pairs, n_kcs, ~held)
-    theta_fit, beta, gamma, _ = _solve(design, fit)
+    theta_fit, beta, gamma, diag = _newton(design, fit)
     theta = np.zeros(len(cols.students))
     theta[students] = theta_fit
     p = sigmoid(afm_logits(theta[cols.student], beta, gamma, pairs)[held])
-    return float(np.sqrt(np.mean((cols.y[held] - p) ** 2)))
+    return float(np.sqrt(np.mean((cols.y[held] - p) ** 2))), diag
 
 
 def item_stratified_cv(log: TransactionLog, q: QMatrix,
@@ -487,10 +601,12 @@ def item_stratified_cv(log: TransactionLog, q: QMatrix,
     pairs = opportunity_pairs(cols, q)
     fold_of = {item: k for k, fold in enumerate(folds) for item in fold}
     row_fold = np.array([fold_of[item] for item in cols.items])[cols.item]
-    fold_rmses = run_tasks(_cv_fold, [(cols, pairs, q.n_kcs, row_fold == k, fit)
-                                      for k in range(len(folds))], jobs)
+    fold_rmses, fold_fits = zip(*run_tasks(
+        _cv_fold, [(cols, pairs, q.n_kcs, row_fold == k, fit)
+                   for k in range(len(folds))], jobs))
     return CVResult(mean_rmse=float(np.mean(fold_rmses)),
-                    fold_rmses=fold_rmses, fold_items=folds)
+                    fold_rmses=list(fold_rmses), fold_items=folds,
+                    fold_fits=list(fold_fits))
 
 
 @dataclass

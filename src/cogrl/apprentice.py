@@ -43,6 +43,11 @@ from .errors import ConfigurationError, InputError
 from .parallel import run_tasks
 from .problems import ClozeContent, ProblemInstance
 
+# The L2 penalty on beta and gamma of the study's fits: a simulated log can
+# be separable (a learner with every feature it needs errs on no seen
+# vector), and then only a penalty gives its fit an optimum.
+STUDY_L2_BETA_GAMMA = 0.01
+
 TOKEN_RE = re.compile(r"[a-z]+")
 VOWELS = set("aeiou")
 
@@ -337,9 +342,10 @@ def simulate_and_estimate(original_log: TransactionLog,
     id). Both the pooled simulated log and the original log are fit against
     ``q_eval`` and the per-KC intercepts and slopes are correlated. Students
     are independent; jobs > 1 simulates them in worker processes with the
-    pooled log assembled in sorted student order either way.
+    pooled log assembled in sorted student order either way. Without
+    ``fit``, both fits use ``l2_beta_gamma = STUDY_L2_BETA_GAMMA``.
     """
-    fit = fit or FitConfig()
+    fit = fit or FitConfig(l2_beta_gamma=STUDY_L2_BETA_GAMMA)
     sim = sim or SimConfig()
     by_id = {p.item_id: p for p in problems}
     if feature_mode == "human":

@@ -39,7 +39,12 @@ from .afm import (
     param_report,
     write_params,
 )
-from .apprentice import ARTICLE_FEATURE_NAMES, SimConfig, simulate_and_estimate
+from .apprentice import (
+    ARTICLE_FEATURE_NAMES,
+    STUDY_L2_BETA_GAMMA,
+    SimConfig,
+    simulate_and_estimate,
+)
 from .cogmodel import (
     faculty_transfer,
     identical_transfer,
@@ -246,7 +251,7 @@ def cmd_fit_afm(args, seed):
         write_lines(args.report, param_report(params, q).to_tsv_lines())
         outputs.append(args.report)
     print(f"fit: converged={diag.converged} iterations={diag.iterations} "
-          f"objective={diag.objective:.6f}")
+          f"objective={diag.objective:.6f} residual={diag.residual:.3g}")
     return [args.log, args.qmatrix], outputs
 
 
@@ -378,6 +383,20 @@ def cmd_gradcheck(args, seed):
 # parser
 
 
+def _fit_options(l2_bg: float) -> argparse.ArgumentParser:
+    """The AFM fit flags, with ``l2_bg`` as the --l2-bg default."""
+    fitp = argparse.ArgumentParser(add_help=False)
+    fitp.add_argument("--l2-theta", type=float, default=FitConfig.l2_theta)
+    fitp.add_argument("--l2-bg", type=float, default=l2_bg,
+                      help="L2 penalty on beta/gamma (default %(default)g)")
+    fitp.add_argument("--tol", type=float, default=FitConfig.tol,
+                      help="stop once the Newton decrement is at most "
+                           "tol * max(1, |objective|) (default %(default)g)")
+    fitp.add_argument("--max-iter", type=int, default=FitConfig.max_iter,
+                      help="most Newton steps per fit (default %(default)d)")
+    return fitp
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cogrl",
@@ -394,12 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--manifest", default=None,
                         help="run-manifest path (default: <first output>"
                              ".manifest.json)")
-    fitp = argparse.ArgumentParser(add_help=False)
-    fitp.add_argument("--l2-theta", type=float, default=1.0)
-    fitp.add_argument("--l2-bg", type=float, default=0.0,
-                      help="L2 penalty on beta/gamma")
-    fitp.add_argument("--tol", type=float, default=1e-6)
-    fitp.add_argument("--max-iter", type=int, default=500)
+    fitp = _fit_options(l2_bg=FitConfig.l2_beta_gamma)
+    studyp = _fit_options(l2_bg=STUDY_L2_BETA_GAMMA)
     jobsp = argparse.ArgumentParser(add_help=False)
     jobsp.add_argument("--jobs", type=int, default=1,
                        help="worker processes; outputs are identical for "
@@ -497,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("simulate", parents=[common, fitp, jobsp],
+    p = sub.add_parser("simulate", parents=[common, studyp, jobsp],
                        help="apprentice-learner study with AFM estimates")
     p.add_argument("--log", required=True, help="original transaction log")
     p.add_argument("--cloze", required=True, help="cloze question TSV")

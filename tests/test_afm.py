@@ -12,11 +12,12 @@ from cogrl.afm import (
     AFMParams,
     CVConfig,
     FitConfig,
+    FitDiagnostics,
     Transaction,
     TransactionLog,
     _Design,
+    _newton,
     _softplus,
-    _solve,
     afm_fit,
     afm_logits,
     afm_predict,
@@ -336,6 +337,9 @@ class TestItemStratifiedCV:
         parallel = item_stratified_cv(log, q, None, CVConfig(folds=3, seed=2),
                                       jobs=3)
         assert serial.fold_rmses == parallel.fold_rmses
+        assert serial.fold_fits == parallel.fold_fits
+        assert len(serial.fold_fits) == 3
+        assert all(fit.converged for fit in serial.fold_fits)
 
 
 class TestCompareModels:
@@ -661,7 +665,7 @@ class TestColumnarEquivalence:
             test = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
                     if tr.item_id in held]
             students, design = _oracle_design(*zip(*train), q)
-            theta, beta, gamma, _ = _solve(design, fit)
+            theta, beta, gamma, _ = _newton(design, fit)
             params = AFMParams(dict(zip(students, theta.tolist())),
                                dict(zip(q.kc_names, beta.tolist())),
                                dict(zip(q.kc_names, gamma.tolist())))
@@ -669,6 +673,223 @@ class TestColumnarEquivalence:
             y = np.array([tr.outcome for tr, _ in test], dtype=np.float64)
             expected.append(float(np.sqrt(np.mean((y - p) ** 2))))
         assert result.fold_rmses == expected
+
+
+# ---------------------------------------------------------------------------
+# the projected Newton solver against the first-order ascent it replaced
+
+
+def _oracle_ascent_direction(design, eta, e, theta, beta, gamma, cfg):
+    """The gradient divided by the diagonal of the penalized Fisher
+    information; coordinates with neither data nor penalty stay put."""
+    p = np.where(eta >= 0, 1.0, e) / (1.0 + e)
+    r = design.y - p
+    w = p * (1.0 - p)
+    r_pairs, w_pairs = r[design.pair_trans], w[design.pair_trans]
+    blocks = [
+        (design.s_idx, r, w, design.n_students, cfg.l2_theta, theta),
+        (design.pair_kc, r_pairs, w_pairs, design.n_kcs,
+         cfg.l2_beta_gamma, beta),
+        (design.pair_kc, r_pairs * design.pair_t,
+         w_pairs * design.pair_t ** 2, design.n_kcs, cfg.l2_beta_gamma,
+         gamma)]
+    steps = []
+    for index, grad_w, fisher_w, length, l2, x in blocks:
+        g = np.bincount(index, grad_w, length) - l2 * x
+        d = np.bincount(index, fisher_w, length) + l2
+        steps.append(np.divide(g, d, out=np.zeros_like(g), where=d > 0))
+    return steps
+
+
+def _oracle_solve(design, config):
+    """Projected, Fisher-preconditioned gradient ascent with step halving,
+    stopping on a relative objective change below config.tol."""
+    theta, beta, gamma = (np.zeros(n) for n in (design.n_students,
+                                                design.n_kcs, design.n_kcs))
+    f, eta, e = design.objective(theta, beta, gamma, config)
+    history = [f]
+    alpha = 1.0
+    converged = False
+    iterations = 0
+    for iterations in range(1, config.max_iter + 1):
+        s_theta, s_beta, s_gamma = _oracle_ascent_direction(
+            design, eta, e, theta, beta, gamma, config)
+        while alpha >= 1e-14:
+            cand_theta = theta + alpha * s_theta
+            cand_beta = beta + alpha * s_beta
+            cand_gamma = np.maximum(gamma + alpha * s_gamma, 0.0)
+            fc, eta_c, e_c = design.objective(cand_theta, cand_beta,
+                                              cand_gamma, config)
+            assert np.isfinite(fc)
+            if fc >= f:
+                break
+            alpha *= 0.5
+        else:
+            converged = True
+            break
+        rel = (fc - f) / max(1.0, abs(f))
+        theta, beta, gamma, f = cand_theta, cand_beta, cand_gamma, fc
+        eta, e = eta_c, e_c
+        history.append(f)
+        if rel < config.tol:
+            converged = True
+            break
+        alpha = min(alpha * 2.0, 2.0)
+    return theta, beta, gamma, FitDiagnostics(
+        converged=converged, iterations=iterations, objective=f,
+        residual=math.nan, objective_history=history)
+
+
+def _design(log, q):
+    cols = log.columns
+    return _Design.masked(cols, opportunity_pairs(cols, q), q.n_kcs,
+                          np.ones(len(log), dtype=bool))[0]
+
+
+def _projected_gradient(design, theta, beta, gamma, cfg):
+    """The gradient, with each gamma at 0 that it points below 0 dropped."""
+    eta = afm_logits(theta[design.s_idx], beta, gamma, design.pairs)
+    r = design.y - sigmoid(eta)
+    r_pairs = r[design.pair_trans]
+    k = design.n_kcs
+    g_gamma = np.bincount(design.pair_kc, r_pairs * design.pair_t, k) \
+        - cfg.l2_beta_gamma * gamma
+    return np.concatenate([
+        np.bincount(design.s_idx, r, design.n_students) - cfg.l2_theta * theta,
+        np.bincount(design.pair_kc, r_pairs, k) - cfg.l2_beta_gamma * beta,
+        np.where(gamma > 0, g_gamma, np.maximum(g_gamma, 0.0))])
+
+
+@st.composite
+def _fit_cases(draw, single_kc=False):
+    """A log, a Q-matrix over its items and a fit configuration. Items may
+    need several KCs (unless ``single_kc``) or none; in a declining log each
+    student gets the first half of their attempts right and the rest
+    wrong, so the best learning rates are 0."""
+    n_items = draw(st.integers(1, 6))
+    n_kcs = draw(st.integers(1, 3))
+    if single_kc:
+        kc_of = draw(st.lists(st.integers(-1, n_kcs - 1), min_size=n_items,
+                              max_size=n_items))
+        cells = [[int(j == k) for j in range(n_kcs)] for k in kc_of]
+    else:
+        cells = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_kcs,
+                                       max_size=n_kcs),
+                              min_size=n_items, max_size=n_items))
+    items = [f"i{k}" for k in range(n_items)]
+    q = QMatrix(items, [f"k{j}" for j in range(n_kcs)], np.array(cells))
+    declining = draw(st.booleans())
+    rows = []
+    for s in range(draw(st.integers(1, 5))):
+        seq = draw(st.lists(st.sampled_from(items), min_size=1, max_size=10))
+        for j, item in enumerate(seq):
+            outcome = int(2 * j < len(seq)) if declining \
+                else draw(st.integers(0, 1))
+            rows.append(Transaction(f"s{s}", item, outcome, j + 1))
+    l2 = draw(st.sampled_from([0.01, 1.0] if single_kc else [0.0, 0.01, 1.0]))
+    return TransactionLog(rows), q, FitConfig(l2_beta_gamma=l2)
+
+
+class TestNewtonSolver:
+    """The projected Newton fit against the first-order oracle, and the
+    designs on which a Newton system is singular."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_fit_cases())
+    def test_objective_at_least_the_oracles(self, case):
+        log, q, cfg = case
+        design = _design(log, q)
+        *_, want = _oracle_solve(design, FitConfig(
+            cfg.l2_theta, cfg.l2_beta_gamma, tol=1e-6))
+        theta, beta, gamma, got = _newton(design, cfg)
+        assert got.objective >= \
+            want.objective - 1e-9 * max(1.0, abs(want.objective))
+        assert np.all(gamma >= 0)
+        assert design.objective(theta, beta, gamma, cfg)[0] == got.objective
+        assert math.isclose(got.residual, np.max(np.abs(_projected_gradient(
+            design, theta, beta, gamma, cfg))), rel_tol=1e-6, abs_tol=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(_fit_cases(single_kc=True), st.data())
+    def test_both_eliminations_give_one_step(self, case, data):
+        log, q, cfg = case
+        design = _design(log, q)
+        assert design.single_kc
+        k = design.n_kcs
+        value = st.floats(-3, 3)
+        theta = np.array([data.draw(value) for _ in range(design.n_students)])
+        x = np.array([data.draw(value) for _ in range(k)] + [
+            data.draw(st.sampled_from([0.0, 0.3, 1.0])) for _ in range(k)])
+        _, eta, e = design.objective(theta, x[:k], x[k:], cfg)
+        *_, d_theta, d_x = design.newton_direction(eta, e, theta, x, cfg)
+        design.single_kc = False
+        *_, d_theta2, d_x2 = design.newton_direction(eta, e, theta, x, cfg)
+        step, step2 = np.concatenate([d_theta, d_x]), \
+            np.concatenate([d_theta2, d_x2])
+        assert np.max(np.abs(step - step2)) <= \
+            1e-10 * max(np.max(np.abs(step)), 1e-300)
+
+    def test_every_gamma_at_zero_when_students_decline(self):
+        rows = [(f"s{s}", f"i{j}", int(j < 3), j + 1)
+                for s in range(4) for j in range(6)]
+        log = _log(rows)
+        params, diag = afm_fit(log, faculty_transfer(log.items()))
+        assert diag.converged
+        assert params.gamma == {"faculty": 0.0}
+        assert diag.residual < 1e-6
+
+    def test_log_without_pairs(self):
+        # every item needs no KC: np.bincount over no pairs gives integers
+        log = _log([("s1", "a", 1, 1), ("s1", "b", 0, 2), ("s2", "a", 1, 1)])
+        q = QMatrix(["a", "b"], ["k"], np.zeros((2, 1), dtype=int))
+        params, diag = afm_fit(log, q)
+        assert diag.converged
+        assert params.beta == {"k": 0.0} and params.gamma == {"k": 0.0}
+        # theta alone: s1 is 1 of 2 right (theta 0), s2 1 of 1 with the
+        # penalty 1: d/dtheta = 1 - sigmoid(theta) - theta = 0
+        assert params.theta["s1"] == pytest.approx(0.0, abs=1e-9)
+        s2 = params.theta["s2"]
+        assert 1.0 - _sig(s2) - s2 == pytest.approx(0.0, abs=1e-6)
+        result = item_stratified_cv(log, q, None, CVConfig(folds=2, seed=0))
+        assert all(fit.converged for fit in result.fold_fits)
+
+    def test_collinear_kc_columns_without_penalty(self):
+        # k0 and k1 mark the same items: the P x P system is singular
+        log, q0, _ = synth_afm_log(AfmLogSynthSpec(
+            students=12, items=8, kcs=2, seed=3))
+        cells = np.array([q0.row(item) for item in q0.item_ids], dtype=int)
+        q = QMatrix(q0.item_ids, ["k0", "k1", "k2"],
+                    np.column_stack([cells[:, 0], cells[:, 0], cells[:, 1]]))
+        design = _design(log, q)
+        assert not design.single_kc
+        cfg = FitConfig()
+        theta, beta, gamma, diag = _newton(design, cfg)
+        *_, want = _oracle_solve(design, FitConfig(tol=1e-6))
+        assert diag.converged and np.isfinite(diag.objective)
+        assert diag.objective >= want.objective
+        # the minimum-norm steps split the shared column's weight evenly
+        assert beta[0] == pytest.approx(beta[1], abs=1e-6)
+        assert gamma[0] == pytest.approx(gamma[1], abs=1e-6)
+
+    @pytest.mark.parametrize("model", [faculty_transfer, identical_transfer])
+    def test_separable_log_without_penalty(self, model):
+        # every attempt right: beta grows without bound as the fit goes on
+        log = _log([(f"s{s}", f"i{j}", 1, j + 1)
+                    for s in range(3) for j in range(4)])
+        params, diag = afm_fit(log, model(log.items()))
+        assert np.isfinite(diag.objective)
+        assert all(math.isfinite(v) for v in params.beta.values())
+        assert min(params.gamma.values()) >= 0.0
+        assert diag.objective >= diag.objective_history[0]
+
+    def test_max_iter_bounds_the_steps(self):
+        log, q, _ = synth_afm_log(AfmLogSynthSpec(
+            students=20, items=12, kcs=3, seed=4))
+        _, diag = afm_fit(log, q, FitConfig(max_iter=2))
+        assert not diag.converged and diag.iterations == 2
+        assert len(diag.objective_history) == 3
+        _, done = afm_fit(log, q)
+        assert done.converged and done.residual < diag.residual
 
 
 # ---------------------------------------------------------------------------

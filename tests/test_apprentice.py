@@ -11,9 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogrl import apprentice
-from cogrl.afm import Transaction, TransactionLog, compute_opportunities
+from cogrl.afm import (
+    FitConfig,
+    Transaction,
+    TransactionLog,
+    compute_opportunities,
+)
 from cogrl.apprentice import (
     ARTICLE_FEATURE_NAMES,
+    STUDY_L2_BETA_GAMMA,
     SimConfig,
     _attempt_codes,
     _encode,
@@ -421,6 +427,21 @@ class TestSimulateAndEstimate:
         report = study.report
         assert report.slope_correlation is not None
         assert math.isfinite(report.slope_correlation)
+
+    def test_study_fits_penalize_beta_and_gamma_by_default(self):
+        bundle, log = self._study_inputs(n_students=6)
+        q = bundle.extras["oracle_q"]
+        study = simulate_and_estimate(log, bundle.problems, "human", q,
+                                      sim=SimConfig(seed=4))
+        explicit = simulate_and_estimate(
+            log, bundle.problems, "human", q, sim=SimConfig(seed=4),
+            fit=FitConfig(l2_beta_gamma=STUDY_L2_BETA_GAMMA))
+        unpenalized = simulate_and_estimate(
+            log, bundle.problems, "human", q, sim=SimConfig(seed=4),
+            fit=FitConfig())
+        assert study.params_sim == explicit.params_sim
+        assert study.params_orig == explicit.params_orig
+        assert study.params_sim != unpenalized.params_sim
 
     def test_simulated_log_mirrors_orders_and_students(self):
         bundle, log = self._study_inputs()

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import cogrl
-from cogrl.cli import main
+from cogrl.apprentice import STUDY_L2_BETA_GAMMA
+from cogrl.cli import build_parser, main
 
 
 def run(args):
@@ -132,12 +133,17 @@ class TestTrainAndQmatrix:
 
 
 class TestFitCvCompare:
-    def test_fit_afm(self, log_dir, tmp_path):
+    def test_fit_afm(self, log_dir, tmp_path, capsys):
         code = run(["fit-afm", "--log", log_dir / "transactions.tsv",
                     "--qmatrix", log_dir / "qmatrix.tsv",
                     "--out", tmp_path / "params.tsv",
                     "--report", tmp_path / "report.tsv"])
         assert code == 0
+        tokens = capsys.readouterr().out.split()
+        assert [t.split("=")[0] for t in tokens] == \
+            ["fit:", "converged", "iterations", "objective", "residual"]
+        assert tokens[1] == "converged=True"
+        assert 0.0 <= float(tokens[4].split("=")[1]) < 1e-5
         lines = (tmp_path / "params.tsv").read_text().splitlines()
         assert lines[0] == "entity\trole\tvalue"
         roles = {line.split("\t")[1] for line in lines[1:]}
@@ -369,6 +375,19 @@ class TestGradcheckAndErrors:
 
 
 class TestFitSettings:
+    def test_only_the_study_penalizes_beta_and_gamma_by_default(self):
+        parser = build_parser()
+        common = ["--log", "l", "--out", "o"]
+        fits = [["fit-afm", "--qmatrix", "q"], ["cv", "--qmatrix", "q"],
+                ["compare", "--models", "faculty"]]
+        for argv in fits:
+            args = parser.parse_args(argv + common)
+            assert (args.l2_bg, args.tol) == (0.0, 1e-14)
+        args = parser.parse_args(["simulate", "--cloze", "c", "--q-eval", "q"]
+                                 + common)
+        assert (args.l2_bg, args.tol) == (STUDY_L2_BETA_GAMMA, 1e-14)
+        assert STUDY_L2_BETA_GAMMA == 0.01
+
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "nan"), ("--l2-theta", "nan"), ("--l2-theta", "inf"),
         ("--l2-bg", "nan")])
