@@ -9,7 +9,7 @@ from cogrl.afm import afm_fit, pearson
 from cogrl.ingest import AfmLogSynthSpec, synth_afm_log
 
 log, q, true = synth_afm_log(AfmLogSynthSpec(seed=0))
-print(f"log: {len(log)} first attempts, {len(log.students())} students, "
+print(f"log: {len(log)} first attempts, {len(log.columns.students)} students, "
       f"{q.n_items} items, {q.n_kcs} KCs")
 
 params, diag = afm_fit(log, q)

@@ -41,7 +41,7 @@ for s in range(n_students):
         student_id=f"s{s:03d}", labels=[0, 1, 2]))
 original_log = TransactionLog(pooled)
 print(f"original log: {len(original_log)} first attempts, success rate "
-      f"{np.mean([t.outcome for t in original_log]):.0%}")
+      f"{original_log.columns.y.mean():.0%}")
 
 for label, kwargs in (
         ("six hand-written features",

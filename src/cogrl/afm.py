@@ -119,9 +119,6 @@ class TransactionLog:
     def __len__(self):
         return len(self.columns.y)
 
-    def __iter__(self):
-        return iter(self.rows)
-
     def records(self):
         """Per row, (student_id, item_id, outcome, order) as plain values."""
         c = self.columns
@@ -132,12 +129,6 @@ class TransactionLog:
     @cached_property
     def rows(self) -> tuple[Transaction, ...]:
         return tuple(map(Transaction._make, self.records()))
-
-    def students(self) -> list[str]:
-        return list(self.columns.students)
-
-    def items(self) -> list[str]:
-        return list(self.columns.items)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +142,6 @@ Pairs = namedtuple("Pairs", "row kc t")
 def opportunity_pairs(cols: LogColumns, q: QMatrix) -> Pairs:
     """Per transaction and required KC, how many of the student's earlier
     transactions required that KC, whatever their outcome."""
-    for item in cols.items:
-        if not q.has_item(item):
-            raise InputError(f"item {item!r} missing from Q-matrix")
     cells = np.array([q.row(item) for item in cols.items],
                      dtype=bool).reshape(len(cols.items), q.n_kcs)
     per_item = cells.sum(axis=1)
@@ -282,21 +270,6 @@ def afm_predict(params: AFMParams, q: QMatrix, student: str, item: str,
             raise InputError(f"no opportunity count for KC {kc!r}")
         terms += params.beta[kc] + params.gamma[kc] * opportunities[kc]
     return float(sigmoid(np.array([params.theta[student] + terms]))[0])
-
-
-def afm_rmse(params: AFMParams, q: QMatrix, log: TransactionLog) -> float:
-    """Root mean squared error of predicted correctness over a log; unseen
-    students and KCs fall back to 0 parameters (the cross-validation
-    cold-start rule)."""
-    if len(log) == 0:
-        raise InputError("cannot score an empty log")
-    cols = log.columns
-    theta = np.array([params.theta.get(s, 0.0) for s in cols.students])
-    beta = np.array([params.beta.get(k, 0.0) for k in q.kc_names])
-    gamma = np.array([params.gamma.get(k, 0.0) for k in q.kc_names])
-    p = sigmoid(afm_logits(theta[cols.student], beta, gamma,
-                           opportunity_pairs(cols, q)))
-    return float(np.sqrt(np.mean((cols.y - p) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def _parse_models(spec: str, item_ids):
 
 def cmd_compare(args, seed):
     log = load_transactions(args.log)
-    models, paths = _parse_models(args.models, log.items())
+    models, paths = _parse_models(args.models, log.columns.items)
     table = compare_models(log, models, _fit_config(args),
                            CVConfig(folds=args.folds, seed=seed),
                            jobs=args.jobs)
@@ -556,6 +556,20 @@ def main(argv=None) -> int:
     try:
         seed = _resolve_seed(args)
         inputs, outputs = args.func(args, seed)
+        manifest_path = _manifest_path(args, outputs)
+        if manifest_path:
+            flags = {k: v for k, v in vars(args).items()
+                     if k not in ("func",) and not callable(v)}
+            record = {
+                "version": __version__,
+                "subcommand": args.command,
+                "flags": flags,
+                "seed": seed,
+                "inputs": {p: _sha256(p) for p in inputs},
+                "outputs": outputs,
+                "duration_s": round(time.time() - start, 3),
+            }
+            write_lines(manifest_path, [json.dumps(record, sort_keys=True)])
     except InputError as exc:
         print(f"cogrl: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -571,21 +585,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cogrl: file error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-    manifest_path = _manifest_path(args, outputs)
-    if manifest_path:
-        flags = {k: v for k, v in vars(args).items()
-                 if k not in ("func",) and not callable(v)}
-        record = {
-            "version": __version__,
-            "subcommand": args.command,
-            "flags": flags,
-            "seed": seed,
-            "inputs": {p: _sha256(p) for p in inputs},
-            "outputs": outputs,
-            "duration_s": round(time.time() - start, 3),
-        }
-        write_lines(manifest_path, [json.dumps(record, sort_keys=True)])
     return EXIT_OK
 
 

@@ -46,14 +46,12 @@ class QMatrix:
     def n_kcs(self) -> int:
         return len(self.kc_names)
 
-    def has_item(self, item_id: str) -> bool:
-        return item_id in self._row
-
     def row(self, item_id: str) -> np.ndarray:
         try:
             return self.cells[self._row[item_id]]
         except KeyError:
-            raise InputError(f"item {item_id!r} not in Q-matrix") from None
+            raise InputError(
+                f"item {item_id!r} missing from Q-matrix") from None
 
     def kcs_for_item(self, item_id: str) -> list[str]:
         r = self.row(item_id)

@@ -20,7 +20,6 @@ from itertools import chain, starmap
 import numpy as np
 
 from .afm import (
-    _INT64,
     AFMParams,
     LogColumns,
     TransactionLog,
@@ -41,15 +40,16 @@ TRANSACTIONS_HEADER = ["student_id", "item_id", "outcome", "order"]
 
 
 # an order cell: the exact text of an ASCII decimal integer, optionally
-# negative, within int64
+# negative
 _ORDER = re.compile(r"-?[0-9]+")
 
 
 def load_transactions(path) -> TransactionLog:
     """Read and validate a transactions TSV.
 
-    The log rules (outcome 0 or 1, positive and strictly increasing order
-    per student) are ``TransactionLog``'s; a broken one names its line.
+    The log rules (outcome 0 or 1, an order within int64, positive and
+    strictly increasing per student) are ``TransactionLog``'s; a broken one
+    names its line.
     """
     rows, line_numbers = [], []
     for ln, (student, item, outcome, order) in read_table(
@@ -57,7 +57,7 @@ def load_transactions(path) -> TransactionLog:
         if not student or not item:
             raise InputError(
                 f"{path}: line {ln}: student_id and item_id must be non-empty")
-        if not (_ORDER.fullmatch(order) and int(order) in _INT64):
+        if not _ORDER.fullmatch(order):
             raise InputError(
                 f"{path}: line {ln}: order must be a decimal integer within "
                 f"int64, got {order!r}")

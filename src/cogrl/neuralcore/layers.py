@@ -2,27 +2,28 @@
 
 Everything is double-precision numpy and single-threaded; there is no
 autograd. Each layer keeps its parameters as plain arrays, returns a cache
-from ``forward`` and consumes it in ``backward``, which yields the gradient
-with respect to the layer input plus a dict of parameter gradients.
+from ``forward`` and consumes it in ``backward``, which yields a dict of
+parameter gradients and, for every layer but the convolution (always a
+network's first layer), the gradient with respect to the layer input.
 
 Batch axis: ``ConvLayer`` and ``DenseLayer`` take a minibatch with a
 leading batch axis, ``(B, C, H, W)`` and ``(B, in_size)``, and return
-outputs and input gradients with the same leading axis. Their parameter
-gradients are sums over the batch axis; callers that want a mean scale the
-incoming gradient. A single sample without the batch axis, ``(C, H, W)``
-or ``(in_size,)``, runs as a batch of one through the same code and comes
-back without the batch axis. ``LSTMCell`` is time-major: it runs a
-(T, B, input_size) minibatch of left-padded sequences under a (T, B) mask,
-computing only the cells of real steps, and a (T, input_size) sequence as
-a batch of one. ``EmbeddingTable`` looks
-up ids of any shape and scatters gradients for a flat list of ids.
+outputs (and, for the dense layer, input gradients) with the same leading
+axis. Their parameter gradients are sums over the batch axis; callers that
+want a mean scale the incoming gradient. A single sample without the batch
+axis, ``(C, H, W)`` or ``(in_size,)``, runs as a batch of one through the
+same code and comes back without the batch axis. ``LSTMCell`` is
+time-major: it runs a (T, B, input_size) minibatch of left-padded
+sequences under a (T, B) mask, computing only the cells of real steps.
+``EmbeddingTable`` looks up ids of any shape and scatters gradients for a
+flat list of ids.
 
-Weight matrices are initialized uniformly on (-1/sqrt(fan_in), +1/sqrt(fan_in))
-from the generator passed in; biases start at zero, convolution gains at one,
-and embedding rows are uniform on (-0.5, 0.5). The embedding scale matters:
-rows much smaller than the recurrent weights leave gate activations nearly
-input-independent and gradient descent cannot bootstrap out of the
-class-prior solution.
+Every layer takes a required keyword-only ``rng``. Weight matrices are
+initialized uniformly on (-1/sqrt(fan_in), +1/sqrt(fan_in)) from it;
+biases start at zero, convolution gains at one, and embedding rows are
+uniform on (-0.5, 0.5). The embedding scale matters: rows much smaller
+than the recurrent weights leave gate activations nearly input-independent
+and gradient descent cannot bootstrap out of the class-prior solution.
 """
 
 from __future__ import annotations
@@ -59,11 +60,10 @@ class ConvLayer:
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, rng: np.random.Generator | None = None):
+                 stride: int = 1, *, rng: np.random.Generator):
         if kernel_size < 1 or stride < 1 or in_channels < 1 or out_channels < 1:
             raise ConfigurationError(
                 "conv layer needs positive channel counts, kernel size and stride")
-        rng = rng if rng is not None else np.random.default_rng()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -109,31 +109,22 @@ class ConvLayer:
         y = (self.gains[:, None, None, None] * t).transpose(1, 0, 2, 3)
         return (y[0] if single else y), (xc, t)
 
-    def backward(self, dy: np.ndarray, cache, input_grad: bool = True):
-        """Input gradient shaped like the forward input, and the kernel and
-        gain gradients summed over the minibatch. With ``input_grad=False``
-        the input gradient is not computed and comes back as None, for a
-        first layer whose input needs no gradient."""
+    def backward(self, dy: np.ndarray, cache):
+        """The kernel and gain gradients summed over the minibatch. The
+        convolution is a network's first layer, so no input gradient is
+        computed."""
         xc, t = cache
         dy = np.asarray(dy, dtype=np.float64)
-        single = dy.ndim == 3
-        dyc = (dy[None] if single else dy).transpose(1, 0, 2, 3)
+        dyc = (dy[None] if dy.ndim == 3 else dy).transpose(1, 0, 2, 3)
         oh, ow = t.shape[2], t.shape[3]
         dgains = np.sum(dyc * t, axis=(1, 2, 3))
         dz = (dyc * self.gains[:, None, None, None] * (1.0 - t * t)).reshape(
             self.out_channels, -1)
         dk = np.zeros_like(self.kernels)
-        dx = np.zeros((xc.shape[1], xc.shape[0]) + xc.shape[2:]) \
-            if input_grad else None
         for p, q, rows, cols in self._offsets(oh, ow):
             dk[:, :, p, q] = dz @ xc[:, :, rows, cols].reshape(
                 self.in_channels, -1).T
-            if input_grad:
-                dx.transpose(1, 0, 2, 3)[:, :, rows, cols] += (
-                    self.kernels[:, :, p, q].T @ dz).reshape(
-                        self.in_channels, -1, oh, ow)
-        return (dx[0] if single and input_grad else dx), \
-            {"kernels": dk, "gains": dgains}
+        return {"kernels": dk, "gains": dgains}
 
     def _offsets(self, oh: int, ow: int):
         """(p, q, row slice, column slice) for every kernel offset: the input
@@ -150,12 +141,11 @@ class DenseLayer:
     """Fully connected layer: activation(W x + b)."""
 
     def __init__(self, in_size: int, out_size: int, activation: str = "identity",
-                 rng: np.random.Generator | None = None):
+                 *, rng: np.random.Generator):
         if activation not in ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {activation!r}")
         if in_size < 1 or out_size < 1:
             raise ConfigurationError("dense layer sizes must be positive")
-        rng = rng if rng is not None else np.random.default_rng()
         limit = 1.0 / np.sqrt(in_size)
         self.in_size = in_size
         self.out_size = out_size
@@ -187,11 +177,9 @@ class DenseLayer:
 class EmbeddingTable:
     """Token-id to vector lookup; row 0 is reserved for unknown tokens."""
 
-    def __init__(self, vocab_size: int, dim: int,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, vocab_size: int, dim: int, *, rng: np.random.Generator):
         if vocab_size < 1 or dim < 1:
             raise ConfigurationError("embedding table needs positive sizes")
-        rng = rng if rng is not None else np.random.default_rng()
         self.vocab_size = vocab_size
         self.dim = dim
         self.vectors = rng.uniform(-0.5, 0.5, size=(vocab_size, dim))
@@ -222,11 +210,10 @@ class LSTMCell:
     and ``backward_through_time`` all go through it.
     """
 
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, input_size: int, hidden_size: int, *,
+                 rng: np.random.Generator):
         if input_size < 1 or hidden_size < 1:
             raise ConfigurationError("LSTM sizes must be positive")
-        rng = rng if rng is not None else np.random.default_rng()
         self.input_size = input_size
         self.hidden_size = hidden_size
         li = 1.0 / np.sqrt(input_size)
@@ -304,14 +291,13 @@ class LSTMCell:
         c[:m] += f[:m] * c_prev
         return i, f, g, o, c, np.tanh(c)
 
-    def run(self, xs: np.ndarray, mask: np.ndarray | None = None):
+    def run(self, xs: np.ndarray, mask: np.ndarray):
         """Run a time-major minibatch from the zero initial state.
 
         ``xs`` is (T, B, input_size) and the boolean (T, B) ``mask`` marks
         each row's real steps. Sequences are padded on the left: a row's
         real steps are its last ones, with no gap, and a mask of any other
-        shape raises DimensionError. A (T, input_size) sequence without a
-        mask runs as a batch of one.
+        shape raises DimensionError.
 
         Only live cells are computed. The rows are stable-sorted by length,
         longest first, so the rows whose sequence has started by step t are
@@ -319,20 +305,18 @@ class LSTMCell:
         row starting at step t starts from the zero state.
 
         Returns the final hidden and cell states in the caller's row order,
-        (B, hidden) or (hidden,), zero for an empty row, and one cache per
-        step for backward_through_time. A cache holds the live rows' input,
-        the states they started from (only the rows already running) and
-        the live rows' positions in the caller's order; the gates are
-        recomputed in the backward pass. An empty sequence yields the zero
+        (B, hidden), zero for an empty row, and one cache per step for
+        backward_through_time. A cache holds the live rows' input, the
+        states they started from (only the rows already running) and the
+        live rows' positions in the caller's order; the gates are
+        recomputed in the backward pass. A run of no steps yields the zero
         initial states and no caches.
         """
         xs = np.asarray(xs, dtype=np.float64)
-        xb = xs[:, None, :] if xs.ndim == 2 else xs
-        keep = np.ones(xb.shape[:2], dtype=bool) if mask is None \
-            else np.asarray(mask, dtype=bool)
-        if xb.ndim != 3 or xb.shape[2:] != (self.input_size,) \
-                or keep.shape != xb.shape[:2]:
-            raise DimensionError(f"LSTM expects (T[, B], {self.input_size}) "
+        keep = np.asarray(mask, dtype=bool)
+        if xs.ndim != 3 or xs.shape[2:] != (self.input_size,) \
+                or keep.shape != xs.shape[:2]:
+            raise DimensionError(f"LSTM expects (T, B, {self.input_size}) "
                                  f"input and a (T, B) mask, got {xs.shape}")
         steps, batch = keep.shape
         lengths = keep.sum(axis=0)
@@ -345,7 +329,7 @@ class LSTMCell:
         buf = np.empty((batch, 4 * self.hidden_size))
         h = c = np.zeros((0, self.hidden_size))
         caches = []
-        for x_t, n in zip(xb, keep.sum(axis=1)):
+        for x_t, n in zip(xs, keep.sum(axis=1)):
             rows = order[:n]
             x_live = x_t[rows]
             caches.append((x_live, h, c, rows))
@@ -355,26 +339,21 @@ class LSTMCell:
         c_out = np.zeros_like(h_out)
         h_out[order[:len(h)]] = h
         c_out[order[:len(c)]] = c
-        return (h_out[0], c_out[0], caches) if xs.ndim == 2 \
-            else (h_out, c_out, caches)
+        return h_out, c_out, caches
 
     def backward_through_time(self, caches, dh_last):
         """Backpropagate a gradient on the final hidden state.
 
-        ``dh_last`` is (B, hidden) for a minibatch run or (hidden,) for a
-        single sequence. Each step's gates are rebuilt from its cache, so
-        the backward pass costs one more forward step per step but the run
-        holds only the per-step states. Like the run it works on the live
-        rows only: going back from step t to t-1, the state gradients
+        ``dh_last`` is (B, hidden). Each step's gates are rebuilt from its
+        cache, so the backward pass costs one more forward step per step but
+        the run holds only the per-step states. Like the run it works on the
+        live rows only: going back from step t to t-1, the state gradients
         shrink to the rows already running at t-1. Returns (dxs, grads):
-        dxs is shaped like the run's input, (T, B, input_size) or
-        (T, input_size), in the caller's row order and zero at masked
-        steps; grads holds the w_x, w_h, b_x, b_h gradients summed over the
-        minibatch.
+        dxs is shaped like the run's input, (T, B, input_size), in the
+        caller's row order and zero at masked steps; grads holds the w_x,
+        w_h, b_x, b_h gradients summed over the minibatch.
         """
         dh = np.asarray(dh_last, dtype=np.float64)
-        single = dh.ndim == 1
-        dh = dh.reshape(-1, self.hidden_size)
         hs = self.hidden_size
         dwx = np.zeros_like(self.w_x)
         dwh = np.zeros_like(self.w_h)
@@ -404,4 +383,4 @@ class LSTMCell:
             dh = da[:m] @ self.w_h
             dc = dc[:m] * f[:m]
         grads = {"w_x": dwx, "w_h": dwh, "b_x": dbx, "b_h": dbx.copy()}
-        return (dxs[:, 0] if single else dxs), grads
+        return dxs, grads

@@ -64,7 +64,7 @@ class Network:
     ``backward_from_logits`` takes (B, K) logit gradients and returns
     parameter gradients summed over the minibatch. ``forward_logits`` also
     takes one uncollated content, runs it as a batch of one and returns
-    (K,) logits; ``predict`` and ``loss_and_probs`` rely on that.
+    (K,) logits; ``loss_and_probs`` relies on that.
 
     The content architectures also provide ``representation(batch)``, the
     pre-output rows, computed by the same forward pass as the logits, and
@@ -96,10 +96,6 @@ class Network:
         logits, _ = self.forward_logits(content)
         loss, probs, _ = softmax_cross_entropy(logits, label)
         return loss, probs
-
-    def predict(self, content) -> int:
-        logits, _ = self.forward_logits(content)
-        return int(np.argmax(logits))
 
     def batch_loss_and_grads(self, batch):
         """Mean loss over (content, label) pairs and its parameter gradients,

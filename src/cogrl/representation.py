@@ -131,12 +131,15 @@ class ImageCNN(Network):
         rng = np.random.default_rng(seed)
         c, h, w = spec.in_shape
         self.spec = spec
-        self.conv = ConvLayer(c, spec.filters, spec.kernel, spec.stride, rng)
+        self.conv = ConvLayer(c, spec.filters, spec.kernel, spec.stride,
+                              rng=rng)
         _, oh, ow = self.conv.output_shape(h, w)
         self.conv_out_shape = (spec.filters, oh, ow)
         self.flat_size = spec.filters * oh * ow
-        self.rep = DenseLayer(self.flat_size, spec.rep_size, "sigmoid", rng)
-        self.out = DenseLayer(spec.rep_size, spec.n_classes, "identity", rng)
+        self.rep = DenseLayer(self.flat_size, spec.rep_size, "sigmoid",
+                              rng=rng)
+        self.out = DenseLayer(spec.rep_size, spec.n_classes, "identity",
+                              rng=rng)
 
     def _to_rep(self, image):
         """Pre-output rows of one image or a stack, and the caches up to the
@@ -163,9 +166,9 @@ class ImageCNN(Network):
         conv_cache, rep_cache, out_cache = cache
         d_rep, out_grads = self.out.backward(dlogits, out_cache)
         d_flat, rep_grads = self.rep.backward(d_rep, rep_cache)
-        _, conv_grads = self.conv.backward(
-            d_flat.reshape(d_flat.shape[:-1] + self.conv_out_shape), conv_cache,
-            input_grad=False)
+        conv_grads = self.conv.backward(
+            d_flat.reshape(d_flat.shape[:-1] + self.conv_out_shape),
+            conv_cache)
         return _prefixed(conv=conv_grads, rep=rep_grads, out=out_grads)
 
     def parameters(self):
@@ -201,13 +204,15 @@ class ClozeLSTM(Network):
         rng = np.random.default_rng(seed)
         self.spec = spec
         self.vocab = vocab
-        self.embed = EmbeddingTable(vocab.size, spec.embedding_dim, rng)
-        self.fwd = LSTMCell(spec.embedding_dim, spec.lstm_hidden, rng)
-        self.bwd = LSTMCell(spec.embedding_dim, spec.lstm_hidden, rng)
+        self.embed = EmbeddingTable(vocab.size, spec.embedding_dim, rng=rng)
+        self.fwd = LSTMCell(spec.embedding_dim, spec.lstm_hidden, rng=rng)
+        self.bwd = LSTMCell(spec.embedding_dim, spec.lstm_hidden, rng=rng)
         self.combine = DenseLayer(2 * spec.lstm_hidden, spec.combine_size,
-                                  "tanh", rng)
-        self.rep = DenseLayer(spec.combine_size, spec.rep_size, "sigmoid", rng)
-        self.out = DenseLayer(spec.rep_size, spec.n_classes, "identity", rng)
+                                  "tanh", rng=rng)
+        self.rep = DenseLayer(spec.combine_size, spec.rep_size, "sigmoid",
+                              rng=rng)
+        self.out = DenseLayer(spec.rep_size, spec.n_classes, "identity",
+                              rng=rng)
 
     def collate(self, contents):
         """((T1, B) prefix ids, mask), ((T2, B) reversed-suffix ids, mask)."""

@@ -21,7 +21,6 @@ from cogrl.afm import (
     afm_fit,
     afm_logits,
     afm_predict,
-    afm_rmse,
     assign_folds,
     compare_models,
     compute_opportunities,
@@ -74,8 +73,8 @@ class TestTransactionLog:
     def test_interleaved_students_fine(self):
         log = _log([("s1", "a", 1, 1), ("s2", "a", 0, 1),
                     ("s1", "b", 1, 2), ("s2", "b", 1, 2)])
-        assert log.students() == ["s1", "s2"]
-        assert log.items() == ["a", "b"]
+        assert log.columns.students == ["s1", "s2"]
+        assert log.columns.items == ["a", "b"]
 
 
 class TestComputeOpportunities:
@@ -146,6 +145,17 @@ class TestPredict:
                         + params.beta["k3"] + params.gamma["k3"] * 2)
         assert math.isclose(afm_predict(params, q, "s", "A", opps), expected,
                             rel_tol=1e-12)
+
+    def test_logits_hand_computation_four_transactions(self):
+        q = faculty_transfer(["A", "B"])
+        log = _log([("s1", "A", 1, 1), ("s1", "B", 0, 2),
+                    ("s2", "A", 0, 1), ("s2", "B", 1, 2)])
+        cols = log.columns
+        theta = np.array([0.5, -0.5])  # s1, s2
+        eta = afm_logits(theta[cols.student], np.array([0.2]), np.array([0.1]),
+                         opportunity_pairs(cols, q))
+        expected = [0.5 + 0.2, 0.5 + 0.2 + 0.1, -0.5 + 0.2, -0.5 + 0.2 + 0.1]
+        assert np.allclose(eta, expected, rtol=1e-12, atol=0.0)
 
     def test_unknown_student_rejected(self):
         q, params = self._setup()
@@ -247,48 +257,6 @@ class TestFit:
             afm_fit(TransactionLog([]), faculty_transfer(["A"]))
 
 
-class TestRMSE:
-    def test_perfect_predictions_zero(self):
-        q = faculty_transfer(["A"])
-        log = _log([("good", "A", 1, 1), ("bad", "A", 0, 1)])
-        # at +/-800 the logistic saturates to exactly 1.0/0.0 in float64
-        params = AFMParams(theta={"good": 800.0, "bad": -800.0},
-                           beta={"faculty": 0.0}, gamma={"faculty": 0.0})
-        assert afm_rmse(params, q, log) == 0.0
-
-    def test_constant_half_gives_half(self):
-        q = faculty_transfer(["A", "B"])
-        log = _log([("s", "A", 1, 1), ("s", "B", 0, 2)])
-        params = AFMParams(theta={"s": 0.0}, beta={"faculty": 0.0},
-                           gamma={"faculty": 0.0})
-        assert math.isclose(afm_rmse(params, q, log), 0.5, rel_tol=1e-12)
-
-    def test_hand_computation_four_transactions(self):
-        q = faculty_transfer(["A", "B"])
-        log = _log([("s1", "A", 1, 1), ("s1", "B", 0, 2),
-                    ("s2", "A", 0, 1), ("s2", "B", 1, 2)])
-        params = AFMParams(theta={"s1": 0.5, "s2": -0.5},
-                           beta={"faculty": 0.2}, gamma={"faculty": 0.1})
-        ps = [_sig(0.5 + 0.2), _sig(0.5 + 0.2 + 0.1),
-              _sig(-0.5 + 0.2), _sig(-0.5 + 0.2 + 0.1)]
-        ys = [1, 0, 0, 1]
-        expected = math.sqrt(sum((yv - pv) ** 2
-                                 for yv, pv in zip(ys, ps)) / 4.0)
-        assert math.isclose(afm_rmse(params, q, log), expected, rel_tol=1e-12)
-
-    def test_unseen_entities_fall_back_to_zero_params(self):
-        q = faculty_transfer(["A"])
-        log = _log([("stranger", "A", 1, 1)])
-        params = AFMParams(theta={}, beta={}, gamma={})
-        assert math.isclose(afm_rmse(params, q, log), 0.5, rel_tol=1e-12)
-
-    def test_empty_log_rejected(self):
-        q = faculty_transfer(["A"])
-        params = AFMParams(theta={}, beta={}, gamma={})
-        with pytest.raises(InputError):
-            afm_rmse(params, q, TransactionLog([]))
-
-
 class TestItemStratifiedCV:
     def test_deterministic_given_seed(self):
         log, q, _ = synth_afm_log(AfmLogSynthSpec(
@@ -324,8 +292,8 @@ class TestItemStratifiedCV:
         rows = [(f"s{k}", item, k % 2, j + 1) for k in range(6)
                 for j, item in enumerate(["a\x00", "b", "c"])]
         log = _log(rows)
-        result = item_stratified_cv(log, faculty_transfer(log.items()), None,
-                                    CVConfig(folds=3, seed=0))
+        result = item_stratified_cv(log, faculty_transfer(log.columns.items),
+                                    None, CVConfig(folds=3, seed=0))
         assert sorted(i for fold in result.fold_items for i in fold) == \
             ["a\x00", "b", "c"]
         assert len(result.fold_rmses) == 3
@@ -507,10 +475,10 @@ class TestSoftplus:
 
 def _oracle_opportunities(log, q):
     item_kcs = {item: np.flatnonzero(q.row(item))
-                for item in {tr.item_id for tr in log}}
+                for item in {tr.item_id for tr in log.rows}}
     counters = {}
     rows = []
-    for tr in log:
+    for tr in log.rows:
         cnt = counters.get(tr.student_id)
         if cnt is None:
             cnt = counters[tr.student_id] = np.zeros(q.n_kcs, dtype=np.int64)
@@ -585,10 +553,10 @@ class TestColumnarEquivalence:
     @given(_cv_cases(), st.integers(0, 2**32 - 1))
     def test_pairs_designs_and_held_out_probabilities(self, case, seed):
         log, q, folds, fold_seed = case
-        n_log_items = len(log.items())
+        n_log_items = len(log.columns.items)
         if folds > n_log_items:
             with pytest.raises(InputError):
-                assign_folds(log.items(), folds, fold_seed)
+                assign_folds(log.columns.items, folds, fold_seed)
             return
         oracle_opps = _oracle_opportunities(log, q)
         assert compute_opportunities(log, q).rows == oracle_opps
@@ -601,9 +569,9 @@ class TestColumnarEquivalence:
              for kc, t in opps.items()]
 
         rng = np.random.default_rng(seed)
-        for fold_items in assign_folds(log.items(), folds, fold_seed):
+        for fold_items in assign_folds(log.columns.items, folds, fold_seed):
             held = set(fold_items)
-            mask = np.array([tr.item_id in held for tr in log])
+            mask = np.array([tr.item_id in held for tr in log.rows])
             train = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
                      if tr.item_id not in held]
             test = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
@@ -634,7 +602,7 @@ class TestColumnarEquivalence:
         log, q, _, _ = case
         value = st.floats(-20, 20)
         params = AFMParams(
-            theta={s: data.draw(value) for s in log.students()},
+            theta={s: data.draw(value) for s in log.columns.students},
             beta={k: data.draw(value) for k in q.kc_names},
             gamma={k: data.draw(st.floats(0, 5)) for k in q.kc_names})
         cols = log.columns
@@ -652,13 +620,13 @@ class TestColumnarEquivalence:
     @given(_cv_cases())
     def test_fold_rmses_equal_oracle_cv(self, case):
         log, q, folds, fold_seed = case
-        if folds > len(log.items()):
+        if folds > len(log.columns.items):
             return
         fit = FitConfig(max_iter=40)
         result = item_stratified_cv(log, q, fit, CVConfig(folds, fold_seed))
         oracle_opps = _oracle_opportunities(log, q)
         expected = []
-        for fold_items in assign_folds(log.items(), folds, fold_seed):
+        for fold_items in assign_folds(log.columns.items, folds, fold_seed):
             held = set(fold_items)
             train = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
                      if tr.item_id not in held]
@@ -833,7 +801,7 @@ class TestNewtonSolver:
         rows = [(f"s{s}", f"i{j}", int(j < 3), j + 1)
                 for s in range(4) for j in range(6)]
         log = _log(rows)
-        params, diag = afm_fit(log, faculty_transfer(log.items()))
+        params, diag = afm_fit(log, faculty_transfer(log.columns.items))
         assert diag.converged
         assert params.gamma == {"faculty": 0.0}
         assert diag.residual < 1e-6
@@ -876,7 +844,7 @@ class TestNewtonSolver:
         # every attempt right: beta grows without bound as the fit goes on
         log = _log([(f"s{s}", f"i{j}", 1, j + 1)
                     for s in range(3) for j in range(4)])
-        params, diag = afm_fit(log, model(log.items()))
+        params, diag = afm_fit(log, model(log.columns.items))
         assert np.isfinite(diag.objective)
         assert all(math.isfinite(v) for v in params.beta.values())
         assert min(params.gamma.values()) >= 0.0

@@ -274,6 +274,16 @@ class TestGradcheckAndErrors:
     def test_gradcheck_impossible_tolerance_fails(self):
         assert run(["gradcheck", "--seed", "1", "--tolerance", "1e-12"]) == 5
 
+    @pytest.mark.parametrize("manifest", ["no/such/dir/m.json", "."])
+    def test_unwritable_manifest_is_a_file_error(self, tmp_path, capsys,
+                                                 manifest):
+        # a path under a missing directory, and a directory
+        assert run(["gradcheck", "--arch", "cnn", "--seed", "1",
+                    "--manifest", tmp_path / manifest]) == 3
+        captured = capsys.readouterr()
+        assert "gradcheck cnn" in captured.out
+        assert captured.err.startswith("cogrl: file error: ")
+
     def test_missing_file_exit_code(self, tmp_path):
         assert run(["fit-afm", "--log", tmp_path / "nope.tsv",
                     "--qmatrix", tmp_path / "also_nope.tsv",

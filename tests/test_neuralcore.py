@@ -70,20 +70,18 @@ def conv_tensordot_forward(x, kernels, gains, stride):
 
 def conv_tensordot_backward(x, t, dy, kernels, gains, stride):
     """The one-sample backward pass the batched ConvLayer replaced; returns
-    (dx, dkernels, dgains)."""
+    (dkernels, dgains)."""
     r, s = kernels.shape[2], stride
     oh, ow = dy.shape[1], dy.shape[2]
     dgains = np.sum(dy * t, axis=(1, 2))
     dz = dy * gains[:, None, None] * (1.0 - t * t)
     dk = np.zeros_like(kernels)
-    dx = np.zeros_like(x)
     for p in range(r):
         for q in range(r):
             isl = slice(r - 1 - p, r - 1 - p + s * (oh - 1) + 1, s)
             jsl = slice(r - 1 - q, r - 1 - q + s * (ow - 1) + 1, s)
             dk[:, :, p, q] = np.tensordot(dz, x[:, isl, jsl], axes=([1, 2], [1, 2]))
-            dx[:, isl, jsl] += np.tensordot(kernels[:, :, p, q], dz, axes=([0], [0]))
-    return dx, dk, dgains
+    return dk, dgains
 
 
 def lstm_step_full_reference(cell, x_t, h_prev, c_prev):
@@ -477,23 +475,8 @@ class TestBackprop:
     def test_zero_input_batch_zero_kernel_grads(self):
         conv = ConvLayer(1, 2, 3, rng=np.random.default_rng(0))
         y, cache = conv.forward(np.zeros((1, 6, 6)))
-        _, grads = conv.backward(np.ones_like(y), cache)
+        grads = conv.backward(np.ones_like(y), cache)
         assert np.array_equal(grads["kernels"], np.zeros_like(conv.kernels))
-
-    def test_conv_input_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(9)
-        conv = ConvLayer(2, 2, 3, stride=2, rng=rng)
-        x = rng.uniform(-1, 1, (2, 7, 7))
-        y, cache = conv.forward(x)
-        dy = rng.uniform(-1, 1, y.shape)
-        dx, _ = conv.backward(dy, cache)
-        eps = 1e-6
-        for idx in [(0, 0, 0), (1, 3, 4), (0, 6, 6), (1, 2, 5)]:
-            xp = x.copy(); xp[idx] += eps
-            xm = x.copy(); xm[idx] -= eps
-            fd = (np.sum(conv.forward(xp)[0] * dy)
-                  - np.sum(conv.forward(xm)[0] * dy)) / (2 * eps)
-            assert math.isclose(dx[idx], fd, rel_tol=1e-5, abs_tol=1e-8)
 
     def test_batch_gradient_is_mean_of_samples(self):
         net = _DenseNet(2, 3, seed=1)
@@ -526,21 +509,18 @@ class TestBatchEquivalence:
         x = rng.uniform(-1, 1, (batch, in_ch, r + extra_h, r + extra_w))
         y, cache = conv.forward(x)
         dy = rng.uniform(-1, 1, y.shape)
-        dx, grads = conv.backward(dy, cache)
-        assert dx.shape == x.shape
+        grads = conv.backward(dy, cache)
         dk_sum = np.zeros_like(conv.kernels)
         dg_sum = np.zeros_like(conv.gains)
         for b in range(batch):
             y1, cache1 = conv.forward(x[b])
-            dx1, grads1 = conv.backward(dy[b], cache1)
+            grads1 = conv.backward(dy[b], cache1)
             y_ref, t_ref = conv_tensordot_forward(
                 x[b], conv.kernels, conv.gains, stride)
-            dx_ref, dk_ref, dg_ref = conv_tensordot_backward(
+            dk_ref, dg_ref = conv_tensordot_backward(
                 x[b], t_ref, dy[b], conv.kernels, conv.gains, stride)
             for got in (y[b], y1):
                 assert_close(got, y_ref)
-            for got in (dx[b], dx1):
-                assert_close(got, dx_ref)
             assert_close(grads1["kernels"], dk_ref)
             assert_close(grads1["gains"], dg_ref)
             dk_sum += dk_ref
@@ -660,16 +640,10 @@ class TestBatchEquivalence:
         for b, seq in enumerate(seqs):
             h_ref, c_ref, caches_ref = lstm_run_reference(cell, seq)
             dxs_ref, grads_ref = lstm_bptt_reference(cell, caches_ref, dh[b])
-            h1, c1, caches1 = cell.run(seq)
-            dxs1, grads1 = cell.backward_through_time(caches1, dh[b])
-            for got in (h[b], h1):
-                assert_close(got, h_ref)
-            for got in (c[b], c1):
-                assert_close(got, c_ref)
-            for got in (dxs[steps - len(seq):, b], dxs1):
-                assert_close(got, dxs_ref)
+            assert_close(h[b], h_ref)
+            assert_close(c[b], c_ref)
+            assert_close(dxs[steps - len(seq):, b], dxs_ref)
             for name, g in grads_ref.items():
-                assert_close(grads1[name], g)
                 grad_sum[name] += g
         for name, g in grads.items():
             assert_close(g, grad_sum[name])
@@ -801,25 +775,9 @@ class TestBatchEquivalence:
         assert reps.values.shape == (40, 5)
         for row, p in zip(reps.values, problems):
             assert_close(row, net.representation(p.content))
-        expected = sum(net.predict(p.content) == p.answer for p in problems)
+        expected = sum(np.argmax(net.forward_logits(p.content)[0]) == p.answer
+                       for p in problems)
         assert training_accuracy(net, problems) == expected / len(problems)
-
-    @settings(deadline=None, max_examples=30)
-    @given(in_ch=st.integers(1, 3), out_ch=st.integers(1, 3),
-           r=st.integers(1, 4), stride=st.integers(1, 3),
-           batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    def test_conv_parameter_gradients_without_input_gradient(
-            self, in_ch, out_ch, r, stride, batch, seed):
-        rng = np.random.default_rng(seed)
-        conv = ConvLayer(in_ch, out_ch, r, stride, rng=rng)
-        x = rng.uniform(-1, 1, (batch, in_ch, r + 3, r + 2))
-        y, cache = conv.forward(x)
-        dy = rng.uniform(-1, 1, y.shape)
-        _, full = conv.backward(dy, cache)
-        dx, params_only = conv.backward(dy, cache, input_grad=False)
-        assert dx is None
-        for name in full:
-            assert np.array_equal(params_only[name], full[name])
 
     def test_image_cnn_ragged_minibatch_rejected(self):
         from cogrl.representation import ImageArchSpec, build_image_cnn

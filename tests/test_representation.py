@@ -111,8 +111,9 @@ class TestBuildClozeLSTM:
     def test_blank_at_start_uses_zero_forward_state(self):
         net, _ = self._tiny()
         content = split_blank("___ abc")
-        h_f, _, caches = net.fwd.run(net.embed.forward(net.vocab.encode("")))
-        assert np.array_equal(h_f, np.zeros(4)) and caches == []
+        (ids, mask), _ = net.collate([content])
+        h_f, _, caches = net.fwd.run(net.embed.forward(ids), mask)
+        assert np.array_equal(h_f, np.zeros((1, 4))) and caches == []
         logits, _ = net.forward_logits(content)
         assert np.all(np.isfinite(logits))
 
@@ -142,7 +143,7 @@ class TestBuildClozeLSTM:
         net, _ = self._tiny()
         for content in (np.zeros(3), "abc ___ d"):
             with pytest.raises(DimensionError):
-                net.predict(content)
+                net.forward_logits(content)
         with pytest.raises(DimensionError):
             net.batch_loss_and_grads([(split_blank("a ___"), 0), (np.zeros(3), 1)])
 
