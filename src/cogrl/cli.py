@@ -86,6 +86,7 @@ from .representation import (
     ImageArchSpec,
     build_cloze_lstm,
     build_image_cnn,
+    check_training_set,
     extract_representations,
     read_representations,
     save_network,
@@ -181,24 +182,22 @@ def cmd_train_rep(args, seed):
     sgd = SGDConfig(learning_rate=args.lr, batch_size=args.batch_size,
                     max_epochs=args.epochs, seed=seed,
                     target_loss=args.target_loss)
+    source = args.images or args.cloze
+    bundle = (load_images if args.images else load_cloze)(source)
+    check_training_set(bundle.problems, source)
     if args.images:
-        bundle = load_images(args.images)
-        in_shape = bundle.problems[0].content.shape
         spec = ImageArchSpec(
-            in_shape=in_shape, n_classes=len(bundle.answer_labels),
-            filters=args.filters, kernel=args.kernel, stride=args.stride,
-            rep_size=args.rep_size)
+            in_shape=bundle.problems[0].content.shape,
+            n_classes=len(bundle.answer_labels), filters=args.filters,
+            kernel=args.kernel, stride=args.stride, rep_size=args.rep_size)
         net = build_image_cnn(spec, seed=seed)
-        source = args.images
     else:
-        bundle = load_cloze(args.cloze)
         vocab = CharVocab.from_problems(bundle.problems)
         spec = ClozeArchSpec(
             n_classes=len(bundle.answer_labels),
             embedding_dim=args.embedding_dim, lstm_hidden=args.lstm_hidden,
             combine_size=2 * args.lstm_hidden, rep_size=args.rep_size)
         net = build_cloze_lstm(spec, vocab, seed=seed)
-        source = args.cloze
     history = train_model(net, bundle.problems, sgd)
     accuracy = training_accuracy(net, bundle.problems)
     save_network(args.out_checkpoint, net)

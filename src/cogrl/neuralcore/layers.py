@@ -10,11 +10,12 @@ Batch axis: ``ConvLayer`` and ``DenseLayer`` take a minibatch with a
 leading batch axis, ``(B, C, H, W)`` and ``(B, in_size)``, and return
 outputs (and, for the dense layer, input gradients) with the same leading
 axis. Their parameter gradients are sums over the batch axis; callers that
-want a mean scale the incoming gradient. A single sample without the batch
-axis, ``(C, H, W)`` or ``(in_size,)``, runs as a batch of one through the
-same code and comes back without the batch axis. ``LSTMCell`` is
-time-major: it runs a (T, B, input_size) minibatch of left-padded
-sequences under a (T, B) mask, computing only the cells of real steps.
+want a mean scale the incoming gradient. ``ConvLayer.forward`` also runs
+one ``(C, H, W)`` image as a batch of one and returns its output without
+the batch axis; its backward pass takes only the minibatch form.
+``LSTMCell`` is time-major: it runs a (T, B, input_size) minibatch of
+left-padded sequences under a (T, B) mask, computing only the cells of
+real steps.
 ``EmbeddingTable`` looks up ids of any shape and scatters gradients for a
 flat list of ids.
 
@@ -110,12 +111,11 @@ class ConvLayer:
         return (y[0] if single else y), (xc, t)
 
     def backward(self, dy: np.ndarray, cache):
-        """The kernel and gain gradients summed over the minibatch. The
-        convolution is a network's first layer, so no input gradient is
-        computed."""
+        """The kernel and gain gradients of a (B, out, oh, ow) output
+        gradient, summed over the minibatch. The convolution is a network's
+        first layer, so no input gradient is computed."""
         xc, t = cache
-        dy = np.asarray(dy, dtype=np.float64)
-        dyc = (dy[None] if dy.ndim == 3 else dy).transpose(1, 0, 2, 3)
+        dyc = np.asarray(dy, dtype=np.float64).transpose(1, 0, 2, 3)
         oh, ow = t.shape[2], t.shape[3]
         dgains = np.sum(dyc * t, axis=(1, 2, 3))
         dz = (dyc * self.gains[:, None, None, None] * (1.0 - t * t)).reshape(
@@ -154,24 +154,21 @@ class DenseLayer:
         self.biases = np.zeros(out_size, dtype=np.float64)
 
     def forward(self, x: np.ndarray):
-        """Apply the layer to a (B, in_size) minibatch or one (in_size,) input."""
+        """Apply the layer to a (B, in_size) minibatch."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.in_size:
-            raise DimensionError(
-                f"dense layer expects length-{self.in_size} input or a "
-                f"(B, {self.in_size}) minibatch, got {x.shape}")
-        z = x.reshape(-1, self.in_size) @ self.weights.T + self.biases
-        y = ACTIVATIONS[self.activation][0](z)
-        return y.reshape(x.shape[:-1] + (self.out_size,)), (x, y)
+        if x.ndim != 2 or x.shape[1] != self.in_size:
+            raise DimensionError(f"dense layer expects a (B, {self.in_size}) "
+                                 f"minibatch, got {x.shape}")
+        y = ACTIVATIONS[self.activation][0](x @ self.weights.T + self.biases)
+        return y, (x, y)
 
     def backward(self, dy: np.ndarray, cache):
-        """Input gradient shaped like the forward input, and the weight and
-        bias gradients summed over the minibatch."""
+        """(B, in_size) input gradient, and the weight and bias gradients
+        summed over the minibatch."""
         x, y = cache
-        da = np.reshape(dy, y.shape) * ACTIVATIONS[self.activation][1](y)
-        dx = (da @ self.weights).reshape(x.shape)
-        return dx, {"weights": da.T @ x.reshape(-1, self.in_size),
-                    "biases": da.sum(axis=0)}
+        da = dy * ACTIVATIONS[self.activation][1](y)
+        return da @ self.weights, {"weights": da.T @ x,
+                                   "biases": da.sum(axis=0)}
 
 
 class EmbeddingTable:

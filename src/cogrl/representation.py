@@ -11,7 +11,7 @@ wherever its activation exceeds the threshold (0.95 by default).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
 
@@ -141,47 +141,24 @@ class ImageCNN(Network):
         self.out = DenseLayer(spec.rep_size, spec.n_classes, "identity",
                               rng=rng)
 
-    def _to_rep(self, image):
-        """Pre-output rows of one image or a stack, and the caches up to the
-        pre-output layer."""
-        image = np.asarray(image, dtype=np.float64)
-        if image.ndim not in (3, 4) or image.shape[-3:] != self.spec.in_shape:
+    def body_forward(self, images):
+        """Flattened conv maps of a (B, C, H, W) stack of images."""
+        images = np.asarray(images, dtype=np.float64)
+        if images.ndim != 4 or images.shape[1:] != self.spec.in_shape:
             raise DimensionError(
-                f"expected image shape {self.spec.in_shape}, got {image.shape}")
-        conv_y, conv_cache = self.conv.forward(image)
-        flat = check_finite(conv_y, "conv").reshape(
-            image.shape[:-3] + (self.flat_size,))
-        rep_y, rep_cache = self.rep.forward(flat)
-        return check_finite(rep_y, "rep"), (conv_cache, rep_cache)
+                f"expected a (B, {', '.join(map(str, self.spec.in_shape))}) "
+                f"minibatch of images, got shape {images.shape}")
+        conv_y, conv_cache = self.conv.forward(images)
+        return check_finite(conv_y, "conv").reshape(len(images),
+                                                    self.flat_size), conv_cache
 
-    def forward_logits(self, image):
-        """Logits for one (C, H, W) image, or (B, K) logits for a
-        (B, C, H, W) stack of images."""
-        rep_y, cache = self._to_rep(image)
-        logits, out_cache = self.out.forward(rep_y)
-        check_finite(logits, "out")
-        return logits, cache + (out_cache,)
+    def body_backward(self, d_flat, conv_cache):
+        return _prefixed(conv=self.conv.backward(
+            d_flat.reshape((len(d_flat),) + self.conv_out_shape), conv_cache))
 
-    def backward_from_logits(self, dlogits, cache):
-        conv_cache, rep_cache, out_cache = cache
-        d_rep, out_grads = self.out.backward(dlogits, out_cache)
-        d_flat, rep_grads = self.rep.backward(d_rep, rep_cache)
-        conv_grads = self.conv.backward(
-            d_flat.reshape(d_flat.shape[:-1] + self.conv_out_shape),
-            conv_cache)
-        return _prefixed(conv=conv_grads, rep=rep_grads, out=out_grads)
-
-    def parameters(self):
-        return _prefixed(
-            conv={"kernels": self.conv.kernels, "gains": self.conv.gains},
-            rep=_dense_params(self.rep), out=_dense_params(self.out))
-
-    def representation(self, image) -> np.ndarray:
-        """Pre-output row of one image, or (B, rep_size) rows for a stack."""
-        return self._to_rep(image)[0]
-
-    def meta(self) -> dict:
-        return {"architecture": self.variant, **asdict(self.spec)}
+    def body_parameters(self):
+        return _prefixed(conv={"kernels": self.conv.kernels,
+                               "gains": self.conv.gains})
 
 
 class ClozeLSTM(Network):
@@ -221,12 +198,12 @@ class ClozeLSTM(Network):
         return (_left_pad([self.vocab.encode(c.prefix) for c in contents]),
                 _left_pad([self.vocab.encode(c.suffix)[::-1] for c in contents]))
 
-    def _to_rep(self, batch):
-        """Pre-output rows of a collated minibatch or one content, whether
-        it was one content, and the caches up to the pre-output layer."""
-        single = not isinstance(batch, tuple)
-        if single:
-            batch = self.collate([batch])
+    def body_forward(self, batch):
+        """Combine-layer rows of a collated minibatch."""
+        if not isinstance(batch, tuple):
+            raise DimensionError(
+                f"cloze network expects a minibatch made by collate, got "
+                f"{type(batch).__name__}")
         states, steps = [], []
         for cell, (ids, mask) in zip((self.fwd, self.bwd), batch):
             h, _, caches = cell.run(self.embed.forward(ids), mask)
@@ -234,21 +211,10 @@ class ClozeLSTM(Network):
             steps.append(caches)
         both = check_finite(np.concatenate(states, axis=1), "lstm")
         comb_y, comb_cache = self.combine.forward(both)
-        rep_y, rep_cache = self.rep.forward(check_finite(comb_y, "combine"))
-        return check_finite(rep_y, "rep"), single, \
-            (batch, steps, comb_cache, rep_cache)
+        return check_finite(comb_y, "combine"), (batch, steps, comb_cache)
 
-    def forward_logits(self, batch):
-        """(B, K) logits for a collated minibatch; (K,) for one content."""
-        rep_y, single, cache = self._to_rep(batch)
-        logits, out_cache = self.out.forward(rep_y)
-        check_finite(logits, "out")
-        return (logits[0] if single else logits), cache + (out_cache,)
-
-    def backward_from_logits(self, dlogits, cache):
-        batch, steps, comb_cache, rep_cache, out_cache = cache
-        d_rep, out_grads = self.out.backward(dlogits, out_cache)
-        d_comb, rep_grads = self.rep.backward(d_rep, rep_cache)
+    def body_backward(self, d_comb, cache):
+        batch, steps, comb_cache = cache
         d_both, comb_grads = self.combine.backward(d_comb, comb_cache)
         cell_grads, ids, dvecs = [], [], []
         for cell, (side_ids, mask), caches, dh in zip(
@@ -260,37 +226,25 @@ class ClozeLSTM(Network):
             dvecs.append(dxs[mask])
         d_embed = self.embed.backward(np.concatenate(ids), np.concatenate(dvecs))
         return _prefixed(embed={"vectors": d_embed}, fwd=cell_grads[0],
-                         bwd=cell_grads[1], combine=comb_grads, rep=rep_grads,
-                         out=out_grads)
+                         bwd=cell_grads[1], combine=comb_grads)
 
-    def parameters(self):
+    def body_parameters(self):
         cells = ("w_x", "w_h", "b_x", "b_h")
         return _prefixed(
             embed={"vectors": self.embed.vectors},
             fwd={k: getattr(self.fwd, k) for k in cells},
             bwd={k: getattr(self.bwd, k) for k in cells},
-            combine=_dense_params(self.combine), rep=_dense_params(self.rep),
-            out=_dense_params(self.out))
-
-    def representation(self, batch) -> np.ndarray:
-        """Pre-output row of one content, or (B, rep_size) rows for a
-        collated minibatch."""
-        rep_y, single, _ = self._to_rep(batch)
-        return rep_y[0] if single else rep_y
+            combine={"weights": self.combine.weights,
+                     "biases": self.combine.biases})
 
     def meta(self) -> dict:
-        return {"architecture": self.variant, **asdict(self.spec),
-                "vocab_chars": "".join(self.vocab.chars)}
+        return {**super().meta(), "vocab_chars": "".join(self.vocab.chars)}
 
 
 def _prefixed(**layers) -> dict[str, np.ndarray]:
     """Flatten {layer: {key: array}} into {"layer.key": array}, in order."""
     return {f"{layer}.{key}": arr
             for layer, arrays in layers.items() for key, arr in arrays.items()}
-
-
-def _dense_params(layer: DenseLayer) -> dict[str, np.ndarray]:
-    return {"weights": layer.weights, "biases": layer.biases}
 
 
 def _left_pad(seqs):
@@ -316,15 +270,29 @@ def build_cloze_lstm(spec: ClozeArchSpec, vocab: CharVocab,
 # training
 
 
+def check_training_set(problems: list[ProblemInstance],
+                       source: str = "training set") -> None:
+    """InputError, prefixed with ``source``, unless ``problems`` can train a
+    content network: at least 2 problems, at least 2 answer classes present
+    and, for cloze questions, some text besides the blanks to build a
+    vocabulary from."""
+    if len(problems) < 2:
+        raise InputError(f"{source}: training needs at least 2 problems")
+    if len({p.answer for p in problems}) < 2:
+        raise InputError(
+            f"{source}: training needs at least 2 answer classes present")
+    if all(isinstance(p.content, ClozeContent)
+           and not p.content.prefix + p.content.suffix for p in problems):
+        raise InputError(
+            f"{source}: the questions have no text besides their blanks")
+
+
 def train_model(net: Network, problems: list[ProblemInstance],
                 config: SGDConfig) -> list[float]:
     """Minibatch SGD with seeded per-epoch shuffling; returns the per-epoch
     mean-loss history. Stops early once the mean epoch loss falls below
     config.target_loss."""
-    if len(problems) < 2:
-        raise InputError("training needs at least 2 problems")
-    if len({p.answer for p in problems}) < 2:
-        raise InputError("training needs at least 2 answer classes present")
+    check_training_set(problems)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
     n = len(problems)

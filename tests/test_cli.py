@@ -340,6 +340,41 @@ class TestGradcheckAndErrors:
                     "--out-reps", tmp_path / "r.tsv", "--kernel", "1",
                     "--stride", "1"]) == 3
 
+    @pytest.mark.parametrize("source", ["images", "cloze"])
+    def test_one_answer_label_is_an_input_error(self, tmp_path, capsys,
+                                                source):
+        if source == "images":
+            for name in ("a", "b"):
+                (tmp_path / f"{name}.pgm").write_bytes(
+                    b"P5 2 1 255\n" + bytes([200, 0]))
+            path = tmp_path / "manifest.tsv"
+            path.write_text("item_id\timage\tanswer\n"
+                            "a\ta.pgm\tx\nb\tb.pgm\tx\n")
+        else:
+            path = tmp_path / "cloze.tsv"
+            path.write_text("item_id\ttext\tanswer\n"
+                            "a\tan ___ apple\tx\nb\ta ___ pear\tx\n")
+        assert run(["train-rep", f"--{source}", path,
+                    "--out-checkpoint", tmp_path / "m.ckpt",
+                    "--out-reps", tmp_path / "r.tsv", "--kernel", "1",
+                    "--stride", "1"]) == 3
+        assert f"{path.name}: training needs at least 2 answer classes" in \
+            capsys.readouterr().err
+        assert not any(tmp_path.glob("m.ckpt*")) and not (
+            tmp_path / "r.tsv").exists()
+
+    def test_questions_of_only_blanks_are_an_input_error(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "cloze.tsv"
+        path.write_text("item_id\ttext\tanswer\na\t___\tx\nb\t____\ty\n")
+        assert run(["train-rep", "--cloze", path,
+                    "--out-checkpoint", tmp_path / "m.ckpt",
+                    "--out-reps", tmp_path / "r.tsv"]) == 3
+        assert "cloze.tsv: the questions have no text besides their blanks" \
+            in capsys.readouterr().err
+        assert not any(tmp_path.glob("m.ckpt*")) and not (
+            tmp_path / "r.tsv").exists()
+
     def test_bad_model_entry_exit_code(self, tmp_path, visual_dir):
         assert run(["synth", "afm-log", "--out-dir", tmp_path, "--seed", "0",
                     "--students", "4", "--items", "4", "--kcs", "2"]) == 0

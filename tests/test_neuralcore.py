@@ -151,16 +151,17 @@ def cloze_sample_reference(net, content, label):
     post_ids = net.vocab.encode(content.suffix)[::-1]
     h_f, _, f_caches = lstm_run_reference(net.fwd, net.embed.vectors[pre_ids])
     h_b, _, b_caches = lstm_run_reference(net.bwd, net.embed.vectors[post_ids])
-    comb_y, comb_cache = net.combine.forward(np.concatenate([h_f, h_b]))
+    # the dense layers take only minibatches: run them on a batch of one
+    comb_y, comb_cache = net.combine.forward(np.concatenate([h_f, h_b])[None])
     rep_y, rep_cache = net.rep.forward(comb_y)
     logits, out_cache = net.out.forward(rep_y)
-    loss, _, dlogits = softmax_cross_entropy_reference(logits, label)
-    d_rep, out_grads = net.out.backward(dlogits, out_cache)
+    loss, _, dlogits = softmax_cross_entropy_reference(logits[0], label)
+    d_rep, out_grads = net.out.backward(dlogits[None], out_cache)
     d_comb, rep_grads = net.rep.backward(d_rep, rep_cache)
     d_both, comb_grads = net.combine.backward(d_comb, comb_cache)
     h = net.spec.lstm_hidden
-    d_pre, fwd_grads = lstm_bptt_reference(net.fwd, f_caches, d_both[:h])
-    d_post, bwd_grads = lstm_bptt_reference(net.bwd, b_caches, d_both[h:])
+    d_pre, fwd_grads = lstm_bptt_reference(net.fwd, f_caches, d_both[0, :h])
+    d_post, bwd_grads = lstm_bptt_reference(net.bwd, b_caches, d_both[0, h:])
     grads = {"embed.vectors": net.embed.backward(pre_ids, d_pre)
              + net.embed.backward(post_ids, d_post)}
     for prefix, cell_grads in (("fwd", fwd_grads), ("bwd", bwd_grads)):
@@ -274,13 +275,13 @@ class TestDenseForward:
     def test_zero_layer_sigmoid_gives_half(self):
         layer = DenseLayer(3, 2, "sigmoid", rng=np.random.default_rng(0))
         layer.weights[:] = 0.0
-        y, _ = layer.forward(np.array([1.0, -2.0, 3.0]))
-        assert np.allclose(y, [0.5, 0.5])
+        y, _ = layer.forward(np.array([[1.0, -2.0, 3.0]]))
+        assert np.allclose(y, [[0.5, 0.5]])
 
     def test_identity_weights_pass_through(self):
         layer = DenseLayer(3, 3, "identity", rng=np.random.default_rng(0))
         layer.weights = np.eye(3)
-        x = np.array([0.3, -1.2, 2.5])
+        x = np.array([[0.3, -1.2, 2.5]])
         y, _ = layer.forward(x)
         assert np.allclose(y, x)
 
@@ -288,10 +289,10 @@ class TestDenseForward:
         rng = np.random.default_rng(7)
         layer = DenseLayer(3, 2, "tanh", rng=rng)
         x = rng.uniform(-1, 1, 3)
-        y, _ = layer.forward(x)
+        y, _ = layer.forward(x[None])
         expected = [math.tanh(sum(layer.weights[r, c] * x[c] for c in range(3))
                               + layer.biases[r]) for r in range(2)]
-        assert np.allclose(y, expected, atol=1e-14)
+        assert np.allclose(y[0], expected, atol=1e-14)
 
     def test_length_mismatch_rejected(self):
         layer = DenseLayer(3, 2, rng=np.random.default_rng(0))
@@ -300,7 +301,7 @@ class TestDenseForward:
 
     def test_activation_ranges(self):
         rng = np.random.default_rng(8)
-        x = rng.uniform(-5, 5, 4)
+        x = rng.uniform(-5, 5, (1, 4))
         sig, _ = DenseLayer(4, 6, "sigmoid", rng=rng).forward(x)
         tan, _ = DenseLayer(4, 6, "tanh", rng=rng).forward(x)
         assert np.all((sig > 0) & (sig < 1))
@@ -438,9 +439,10 @@ class TestForwardLoss:
         assert math.isclose(loss, math.log(2.0), rel_tol=1e-12)
 
     def test_saturated_logits_loss_near_zero(self):
-        loss, probs, _ = softmax_cross_entropy(np.array([40.0, -40.0]), 0)
-        assert loss < 1e-12
-        assert probs[0] > 1.0 - 1e-12
+        loss, probs, _ = softmax_cross_entropy(np.array([[40.0, -40.0]]),
+                                               np.array([0]))
+        assert loss[0] < 1e-12
+        assert probs[0, 0] > 1.0 - 1e-12
 
     def test_matches_log_sum_exp_oracle(self):
         rng = np.random.default_rng(5)
@@ -465,7 +467,7 @@ class TestBackprop:
         layer = DenseLayer(1, 1, "identity", rng=np.random.default_rng(0))
         layer.weights[:] = 0.7
         layer.biases[:] = 0.0
-        x, t = np.array([1.3]), 0.4
+        x, t = np.array([[1.3]]), 0.4
         z, cache = layer.forward(x)
         dy = z - t
         _, grads = layer.backward(dy, cache)
@@ -474,7 +476,7 @@ class TestBackprop:
 
     def test_zero_input_batch_zero_kernel_grads(self):
         conv = ConvLayer(1, 2, 3, rng=np.random.default_rng(0))
-        y, cache = conv.forward(np.zeros((1, 6, 6)))
+        y, cache = conv.forward(np.zeros((1, 1, 6, 6)))
         grads = conv.backward(np.ones_like(y), cache)
         assert np.array_equal(grads["kernels"], np.zeros_like(conv.kernels))
 
@@ -513,13 +515,13 @@ class TestBatchEquivalence:
         dk_sum = np.zeros_like(conv.kernels)
         dg_sum = np.zeros_like(conv.gains)
         for b in range(batch):
-            y1, cache1 = conv.forward(x[b])
-            grads1 = conv.backward(dy[b], cache1)
+            y1, cache1 = conv.forward(x[b][None])
+            grads1 = conv.backward(dy[b][None], cache1)
             y_ref, t_ref = conv_tensordot_forward(
                 x[b], conv.kernels, conv.gains, stride)
             dk_ref, dg_ref = conv_tensordot_backward(
                 x[b], t_ref, dy[b], conv.kernels, conv.gains, stride)
-            for got in (y[b], y1):
+            for got in (y[b], y1[0]):
                 assert_close(got, y_ref)
             assert_close(grads1["kernels"], dk_ref)
             assert_close(grads1["gains"], dg_ref)
@@ -544,14 +546,14 @@ class TestBatchEquivalence:
         dw_sum = np.zeros_like(layer.weights)
         db_sum = np.zeros_like(layer.biases)
         for b in range(batch):
-            y1, cache1 = layer.forward(x[b])
-            dx1, grads1 = layer.backward(dy[b], cache1)
+            y1, cache1 = layer.forward(x[b][None])
+            dx1, grads1 = layer.backward(dy[b][None], cache1)
             # the matrix-vector code the batched layer replaced
             y_ref = act(layer.weights @ x[b] + layer.biases)
             da = dy[b] * deriv(y_ref)
-            for got in (y[b], y1):
+            for got in (y[b], y1[0]):
                 assert_close(got, y_ref)
-            for got in (dx[b], dx1):
+            for got in (dx[b], dx1[0]):
                 assert_close(got, layer.weights.T @ da)
             assert_close(grads1["weights"], np.outer(da, x[b]))
             assert_close(grads1["biases"], da)
@@ -571,12 +573,12 @@ class TestBatchEquivalence:
         loss, probs, dlogits = softmax_cross_entropy(logits, labels)
         assert loss.shape == (batch,)
         for b in range(batch):
-            single = softmax_cross_entropy(logits[b], int(labels[b]))
+            single = softmax_cross_entropy(logits[b][None], labels[b][None])
             reference = softmax_cross_entropy_reference(logits[b], labels[b])
             for got, ref in zip((loss[b], probs[b], dlogits[b]), reference):
                 assert_close(got, ref)
             for got, ref in zip(single, reference):
-                assert_close(got, ref)
+                assert_close(got[0], ref)
 
     @settings(deadline=None, max_examples=40)
     @given(channels=st.integers(1, 2), filters=st.integers(1, 3),
@@ -602,11 +604,12 @@ class TestBatchEquivalence:
         mean_grads = {name: np.zeros_like(p)
                       for name, p in net.parameters().items()}
         for image, label in samples:
-            logits, cache = net.forward_logits(image)
-            sample_loss, _, dlogits = softmax_cross_entropy(logits, label)
+            logits, cache = net.forward_logits(image[None])
+            sample_loss, _, dlogits = softmax_cross_entropy(
+                logits, np.array([label]))
             for name, g in net.backward_from_logits(dlogits, cache).items():
                 mean_grads[name] += g / batch
-            mean_loss += sample_loss / batch
+            mean_loss += sample_loss[0] / batch
         assert_close(loss, mean_loss)
         assert set(grads) == set(mean_grads)
         for name in grads:
@@ -753,7 +756,7 @@ class TestBatchEquivalence:
         logits, _ = net.forward_logits(net.collate(contents))
         assert logits.shape == (5, 3)
         for row, content in zip(logits, contents):
-            assert_close(row, net.forward_logits(content)[0])
+            assert_close(row, net.forward_logits(net.collate([content]))[0][0])
 
     def test_cloze_lstm_readout_matches_single_samples(self):
         from cogrl.problems import ProblemInstance, split_blank
@@ -774,9 +777,10 @@ class TestBatchEquivalence:
         reps = extract_representations(net, problems)
         assert reps.values.shape == (40, 5)
         for row, p in zip(reps.values, problems):
-            assert_close(row, net.representation(p.content))
-        expected = sum(np.argmax(net.forward_logits(p.content)[0]) == p.answer
-                       for p in problems)
+            assert_close(row, net.representation(net.collate([p.content]))[0])
+        expected = sum(
+            np.argmax(net.forward_logits(net.collate([p.content]))[0][0])
+            == p.answer for p in problems)
         assert training_accuracy(net, problems) == expected / len(problems)
 
     def test_image_cnn_ragged_minibatch_rejected(self):

@@ -66,7 +66,7 @@ class TestBuildImageCNN:
         spec = ImageArchSpec(in_shape=[1, 8, 8], n_classes=2, kernel=3)
         assert spec.in_shape == (1, 8, 8)
         assert build_image_cnn(spec).forward_logits(
-            np.zeros((1, 8, 8)))[0].shape == (2,)
+            np.zeros((1, 1, 8, 8)))[0].shape == (1, 2)
 
     @pytest.mark.parametrize("field,value", [
         ("n_classes", 2.5), ("n_classes", 1), ("kernel", "3"),
@@ -82,11 +82,14 @@ class TestBuildImageCNN:
         spec = ImageArchSpec(in_shape=(1, 6, 6), n_classes=2, filters=2,
                              kernel=3, stride=1, rep_size=4)
         net = build_image_cnn(spec, seed=0)
-        with pytest.raises(DimensionError):
-            net.representation(np.zeros((1, 7, 7)))
+        # a wrong image size, and one image not collated into a minibatch
+        for images in (np.zeros((1, 1, 7, 7)), np.zeros((1, 6, 6))):
+            for entry in (net.representation, net.forward_logits):
+                with pytest.raises(DimensionError, match="minibatch"):
+                    entry(images)
         net.rep.weights[0, 0] = np.nan
         with pytest.raises(NumericError, match="rep"):
-            net.representation(np.ones((1, 6, 6)))
+            net.representation(np.ones((1, 1, 6, 6)))
 
     def test_parameter_count_reported(self):
         spec = ImageArchSpec(in_shape=(1, 8, 8), n_classes=2, filters=2,
@@ -105,8 +108,9 @@ class TestBuildClozeLSTM:
 
     def test_three_answer_classes_three_logits(self):
         net, _ = self._tiny(3)
-        logits, _ = net.forward_logits(split_blank("___ apple is red"))
-        assert logits.shape == (3,)
+        logits, _ = net.forward_logits(
+            net.collate([split_blank("___ apple is red")]))
+        assert logits.shape == (1, 3)
 
     def test_blank_at_start_uses_zero_forward_state(self):
         net, _ = self._tiny()
@@ -114,7 +118,7 @@ class TestBuildClozeLSTM:
         (ids, mask), _ = net.collate([content])
         h_f, _, caches = net.fwd.run(net.embed.forward(ids), mask)
         assert np.array_equal(h_f, np.zeros((1, 4))) and caches == []
-        logits, _ = net.forward_logits(content)
+        logits, _ = net.forward_logits(net.collate([content]))
         assert np.all(np.isfinite(logits))
 
     def test_matches_manual_unroll_oracle(self):
@@ -133,17 +137,19 @@ class TestBuildClozeLSTM:
         for t in post:
             h_b, c_b, _ = lstm_step_full_reference(
                 net.bwd, net.embed.vectors[t], h_b, c_b)
-        comb, _ = net.combine.forward(np.concatenate([h_f, h_b]))
+        comb, _ = net.combine.forward(np.concatenate([h_f, h_b])[None])
         rep, _ = net.rep.forward(comb)
         expected, _ = net.out.forward(rep)
-        logits, _ = net.forward_logits(content)
+        logits, _ = net.forward_logits(net.collate([content]))
         assert np.allclose(logits, expected, atol=1e-12)
 
     def test_non_cloze_content_rejected(self):
         net, _ = self._tiny()
-        for content in (np.zeros(3), "abc ___ d"):
-            with pytest.raises(DimensionError):
-                net.forward_logits(content)
+        # one ClozeContent is not a minibatch either: collate makes one
+        for content in (np.zeros(3), "abc ___ d", split_blank("a ___ b")):
+            for entry in (net.forward_logits, net.representation):
+                with pytest.raises(DimensionError, match="minibatch"):
+                    entry(content)
         with pytest.raises(DimensionError):
             net.batch_loss_and_grads([(split_blank("a ___"), 0), (np.zeros(3), 1)])
 
@@ -363,6 +369,30 @@ class TestPipelineDeterminism:
 
 
 class TestNetworkCheckpoint:
+    HEAD = ["rep.weights", "rep.biases", "out.weights", "out.biases"]
+    CELL = ["w_x", "w_h", "b_x", "b_h"]
+
+    @pytest.mark.parametrize("arch", ["cnn", "lstm"])
+    def test_parameter_and_gradient_order_is_body_then_head(self, arch):
+        # the checkpoint writes its records in this order
+        if arch == "cnn":
+            net = build_image_cnn(ImageArchSpec(
+                in_shape=(1, 6, 6), n_classes=2, filters=2, kernel=3,
+                stride=1, rep_size=4))
+            sample = (np.zeros((1, 6, 6)), 1)
+            body = ["conv.kernels", "conv.gains"]
+        else:
+            net = build_cloze_lstm(ClozeArchSpec(
+                n_classes=2, embedding_dim=3, lstm_hidden=4, combine_size=8,
+                rep_size=5), CharVocab("abc "))
+            sample = (split_blank("ab ___ c"), 1)
+            body = (["embed.vectors"] + [f"fwd.{k}" for k in self.CELL]
+                    + [f"bwd.{k}" for k in self.CELL]
+                    + ["combine.weights", "combine.biases"])
+        assert list(net.parameters()) == body + self.HEAD
+        _, grads = net.batch_loss_and_grads([sample])
+        assert list(grads) == body + self.HEAD
+
     def test_cnn_round_trip_preserves_outputs(self, tmp_path):
         problems = _separable_problems()
         spec = ImageArchSpec(in_shape=(1, 8, 8), n_classes=2, filters=3,
@@ -374,8 +404,8 @@ class TestNetworkCheckpoint:
         save_network(path, net)
         restored = load_network(path)
         for p in problems:
-            assert np.array_equal(net.representation(p.content),
-                                  restored.representation(p.content))
+            assert np.array_equal(net.representation(p.content[None]),
+                                  restored.representation(p.content[None]))
 
     def test_lstm_round_trip_preserves_outputs(self, tmp_path):
         vocab = CharVocab("abco _")
@@ -386,8 +416,9 @@ class TestNetworkCheckpoint:
         save_network(path, net)
         restored = load_network(path)
         content = split_blank("abc ___ oc ba")
-        assert np.array_equal(net.representation(content),
-                              restored.representation(content))
+        batch = net.collate([content])
+        assert np.array_equal(net.representation(batch),
+                              restored.representation(batch))
         assert restored.vocab.chars == vocab.chars
 
     def test_meta_is_the_architecture_and_its_spec(self):
