@@ -9,9 +9,9 @@ first-attempt logs are then fit with the Additive Factors Model so skill
 difficulty and learning-rate estimates can be compared against estimates
 from the original log.
 
-Feature vectors are either the thresholded learned-representation
-dimensions, the six hand-written article-selection predicates below, or any
-caller-provided binary features.
+Feature vectors are either the six hand-written article-selection
+predicates below or any caller-provided binary features, such as the
+thresholded learned-representation dimensions.
 
 A learner's predictions come from one batched, level-synchronous descent:
 each attempt holds its current node as a 0/1 membership over the learner's
@@ -88,12 +88,6 @@ def article_human_features(question: ClozeContent) -> dict[str, int]:
     }
 
 
-def qmatrix_features(q: QMatrix, item_id: str) -> dict[str, int]:
-    """Binary features taken from an item's row of a (thresholded) Q-matrix."""
-    row = q.row(item_id)
-    return {kc: int(v) for kc, v in zip(q.kc_names, row)}
-
-
 # ---------------------------------------------------------------------------
 # decision tree
 
@@ -116,20 +110,26 @@ class DecisionTree:
     root: TreeNode
 
 
-def _encode(feature_rows, labels):
-    """Feature dicts as an (n, F) int8 matrix in the first row's name order,
-    and labels as int codes into their sorted distinct values."""
+def _feature_names(feature_rows):
+    """The first feature dict's names, which every other dict must share."""
     names = feature_rows[0].keys()
     if any(features.keys() != names for features in feature_rows):
         raise InputError("inconsistent feature names across examples")
-    x = np.array([[f[name] for name in names] for f in feature_rows],
-                 dtype=np.int64)
-    if not ((x == 0) | (x == 1)).all():
+    return names
+
+
+def _encode(feature_rows, labels):
+    """Feature dicts as an (n, F) int8 matrix in the first row's name order,
+    and labels as int codes into their sorted distinct values."""
+    names = _feature_names(feature_rows)
+    rows = [[f[name] for name in names] for f in feature_rows]
+    # compared before the cast, which would truncate 0.5 or parse '1'
+    if not all(v == 0 or v == 1 for row in rows for v in row):
         raise InputError("features must be binary")
     values = sorted(set(labels))
     code = {label: c for c, label in enumerate(values)}
     y = np.array([code[label] for label in labels], dtype=np.int64)
-    return list(names), x.astype(np.int8), y, values
+    return list(names), np.array(rows, dtype=np.int8), y, values
 
 
 # attempts whose nodes are held at once: at most this many (attempt, row)
@@ -330,20 +330,20 @@ def simulate_and_estimate(original_log: TransactionLog,
                           q_eval: QMatrix,
                           fit: FitConfig | None = None,
                           sim: SimConfig | None = None,
-                          cogrl_q: QMatrix | None = None,
                           custom_features: dict[str, dict[str, int]] | None = None,
                           jobs: int = 1) -> SimulationStudy:
     """Simulate one apprentice per student and compare AFM estimates.
 
     Each simulated learner replays its student's exact item sequence from
     the original log. feature_mode selects the input features: 'human' (the
-    six article predicates), 'cogrl' (rows of ``cogrl_q``, the thresholded
-    representation Q-matrix), or 'custom' (``custom_features`` keyed by item
-    id). Both the pooled simulated log and the original log are fit against
-    ``q_eval`` and the per-KC intercepts and slopes are correlated. Students
-    are independent; jobs > 1 simulates them in worker processes with the
-    pooled log assembled in sorted student order either way. Without
-    ``fit``, both fits use ``l2_beta_gamma = STUDY_L2_BETA_GAMMA``.
+    six article predicates) or 'custom' (``custom_features`` keyed by item
+    id, such as the rows of a thresholded representation Q-matrix). Every
+    log item's row must have the same feature names. Both the pooled
+    simulated log and the original log are fit against ``q_eval`` and the
+    per-KC intercepts and slopes are correlated. Students are independent;
+    jobs > 1 simulates them in worker processes with the pooled log
+    assembled in sorted student order either way. Without ``fit``, both fits
+    use ``l2_beta_gamma = STUDY_L2_BETA_GAMMA``.
     """
     fit = fit or FitConfig(l2_beta_gamma=STUDY_L2_BETA_GAMMA)
     sim = sim or SimConfig()
@@ -355,12 +355,6 @@ def simulate_and_estimate(original_log: TransactionLog,
                 raise InputError(
                     f"human features need cloze content ({p.item_id})")
             features[p.item_id] = article_human_features(p.content)
-    elif feature_mode == "cogrl":
-        if cogrl_q is None:
-            raise ConfigurationError(
-                "feature_mode 'cogrl' needs the thresholded Q-matrix")
-        features = {p.item_id: qmatrix_features(cogrl_q, p.item_id)
-                    for p in problems}
     elif feature_mode == "custom":
         if custom_features is None:
             raise ConfigurationError(
@@ -375,6 +369,8 @@ def simulate_and_estimate(original_log: TransactionLog,
             raise InputError(f"log item {item!r} has no problem content")
         if item not in features:
             raise InputError(f"log item {item!r} has no feature row")
+    if cols.items:  # checked once, whatever split of items the learners get
+        _feature_names([features[item] for item in cols.items])
     labels = sorted({p.answer for p in problems})
     groups = np.split(np.argsort(cols.student, kind="stable"),
                       np.cumsum(np.bincount(cols.student))[:-1])

@@ -309,25 +309,20 @@ def cmd_simulate(args, seed):
     bundle = load_cloze(args.cloze)
     q_eval = read_qmatrix(args.q_eval)
     inputs = [args.log, args.cloze, args.q_eval]
-    kwargs = {}
-    if args.features == "cogrl":
-        if not args.cogrl_q:
-            raise ConfigurationError("--features cogrl requires --cogrl-q")
-        kwargs["cogrl_q"] = read_qmatrix(args.cogrl_q)
-        inputs.append(args.cogrl_q)
-        mode = "cogrl"
-    elif args.features == "file":
-        if not args.features_file:
-            raise ConfigurationError("--features file requires --features-file")
-        kwargs["custom_features"] = read_features(args.features_file)
-        inputs.append(args.features_file)
-        mode = "custom"
-    else:
-        mode = "human"
+    mode, features = "human", None
+    if args.features != "human":
+        # a thresholded Q-matrix is an item-feature table: item_id, then 0/1
+        flag, path = (("--cogrl-q", args.cogrl_q) if args.features == "cogrl"
+                      else ("--features-file", args.features_file))
+        if not path:
+            raise ConfigurationError(
+                f"--features {args.features} requires {flag}")
+        mode, features = "custom", read_features(path)
+        inputs.append(path)
     study = simulate_and_estimate(
         log, bundle.problems, mode, q_eval, fit=_fit_config(args),
         sim=SimConfig(seed=seed, refit_every=args.refit_every),
-        jobs=args.jobs, **kwargs)
+        custom_features=features, jobs=args.jobs)
     write_lines(args.out, study.to_tsv_lines())
     outputs = [args.out]
     if args.out_sim_log:

@@ -70,8 +70,6 @@ def identical_transfer(item_ids: list[str]) -> QMatrix:
     """One unique KC per item: transfer only across identical stimuli."""
     if not item_ids:
         raise InputError("identical_transfer needs at least one item")
-    if len(set(item_ids)) != len(item_ids):
-        raise InputError("identical_transfer requires unique item ids")
     names = [f"item:{item}" for item in item_ids]
     return QMatrix(list(item_ids), names, np.eye(len(item_ids), dtype=np.int64))
 

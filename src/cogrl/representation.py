@@ -354,9 +354,6 @@ class RepresentationMatrix:
 def extract_representations(net: Network,
                             problems: list[ProblemInstance]) -> RepresentationMatrix:
     """Deterministic pre-output rows for each problem, values in (0, 1)."""
-    if not hasattr(net, "representation"):
-        raise ConfigurationError(
-            "network has no designated pre-output layer to extract")
     rows = _read_out(net, problems, net.representation)
     return RepresentationMatrix([p.item_id for p in problems],
                                 np.concatenate(rows) if rows else np.zeros((0, 0)))

@@ -25,13 +25,11 @@ from cogrl.apprentice import (
     _encode,
     article_human_features,
     fit_decision_tree,
-    qmatrix_features,
     simulate_and_estimate,
     simulate_learner,
     tree_predict,
 )
-from cogrl.cogmodel import QMatrix
-from cogrl.errors import InputError
+from cogrl.errors import ConfigurationError, InputError
 from cogrl.ingest import ClozeSynthSpec, synth_cloze
 from cogrl.problems import ProblemInstance, split_blank
 
@@ -76,10 +74,6 @@ class TestArticleFeatures:
     def test_feature_name_order_stable(self):
         f = article_human_features(split_blank("___ apple"))
         assert list(f.keys()) == ARTICLE_FEATURE_NAMES
-
-    def test_qmatrix_features(self):
-        q = QMatrix(["A"], ["k1", "k2"], np.array([[1, 0]]))
-        assert qmatrix_features(q, "A") == {"k1": 1, "k2": 0}
 
 
 def _vec(bits):
@@ -147,8 +141,15 @@ class TestDecisionTree:
         assert tree.root.feature == 0
 
     def test_non_binary_feature_value_rejected(self):
+        # compared before the int cast, which would turn 0.5 into 0 and
+        # 1.7 or '1' into 1, and which raises TypeError on None
+        for value in (2, 0.5, 1.7, "1", None):
+            with pytest.raises(InputError, match="binary"):
+                fit_decision_tree([(_vec([value]), 0), (_vec([1]), 1)])
+        p = _cloze_problem("a", "I saw ___ dog", 0)
         with pytest.raises(InputError, match="binary"):
-            fit_decision_tree([(_vec([2]), 0), (_vec([1]), 1)])
+            simulate_learner([(p, {"f0": 1}), (p, {"f0": 0.5})],
+                             SimConfig(seed=0))
 
     def test_leaf_majority_ties_to_lowest_label(self):
         examples = [(_vec([0]), 1), (_vec([0]), 0)]
@@ -472,20 +473,45 @@ class TestSimulateAndEstimate:
                                   bundle.extras["oracle_q"],
                                   custom_features=feats)
 
-    def test_cogrl_mode_requires_matrix(self):
+    def test_cogrl_mode_is_unknown(self):
+        # a thresholded Q-matrix is passed as custom_features instead
         bundle, log = self._study_inputs(n_students=2)
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError,
+                           match="unknown feature_mode 'cogrl'"):
             simulate_and_estimate(log, bundle.problems, "cogrl",
                                   bundle.extras["oracle_q"])
 
     def test_cogrl_features_from_thresholded_matrix(self):
         bundle, log = self._study_inputs(n_students=8)
         q = bundle.extras["oracle_q"]
+        rows = {item: dict(zip(q.kc_names, q.row(item).tolist()))
+                for item in q.item_ids}
         # one-hot rule columns as binary input features fully determine the
         # answer, so every KC is learnable from these features
-        study = simulate_and_estimate(log, bundle.problems, "cogrl", q,
-                                      sim=SimConfig(seed=13), cogrl_q=q)
+        study = simulate_and_estimate(log, bundle.problems, "custom", q,
+                                      sim=SimConfig(seed=13),
+                                      custom_features=rows)
         assert min(study.params_sim.gamma.values()) > 0.2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_feature_names_checked_across_students(self, jobs):
+        bundle = synth_cloze(ClozeSynthSpec(seed=1))
+        items = [p.item_id for p in bundle.problems]
+        feats = dict(bundle.extras["features_full"])
+        for item in items[35:]:
+            feats[item] = {f"x_{k}": v for k, v in feats[item].items()}
+        # student a works items 0-34 and student b items 35-69, so each
+        # learner alone sees one consistent set of names
+        split = TransactionLog(
+            [("a" if k < 35 else "b", item, k % 2, k + 1)
+             for k, item in enumerate(items)])
+        alone = TransactionLog(
+            [("a", item, k % 2, k + 1) for k, item in enumerate(items)])
+        for log in (split, alone):
+            with pytest.raises(InputError, match="inconsistent feature names"):
+                simulate_and_estimate(log, bundle.problems, "custom",
+                                      bundle.extras["oracle_q"],
+                                      custom_features=feats, jobs=jobs)
 
     def test_monotone_success_over_opportunities_with_full_features(self):
         bundle, log = self._study_inputs(n_students=20, seed=5)

@@ -217,18 +217,66 @@ class TestSimulate:
         assert lines[-1].startswith("correlation_with_original")
         assert (tmp_path / "sim_log.tsv").exists()
 
-    def test_simulate_cogrl_features(self, cloze_dir, tmp_path):
+    def test_simulate_cogrl_features(self, cloze_dir, tmp_path, capsys):
         assert run(["synth", "afm-log", "--out-dir", tmp_path / "log",
                     "--seed", "4", "--students", "5",
                     "--qmatrix", cloze_dir / "oracle_q.tsv"]) == 0
-        code = run(["simulate", "--log", tmp_path / "log" / "transactions.tsv",
+        base = ["simulate", "--log", tmp_path / "log" / "transactions.tsv",
+                "--cloze", cloze_dir / "cloze.tsv",
+                "--q-eval", cloze_dir / "oracle_q.tsv", "--seed", "2"]
+        # a thresholded Q-matrix and an item-feature file are one table
+        # layout, so either flag gives the same study from the same table
+        for table in ("oracle_q.tsv", "features_full.tsv"):
+            results = []
+            for flags in (["--features", "cogrl", "--cogrl-q"],
+                          ["--features", "file", "--features-file"]):
+                capsys.readouterr()
+                assert run(base + flags + [
+                    cloze_dir / table, "--out", tmp_path / "study.tsv",
+                    "--out-sim-log", tmp_path / "sim_log.tsv"]) == 0
+                results.append(((tmp_path / "study.tsv").read_bytes(),
+                                (tmp_path / "sim_log.tsv").read_bytes(),
+                                capsys.readouterr().out))
+            assert results[0] == results[1]
+            assert results[0][2].startswith("simulate: ")
+
+    def test_header_only_cogrl_q_exit_code(self, cloze_dir, tmp_path, capsys):
+        assert run(["synth", "afm-log", "--out-dir", tmp_path / "log",
+                    "--seed", "3", "--students", "2",
+                    "--qmatrix", cloze_dir / "oracle_q.tsv"]) == 0
+        header = (cloze_dir / "oracle_q.tsv").read_text().splitlines()[0]
+        empty = tmp_path / "q_empty.tsv"
+        empty.write_text(header + "\n")
+        assert run(["simulate", "--log", tmp_path / "log" / "transactions.tsv",
                     "--cloze", cloze_dir / "cloze.tsv",
                     "--q-eval", cloze_dir / "oracle_q.tsv",
-                    "--features", "cogrl",
-                    "--cogrl-q", cloze_dir / "oracle_q.tsv",
-                    "--seed", "2", "--out", tmp_path / "study.tsv"])
-        assert code == 0
-        assert (tmp_path / "study.tsv").exists()
+                    "--features", "cogrl", "--cogrl-q", empty,
+                    "--out", tmp_path / "study.tsv"]) == 3
+        assert "has no feature row" in capsys.readouterr().err
+
+    def test_cogrl_q_needs_rows_only_for_log_items(self, cloze_dir, tmp_path):
+        assert run(["synth", "afm-log", "--out-dir", tmp_path / "log",
+                    "--seed", "3", "--students", "3",
+                    "--qmatrix", cloze_dir / "oracle_q.tsv"]) == 0
+        lines = (tmp_path / "log" / "transactions.tsv").read_text().splitlines()
+        unvisited = lines[1].split("\t")[1]
+        log = tmp_path / "log_cut.tsv"
+        log.write_text("\n".join([lines[0]] + [
+            ln for ln in lines[1:] if ln.split("\t")[1] != unvisited]) + "\n")
+        q_lines = (cloze_dir / "oracle_q.tsv").read_text().splitlines()
+        q_cut = tmp_path / "q_cut.tsv"
+        q_cut.write_text("\n".join([q_lines[0]] + [
+            ln for ln in q_lines[1:] if ln.split("\t")[0] != unvisited]) + "\n")
+        base = ["simulate", "--log", log, "--cloze", cloze_dir / "cloze.tsv",
+                "--q-eval", cloze_dir / "oracle_q.tsv", "--features", "cogrl",
+                "--seed", "6"]
+        # the rows of items the log never visits are never read
+        assert run(base + ["--cogrl-q", q_cut,
+                           "--out", tmp_path / "cut.tsv"]) == 0
+        assert run(base + ["--cogrl-q", cloze_dir / "oracle_q.tsv",
+                           "--out", tmp_path / "full.tsv"]) == 0
+        assert (tmp_path / "cut.tsv").read_bytes() == \
+               (tmp_path / "full.tsv").read_bytes()
 
     def test_simulate_file_features_rerun_identical(self, cloze_dir, tmp_path):
         assert run(["synth", "afm-log", "--out-dir", tmp_path / "log",

@@ -296,8 +296,10 @@ class TestDenseForward:
 
     def test_length_mismatch_rejected(self):
         layer = DenseLayer(3, 2, rng=np.random.default_rng(0))
-        with pytest.raises(DimensionError):
-            layer.forward(np.zeros(4))
+        # a minibatch of rows one value too long, and a single unbatched row
+        for x in (np.zeros((2, 4)), np.zeros(4)):
+            with pytest.raises(DimensionError, match=r"\(B, 3\)"):
+                layer.forward(x)
 
     def test_activation_ranges(self):
         rng = np.random.default_rng(8)

@@ -266,13 +266,6 @@ class TestExtractRepresentations:
         reps = extract_representations(net, dup)
         assert np.array_equal(reps.values[0], reps.values[1])
 
-    def test_network_without_pre_output_rejected(self):
-        class Bare:
-            pass
-
-        with pytest.raises(ConfigurationError):
-            extract_representations(Bare(), [])
-
     def test_tsv_round_trip_exact(self, tmp_path):
         net, problems = self._trained()
         reps = extract_representations(net, problems)
