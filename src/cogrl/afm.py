@@ -37,6 +37,7 @@ from .errors import (
     ConfigurationError,
     FitError,
     InputError,
+    read_floats,
     read_table,
     write_lines,
 )
@@ -703,7 +704,7 @@ def read_params(path) -> AFMParams:
             raise InputError(
                 f"{path}: line {ln}: duplicate {role} row for {name!r}")
         try:
-            roles[role][name] = float(value)
+            roles[role][name] = float(read_floats([value])[0])
         except ValueError:
             raise InputError(f"{path}: line {ln}: bad value") from None
     return AFMParams(**roles)

@@ -199,9 +199,9 @@ def cmd_train_rep(args, seed):
             combine_size=2 * args.lstm_hidden, rep_size=args.rep_size)
         net = build_cloze_lstm(spec, vocab, seed=seed)
     history = train_model(net, bundle.problems, sgd)
-    accuracy = training_accuracy(net, bundle.problems)
-    save_network(args.out_checkpoint, net)
     reps = extract_representations(net, bundle.problems)
+    accuracy = training_accuracy(net, reps, bundle.problems)
+    save_network(args.out_checkpoint, net)
     write_representations(args.out_reps, reps)
     print(f"trained {net.__class__.variant}: parameters={net.parameter_count()} "
           f"epochs={len(history)} final_loss={history[-1]:.6f} "

@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 
 class CogrlError(Exception):
     """Base class for every error raised by this package."""
@@ -108,6 +110,16 @@ def read_binary(path, ln: int, cells: list[str]) -> list[int]:
     except KeyError as exc:
         raise InputError(f"{path}: line {ln}: cells must be 0 or 1, "
                          f"got {exc.args[0]!r}") from None
+
+
+def read_floats(cells: list[str]) -> np.ndarray:
+    """Parse number cells as the writers format them (``%.17g``): finite,
+    in float() syntax less the ``_`` digit separators float() also takes.
+    Anything else raises ValueError, for the caller to name the line."""
+    values = np.array([float(c) for c in cells], dtype=np.float64)
+    if "_" in "".join(cells) or not np.isfinite(values).all():
+        raise ValueError("numbers must be finite and written without '_'")
+    return values
 
 
 def write_lines(path, lines: Iterable[str]) -> None:

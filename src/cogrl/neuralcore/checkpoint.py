@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ..errors import InputError, read_lines
+from ..errors import InputError, read_floats, read_lines
 
 MAGIC = "cogrl-checkpoint"
 VERSION = 1
@@ -81,9 +81,8 @@ def load_checkpoint(path):
         if any(d < 1 for d in shape):
             raise InputError(
                 f"{path}: line {i + 1}: extents of {name} must be positive")
-        tokens = lines[i + 1].split()
         try:
-            values = np.array([float(t) for t in tokens], dtype=np.float64)
+            values = read_floats(lines[i + 1].split())
         except ValueError as exc:
             raise InputError(f"{path}: line {i + 2}: bad value: {exc}") from exc
         expected = math.prod(shape)

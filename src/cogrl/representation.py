@@ -23,6 +23,7 @@ from .errors import (
     DimensionError,
     InputError,
     NumericError,
+    read_floats,
     read_table,
     write_lines,
 )
@@ -316,26 +317,11 @@ def train_model(net: Network, problems: list[ProblemInstance],
     return history
 
 
-# problems per batched readout pass: at most one training minibatch's memory
-READOUT_CHUNK = 32
-
-
-def _read_out(net: Network, problems, forward) -> list:
-    """``forward`` of each collated run of READOUT_CHUNK problems."""
-    return [forward(net.collate([p.content
-                                 for p in problems[s:s + READOUT_CHUNK]]))
-            for s in range(0, len(problems), READOUT_CHUNK)]
-
-
-def training_accuracy(net: Network, problems) -> float:
-    logits = np.concatenate(
-        _read_out(net, problems, lambda batch: net.forward_logits(batch)[0]))
-    return float(np.mean(np.argmax(logits, axis=1)
-                         == [p.answer for p in problems]))
-
-
 # ---------------------------------------------------------------------------
 # representation extraction and thresholding
+
+# problems per batched readout pass: at most one training minibatch's memory
+READOUT_CHUNK = 32
 
 
 @dataclass
@@ -353,10 +339,29 @@ class RepresentationMatrix:
 
 def extract_representations(net: Network,
                             problems: list[ProblemInstance]) -> RepresentationMatrix:
-    """Deterministic pre-output rows for each problem, values in (0, 1)."""
-    rows = _read_out(net, problems, net.representation)
+    """Deterministic pre-output rows for each problem, values in (0, 1),
+    read out READOUT_CHUNK problems per forward pass."""
+    rows = [net.representation(net.collate(
+                [p.content for p in problems[s:s + READOUT_CHUNK]]))
+            for s in range(0, len(problems), READOUT_CHUNK)]
     return RepresentationMatrix([p.item_id for p in problems],
                                 np.concatenate(rows) if rows else np.zeros((0, 0)))
+
+
+def training_accuracy(net: Network, reps: RepresentationMatrix,
+                      problems: list[ProblemInstance]) -> float:
+    """Share of ``problems`` whose largest logit is their answer, scored
+    from their rows in ``reps``, as ``extract_representations`` returned
+    them. The rows go through the head's ``out`` layer in the same
+    READOUT_CHUNK slices as a forward pass, so the logits are
+    ``forward_logits``'s without running the network again."""
+    if reps.item_ids != [p.item_id for p in problems]:
+        raise DimensionError("representation rows do not match the problems")
+    logits = np.concatenate(
+        [check_finite(net.out.forward(reps.values[s:s + READOUT_CHUNK])[0],
+                      "out") for s in range(0, len(problems), READOUT_CHUNK)])
+    return float(np.mean(np.argmax(logits, axis=1)
+                         == [p.answer for p in problems]))
 
 
 def kc_name_for_dim(k: int) -> str:
@@ -396,9 +401,9 @@ def read_representations(path) -> RepresentationMatrix:
     for ln, fields in read_table(path)[1]:
         item_ids.append(fields[0])
         try:
-            rows.append([float(v) for v in fields[1:]])
-            # closed: a saturated sigmoid writes exactly 0 or 1; NaN fails
-            if not all(0.0 <= v <= 1.0 for v in rows[-1]):
+            rows.append(read_floats(fields[1:]))
+            # closed: a saturated sigmoid writes exactly 0 or 1
+            if not ((rows[-1] >= 0.0) & (rows[-1] <= 1.0)).all():
                 raise ValueError
         except ValueError:
             raise InputError(f"{path}: line {ln}: bad value, need a number "

@@ -73,8 +73,8 @@ def visual_study():
                 SGDConfig(learning_rate=0.5, seed=7, max_epochs=4000,
                           target_loss=1e-5))
     train_seconds = time.time() - start
-    accuracy = training_accuracy(net, bundle.problems)
     reps = extract_representations(net, bundle.problems)
+    accuracy = training_accuracy(net, reps, bundle.problems)
     q_cogrl, _ = threshold_qmatrix(reps, 0.95)
     return {
         "bundle": bundle,
@@ -311,7 +311,8 @@ def test_criterion_6_cloze_pipeline(cloze_study):
     history = train_model(net, bundle.problems,
                           SGDConfig(learning_rate=1.0, seed=5,
                                     max_epochs=500, target_loss=0.01))
-    accuracy = training_accuracy(net, bundle.problems)
+    accuracy = training_accuracy(
+        net, extract_representations(net, bundle.problems), bundle.problems)
     ok = accuracy >= 0.90 and len(history) <= 500
     report("6 cloze pipeline", ok,
            f"{len(bundle.problems)} questions, epochs={len(history)}, "

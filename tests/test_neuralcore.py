@@ -501,10 +501,17 @@ class TestBatchEquivalence:
     the per-sample code the batched layers replaced."""
 
     @settings(deadline=None, max_examples=60)
-    @given(in_ch=st.integers(1, 3), out_ch=st.integers(1, 3),
-           r=st.integers(1, 5), stride=st.integers(1, 3),
-           extra_h=st.integers(0, 6), extra_w=st.integers(0, 6),
-           batch=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @given(in_ch=st.integers(1, 3), out_ch=st.integers(1, 10),
+           r=st.integers(1, 5), stride=st.integers(1, 7),
+           extra_h=st.integers(0, 15), extra_w=st.integers(0, 15),
+           batch=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+    # the benchmark's shape: 10 filters of 5 x 5 at stride 2 over a
+    # 32-image minibatch of 20 x 20 images
+    @example(in_ch=1, out_ch=10, r=5, stride=2, extra_h=15, extra_w=15,
+             batch=32, seed=1)
+    # a stride larger than the kernel skips input rows and columns
+    @example(in_ch=2, out_ch=3, r=2, stride=5, extra_h=9, extra_w=7,
+             batch=3, seed=2)
     def test_conv(self, in_ch, out_ch, r, stride, extra_h, extra_w, batch,
                   seed):
         rng = np.random.default_rng(seed)
@@ -783,7 +790,8 @@ class TestBatchEquivalence:
         expected = sum(
             np.argmax(net.forward_logits(net.collate([p.content]))[0][0])
             == p.answer for p in problems)
-        assert training_accuracy(net, problems) == expected / len(problems)
+        assert training_accuracy(net, reps, problems) == \
+            expected / len(problems)
 
     def test_image_cnn_ragged_minibatch_rejected(self):
         from cogrl.representation import ImageArchSpec, build_image_cnn
@@ -981,6 +989,14 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")  # drop values + end
         with pytest.raises(InputError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1_0"])
+    def test_rejects_values_the_writer_never_writes(self, tmp_path, value):
+        path = tmp_path / "model.ckpt"
+        path.write_text(f"cogrl-checkpoint 1\nmeta {{}}\nparam w 1 3\n"
+                        f"0.5 {value} 1\nend\n")
+        with pytest.raises(InputError, match="line 4: bad value"):
             load_checkpoint(path)
 
     def test_rejects_non_positive_extents(self, tmp_path):

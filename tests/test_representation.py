@@ -215,7 +215,8 @@ class TestTrainModel:
         problems = _separable_problems()
         net = self._net()
         history = train_model(net, problems, SGDConfig(seed=0, max_epochs=500))
-        assert training_accuracy(net, problems) == 1.0
+        assert training_accuracy(
+            net, extract_representations(net, problems), problems) == 1.0
         assert history[-1] <= history[0]
 
     def test_single_class_rejected(self):
@@ -265,6 +266,15 @@ class TestExtractRepresentations:
                ProblemInstance("copy", problems[0].content, problems[0].answer)]
         reps = extract_representations(net, dup)
         assert np.array_equal(reps.values[0], reps.values[1])
+
+    def test_accuracy_scores_the_rows_of_its_problems(self):
+        net, problems = self._trained()
+        reps = extract_representations(net, problems)
+        logits = net.forward_logits(net.collate([p.content for p in problems]))[0]
+        assert training_accuracy(net, reps, problems) == np.mean(
+            np.argmax(logits, axis=1) == [p.answer for p in problems])
+        with pytest.raises(DimensionError, match="do not match the problems"):
+            training_accuracy(net, reps, problems[::-1])
 
     def test_tsv_round_trip_exact(self, tmp_path):
         net, problems = self._trained()

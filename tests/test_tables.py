@@ -608,6 +608,16 @@ class TestDuplicateKeys:
             read_params(path)
 
 
+@pytest.mark.parametrize("reader, text", [
+    (read_params, "entity\trole\tvalue\ns1\ttheta\t0.5\nk1\tbeta\t1_0\n"),
+    (read_representations, "item_id\trep_00\na\t0.5\nb\t0_1e-1\n")])
+def test_digit_separators_are_not_numbers(tmp_path, reader, text):
+    path = tmp_path / "t.tsv"
+    path.write_text(text)
+    with pytest.raises(InputError, match="line 3: bad value"):
+        reader(path)
+
+
 @pytest.mark.parametrize("reader, header", [
     (read_qmatrix, "item_id\tk1"), (read_representations, "item_id\trep_00")])
 def test_header_only_table_names_the_file(tmp_path, reader, header):
