@@ -12,14 +12,14 @@ from cogrl.problems import split_blank
 from cogrl.representation import (
     CharVocab,
     ClozeArchSpec,
+    ClozeLSTM,
     ImageArchSpec,
-    build_cloze_lstm,
-    build_image_cnn,
+    ImageCNN,
 )
 
 rng = np.random.default_rng(0)
 
-cnn = build_image_cnn(
+cnn = ImageCNN(
     ImageArchSpec(in_shape=(2, 10, 10), n_classes=3, filters=3, kernel=3,
                   stride=2, rep_size=8), seed=0)
 image = rng.uniform(0.0, 1.0, size=(2, 10, 10))
@@ -28,7 +28,7 @@ print(f"convolutional net: {cnn.parameter_count()} parameters, "
       f"max relative gradient error {err:.3e}")
 
 vocab = CharVocab("abcdefgh .")
-lstm = build_cloze_lstm(
+lstm = ClozeLSTM(
     ClozeArchSpec(n_classes=3, embedding_dim=4, lstm_hidden=6,
                   combine_size=12, rep_size=6), vocab, seed=0)
 question = split_blank("bag of cheese ___ fed the dog")

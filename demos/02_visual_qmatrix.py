@@ -13,7 +13,7 @@ from cogrl.ingest import VisualSynthSpec, synth_visual
 from cogrl.neuralcore import SGDConfig
 from cogrl.representation import (
     ImageArchSpec,
-    build_image_cnn,
+    ImageCNN,
     extract_representations,
     threshold_qmatrix,
     train_model,
@@ -25,7 +25,7 @@ template_of = bundle.extras["template_of"]
 print(f"{len(bundle.problems)} problems from 4 templates, "
       f"classes {bundle.answer_labels}")
 
-net = build_image_cnn(
+net = ImageCNN(
     ImageArchSpec(in_shape=(1, 20, 20), n_classes=2, filters=10, kernel=5,
                   stride=2), seed=7)
 print(f"training {net.parameter_count()}-parameter net "

@@ -16,7 +16,12 @@ full-information feature set recovers every skill's learning curve.
 import numpy as np
 
 from cogrl.afm import TransactionLog
-from cogrl.apprentice import SimConfig, simulate_and_estimate, simulate_learner
+from cogrl.apprentice import (
+    SimConfig,
+    human_features,
+    simulate_and_estimate,
+    simulate_learner,
+)
 from cogrl.ingest import ClozeSynthSpec, synth_cloze
 
 bundle = synth_cloze(ClozeSynthSpec(seed=5))
@@ -43,13 +48,11 @@ original_log = TransactionLog(pooled)
 print(f"original log: {len(original_log)} first attempts, success rate "
       f"{original_log.columns.y.mean():.0%}")
 
-for label, kwargs in (
-        ("six hand-written features",
-         dict(feature_mode="human")),
-        ("full-information features",
-         dict(feature_mode="custom", custom_features=full_features))):
-    study = simulate_and_estimate(original_log, problems, q_eval=q_rules,
-                                  sim=SimConfig(seed=123), **kwargs)
+for label, features in (
+        ("six hand-written features", human_features(problems)),
+        ("full-information features", full_features)):
+    study = simulate_and_estimate(original_log, problems, features, q_rules,
+                                  sim=SimConfig(seed=123))
     print(f"\napprentice with {label}:")
     print(f"  {'skill':20s} {'intercept':>9s} {'slope':>8s}")
     for kc, ic, sl in zip(study.report.kc_names, study.report.intercepts,

@@ -117,6 +117,13 @@ class TransactionLog:
             raise InputError(f"{where(i)}: {problem}")
         self.columns = LogColumns(students, items, student, item, y, order)
 
+    @classmethod
+    def from_columns(cls, columns: LogColumns) -> "TransactionLog":
+        """The log of columns that keep the rules above, left unchecked."""
+        log = cls.__new__(cls)
+        log.columns = columns
+        return log
+
     def __len__(self):
         return len(self.columns.y)
 

@@ -10,8 +10,8 @@ difficulty and learning-rate estimates can be compared against estimates
 from the original log.
 
 Feature vectors are either the six hand-written article-selection
-predicates below or any caller-provided binary features, such as the
-thresholded learned-representation dimensions.
+predicates below (``human_features``) or any caller-provided binary
+features, such as the thresholded learned-representation dimensions.
 
 A learner's predictions come from one batched, level-synchronous descent:
 each attempt holds its current node as a 0/1 membership over the learner's
@@ -110,26 +110,26 @@ class DecisionTree:
     root: TreeNode
 
 
-def _feature_names(feature_rows):
-    """The first feature dict's names, which every other dict must share."""
-    names = feature_rows[0].keys()
-    if any(features.keys() != names for features in feature_rows):
-        raise InputError("inconsistent feature names across examples")
-    return names
+def _codes(values, labels) -> np.ndarray:
+    """Each label's index in ``values``, -1 where it is none of them."""
+    index = {v: c for c, v in enumerate(values)}
+    return np.array([index.get(label, -1) for label in labels], dtype=np.int64)
 
 
 def _encode(feature_rows, labels):
     """Feature dicts as an (n, F) int8 matrix in the first row's name order,
-    and labels as int codes into their sorted distinct values."""
-    names = _feature_names(feature_rows)
+    which every row's names must match, and labels as int codes into their
+    sorted distinct values; no rows give a (0, 0) matrix."""
+    names = next(iter(feature_rows), {}).keys()
+    if any(features.keys() != names for features in feature_rows):
+        raise InputError("inconsistent feature names across examples")
     rows = [[f[name] for name in names] for f in feature_rows]
     # compared before the cast, which would truncate 0.5 or parse '1'
     if not all(v == 0 or v == 1 for row in rows for v in row):
         raise InputError("features must be binary")
     values = sorted(set(labels))
-    code = {label: c for c, label in enumerate(values)}
-    y = np.array([code[label] for label in labels], dtype=np.int64)
-    return list(names), np.array(rows, dtype=np.int8), y, values
+    return (list(names), np.array(rows, dtype=np.int8).reshape(
+        len(rows), len(names)), _codes(values, labels), values)
 
 
 # attempts whose nodes are held at once: at most this many (attempt, row)
@@ -263,15 +263,31 @@ class SimConfig:
             raise ConfigurationError("seed must be non-negative")
 
 
+def _outcomes(x: np.ndarray, y: np.ndarray, refit_every: int, seed: int,
+              guesses: np.ndarray) -> np.ndarray:
+    """0/1 outcome of each attempt on the rows of (x, y), in order: attempt
+    i answers with the tree fit on the first i - i % refit_every rows, or
+    before any fit with the label code ``guesses[k]`` (-1 is never right)
+    for a uniform draw k from ``default_rng(seed)``, in attempt order."""
+    if not len(guesses):
+        raise InputError("no answer labels to guess among")
+    step = np.arange(len(y))
+    codes = _attempt_codes(x, y, step - step % refit_every)
+    rng = np.random.default_rng(seed)
+    for i in np.flatnonzero(codes < 0).tolist():
+        codes[i] = guesses[int(rng.integers(len(guesses)))]
+    return (codes == y).astype(np.int64)
+
+
 def simulate_learner(curriculum, config: SimConfig, student_id: str = "sim",
-                     labels=None, orders=None) -> list[Transaction]:
+                     labels=None) -> list[Transaction]:
     """Run one apprentice through an ordered (problem, features) curriculum.
 
     The first attempt on each problem uses only earlier problems' worked
     examples; the current problem's answer is never visible to its own
     attempt. ``labels`` is the dataset's answer-label universe used for the
     cold-start uniform guess (defaults to the labels present in the
-    curriculum); ``orders`` overrides the emitted order fields.
+    curriculum). Orders run 1, 2, ... in curriculum order.
 
     No tree is built: every attempt's root-to-leaf path in the tree of its
     last refit is grown at once, one tree level per pass over all attempts
@@ -280,25 +296,13 @@ def simulate_learner(curriculum, config: SimConfig, student_id: str = "sim",
     curriculum = list(curriculum)
     if not curriculum:
         raise InputError("empty curriculum")
-    orders = range(1, len(curriculum) + 1) if orders is None else orders
-    if len(orders) != len(curriculum):
-        raise InputError("orders must match curriculum length")
     problems, feature_rows = zip(*curriculum)
     _, x, y, answers = _encode(feature_rows, [p.answer for p in problems])
-    labels = answers if labels is None else list(labels)
-    # attempt i's tree was last fit on the first i - i % refit_every examples
-    step = np.arange(len(y))
-    codes = _attempt_codes(x, y, step - step % config.refit_every)
-    rng = np.random.default_rng(config.seed)
-    rows = []
-    for problem, order, code in zip(problems, orders, codes.tolist()):
-        if code < 0:
-            attempt = labels[int(rng.integers(len(labels)))]
-        else:
-            attempt = answers[code]
-        rows.append(Transaction(student_id, problem.item_id,
-                                int(attempt == problem.answer), order))
-    return rows
+    guesses = _codes(answers, answers if labels is None else labels)
+    outcomes = _outcomes(x, y, config.refit_every, config.seed, guesses)
+    return [Transaction(student_id, problem.item_id, outcome, order)
+            for order, (problem, outcome) in enumerate(
+                zip(problems, outcomes.tolist()), start=1)]
 
 
 @dataclass
@@ -324,67 +328,59 @@ class SimulationStudy:
         return lines
 
 
+def human_features(problems) -> dict[str, dict[str, int]]:
+    """The six article predicates of every problem, keyed by item id."""
+    features = {}
+    for p in problems:
+        if not isinstance(p.content, ClozeContent):
+            raise InputError(f"human features need cloze content ({p.item_id})")
+        features[p.item_id] = article_human_features(p.content)
+    return features
+
+
 def simulate_and_estimate(original_log: TransactionLog,
                           problems: list[ProblemInstance],
-                          feature_mode: str,
+                          features: dict[str, dict[str, int]],
                           q_eval: QMatrix,
                           fit: FitConfig | None = None,
                           sim: SimConfig | None = None,
-                          custom_features: dict[str, dict[str, int]] | None = None,
                           jobs: int = 1) -> SimulationStudy:
     """Simulate one apprentice per student and compare AFM estimates.
 
     Each simulated learner replays its student's exact item sequence from
-    the original log. feature_mode selects the input features: 'human' (the
-    six article predicates) or 'custom' (``custom_features`` keyed by item
-    id, such as the rows of a thresholded representation Q-matrix). Every
-    log item's row must have the same feature names. Both the pooled
-    simulated log and the original log are fit against ``q_eval`` and the
-    per-KC intercepts and slopes are correlated. Students are independent;
-    jobs > 1 simulates them in worker processes with the pooled log
-    assembled in sorted student order either way. Without ``fit``, both fits
-    use ``l2_beta_gamma = STUDY_L2_BETA_GAMMA``.
+    the original log on binary ``features`` keyed by item id (such as
+    ``human_features`` or the rows of a thresholded Q-matrix), the same
+    names in every log item's row. The log's items are encoded once; each
+    learner gets its student's rows and a seed spawned from ``sim.seed`` in
+    sorted student order, and the simulated log is the original's rows
+    grouped that way with the learners' outcomes. Both logs are fit against
+    ``q_eval`` and the per-KC intercepts and slopes are correlated. jobs > 1
+    simulates the students in worker processes, with the same result.
+    Without ``fit``, both fits use ``l2_beta_gamma = STUDY_L2_BETA_GAMMA``.
     """
     fit = fit or FitConfig(l2_beta_gamma=STUDY_L2_BETA_GAMMA)
     sim = sim or SimConfig()
     by_id = {p.item_id: p for p in problems}
-    if feature_mode == "human":
-        features = {}
-        for p in problems:
-            if not isinstance(p.content, ClozeContent):
-                raise InputError(
-                    f"human features need cloze content ({p.item_id})")
-            features[p.item_id] = article_human_features(p.content)
-    elif feature_mode == "custom":
-        if custom_features is None:
-            raise ConfigurationError(
-                "feature_mode 'custom' needs custom_features")
-        features = custom_features
-    else:
-        raise ConfigurationError(f"unknown feature_mode {feature_mode!r}")
-
     cols = original_log.columns
     for item in cols.items:
         if item not in by_id:
             raise InputError(f"log item {item!r} has no problem content")
         if item not in features:
             raise InputError(f"log item {item!r} has no feature row")
-    if cols.items:  # checked once, whatever split of items the learners get
-        _feature_names([features[item] for item in cols.items])
-    labels = sorted({p.answer for p in problems})
-    groups = np.split(np.argsort(cols.student, kind="stable"),
-                      np.cumsum(np.bincount(cols.student))[:-1])
-    entries = [(by_id[item], features[item]) for item in cols.items]
+    _, x, y, answers = _encode([features[item] for item in cols.items],
+                               [by_id[item].answer for item in cols.items])
+    guesses = _codes(answers, sorted({p.answer for p in problems}))
+    by = np.argsort(cols.student, kind="stable")
+    curricula = np.split(cols.item[by],
+                         np.cumsum(np.bincount(cols.student))[:-1])
     seeds = np.random.SeedSequence(sim.seed).spawn(len(cols.students))
-    payloads = []
-    for student, seq, rows in zip(cols.students, seeds, groups):
-        curriculum = [entries[i] for i in cols.item[rows].tolist()]
-        student_cfg = SimConfig(seed=int(seq.generate_state(1)[0]),
-                                refit_every=sim.refit_every)
-        payloads.append((curriculum, student_cfg, student, labels,
-                         cols.order[rows].tolist()))
-    per_student = run_tasks(simulate_learner, payloads, jobs)
-    simulated_log = TransactionLog([tr for rows in per_student for tr in rows])
+    outcomes = run_tasks(_outcomes, [
+        (x[mine], y[mine], sim.refit_every, int(seq.generate_state(1)[0]),
+         guesses) for seq, mine in zip(seeds, curricula)], jobs)
+    simulated_log = TransactionLog.from_columns(cols._replace(
+        student=cols.student[by], item=cols.item[by], order=cols.order[by],
+        # float64 like every log's outcomes, and defined for no students
+        y=np.concatenate([np.zeros(0), *outcomes])))
 
     params_sim, _ = afm_fit(simulated_log, q_eval, fit)
     params_orig, _ = afm_fit(original_log, q_eval, fit)

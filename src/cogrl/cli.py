@@ -43,6 +43,7 @@ from .apprentice import (
     ARTICLE_FEATURE_NAMES,
     STUDY_L2_BETA_GAMMA,
     SimConfig,
+    human_features,
     simulate_and_estimate,
 )
 from .cogmodel import (
@@ -83,9 +84,9 @@ from .problems import split_blank
 from .representation import (
     CharVocab,
     ClozeArchSpec,
+    ClozeLSTM,
     ImageArchSpec,
-    build_cloze_lstm,
-    build_image_cnn,
+    ImageCNN,
     check_training_set,
     extract_representations,
     read_representations,
@@ -190,14 +191,14 @@ def cmd_train_rep(args, seed):
             in_shape=bundle.problems[0].content.shape,
             n_classes=len(bundle.answer_labels), filters=args.filters,
             kernel=args.kernel, stride=args.stride, rep_size=args.rep_size)
-        net = build_image_cnn(spec, seed=seed)
+        net = ImageCNN(spec, seed=seed)
     else:
         vocab = CharVocab.from_problems(bundle.problems)
         spec = ClozeArchSpec(
             n_classes=len(bundle.answer_labels),
             embedding_dim=args.embedding_dim, lstm_hidden=args.lstm_hidden,
             combine_size=2 * args.lstm_hidden, rep_size=args.rep_size)
-        net = build_cloze_lstm(spec, vocab, seed=seed)
+        net = ClozeLSTM(spec, vocab, seed=seed)
     history = train_model(net, bundle.problems, sgd)
     reps = extract_representations(net, bundle.problems)
     accuracy = training_accuracy(net, reps, bundle.problems)
@@ -309,20 +310,21 @@ def cmd_simulate(args, seed):
     bundle = load_cloze(args.cloze)
     q_eval = read_qmatrix(args.q_eval)
     inputs = [args.log, args.cloze, args.q_eval]
-    mode, features = "human", None
-    if args.features != "human":
+    if args.features == "human":
+        features = human_features(bundle.problems)
+    else:
         # a thresholded Q-matrix is an item-feature table: item_id, then 0/1
         flag, path = (("--cogrl-q", args.cogrl_q) if args.features == "cogrl"
                       else ("--features-file", args.features_file))
         if not path:
             raise ConfigurationError(
                 f"--features {args.features} requires {flag}")
-        mode, features = "custom", read_features(path)
+        features = read_features(path)
         inputs.append(path)
     study = simulate_and_estimate(
-        log, bundle.problems, mode, q_eval, fit=_fit_config(args),
+        log, bundle.problems, features, q_eval, fit=_fit_config(args),
         sim=SimConfig(seed=seed, refit_every=args.refit_every),
-        custom_features=features, jobs=args.jobs)
+        jobs=args.jobs)
     write_lines(args.out, study.to_tsv_lines())
     outputs = [args.out]
     if args.out_sim_log:
@@ -338,7 +340,7 @@ def _gradcheck_cnn(seed, epsilon):
     rng = np.random.default_rng(seed)
     spec = ImageArchSpec(in_shape=(2, 10, 10), n_classes=3, filters=3,
                          kernel=3, stride=2, rep_size=8)
-    net = build_image_cnn(spec, seed=seed)
+    net = ImageCNN(spec, seed=seed)
     image = rng.uniform(0.0, 1.0, size=spec.in_shape)
     return grad_check(net, (image, 1), epsilon)
 
@@ -348,7 +350,7 @@ def _gradcheck_lstm(seed, epsilon):
     vocab = CharVocab("abcdefgh ")
     spec = ClozeArchSpec(n_classes=3, embedding_dim=4, lstm_hidden=6,
                          combine_size=12, rep_size=6)
-    net = build_cloze_lstm(spec, vocab, seed=seed)
+    net = ClozeLSTM(spec, vocab, seed=seed)
     chars = "abcdefgh "
     prefix = "".join(chars[i] for i in rng.integers(0, len(chars), size=9))
     suffix = "".join(chars[i] for i in rng.integers(0, len(chars), size=9))

@@ -258,15 +258,6 @@ def _left_pad(seqs):
     return ids, mask
 
 
-def build_image_cnn(spec: ImageArchSpec, seed: int = 0) -> ImageCNN:
-    return ImageCNN(spec, seed)
-
-
-def build_cloze_lstm(spec: ClozeArchSpec, vocab: CharVocab,
-                     seed: int = 0) -> ClozeLSTM:
-    return ClozeLSTM(spec, vocab, seed)
-
-
 # ---------------------------------------------------------------------------
 # training
 

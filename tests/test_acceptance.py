@@ -21,7 +21,12 @@ from cogrl.afm import (
     item_stratified_cv,
     pearson,
 )
-from cogrl.apprentice import SimConfig, simulate_and_estimate, simulate_learner
+from cogrl.apprentice import (
+    SimConfig,
+    human_features,
+    simulate_and_estimate,
+    simulate_learner,
+)
 from cogrl.cli import main as cli_main
 from cogrl.cogmodel import (
     QMatrix,
@@ -42,9 +47,9 @@ from cogrl.problems import split_blank
 from cogrl.representation import (
     CharVocab,
     ClozeArchSpec,
+    ClozeLSTM,
     ImageArchSpec,
-    build_cloze_lstm,
-    build_image_cnn,
+    ImageCNN,
     extract_representations,
     threshold_qmatrix,
     train_model,
@@ -67,7 +72,7 @@ def visual_study():
     bundle = synth_visual(VisualSynthSpec(seed=7))
     spec = ImageArchSpec(in_shape=(1, 20, 20), n_classes=2, filters=10,
                          kernel=5, stride=2)
-    net = build_image_cnn(spec, seed=7)
+    net = ImageCNN(spec, seed=7)
     start = time.time()
     train_model(net, bundle.problems,
                 SGDConfig(learning_rate=0.5, seed=7, max_epochs=4000,
@@ -118,13 +123,13 @@ def cloze_study():
 def test_criterion_1_gradient_fidelity():
     start = time.time()
     rng = np.random.default_rng(0)
-    cnn = build_image_cnn(ImageArchSpec(
+    cnn = ImageCNN(ImageArchSpec(
         in_shape=(2, 10, 10), n_classes=3, filters=3, kernel=3, stride=2,
         rep_size=8), seed=0)
     cnn_err = grad_check(cnn, (rng.uniform(0, 1, (2, 10, 10)), 1), 1e-5)
 
     vocab = CharVocab("abcdefgh .")
-    lstm = build_cloze_lstm(ClozeArchSpec(
+    lstm = ClozeLSTM(ClozeArchSpec(
         n_classes=3, embedding_dim=4, lstm_hidden=6, combine_size=12,
         rep_size=6), vocab, seed=0)
     chars = "abcdefgh "
@@ -307,7 +312,7 @@ def test_criterion_6_cloze_pipeline(cloze_study):
     assert len(bundle.problems) >= 60
     assert len(bundle.answer_labels) == 3
     vocab = CharVocab.from_problems(bundle.problems)
-    net = build_cloze_lstm(ClozeArchSpec(n_classes=3), vocab, seed=5)
+    net = ClozeLSTM(ClozeArchSpec(n_classes=3), vocab, seed=5)
     history = train_model(net, bundle.problems,
                           SGDConfig(learning_rate=1.0, seed=5,
                                     max_epochs=500, target_loss=0.01))
@@ -331,7 +336,8 @@ def test_criterion_7_apprentice_study(cloze_study):
     q_rules = bundle.extras["oracle_q"]
     hidden = "rule_an_hidden"
 
-    human = simulate_and_estimate(log, bundle.problems, "human", q_rules,
+    human = simulate_and_estimate(log, bundle.problems,
+                                  human_features(bundle.problems), q_rules,
                                   sim=SimConfig(seed=123))
     hidden_slope = human.params_sim.gamma[hidden]
     expressible = {k: human.params_sim.gamma[k]
@@ -339,8 +345,8 @@ def test_criterion_7_apprentice_study(cloze_study):
     min_expressible = min(expressible.values())
 
     full = simulate_and_estimate(
-        log, bundle.problems, "custom", q_rules, sim=SimConfig(seed=123),
-        custom_features=bundle.extras["features_full"])
+        log, bundle.problems, bundle.extras["features_full"], q_rules,
+        sim=SimConfig(seed=123))
     slope_r = full.report.slope_correlation
 
     ok = hidden_slope < 0.05 and min_expressible > 0.2 and slope_r >= 0.8

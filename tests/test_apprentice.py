@@ -25,11 +25,13 @@ from cogrl.apprentice import (
     _encode,
     article_human_features,
     fit_decision_tree,
+    human_features,
     simulate_and_estimate,
     simulate_learner,
     tree_predict,
 )
-from cogrl.errors import ConfigurationError, InputError
+from cogrl.cogmodel import QMatrix
+from cogrl.errors import InputError
 from cogrl.ingest import ClozeSynthSpec, synth_cloze
 from cogrl.problems import ProblemInstance, split_blank
 
@@ -252,6 +254,13 @@ class TestSimulateLearner:
         with pytest.raises(InputError):
             simulate_learner([], SimConfig(seed=0))
 
+    def test_empty_label_universe_rejected(self):
+        # the first attempt has no tree and nothing to guess among
+        p = _cloze_problem("a", "I saw ___ dog", 0)
+        curriculum = [(p, article_human_features(p.content))]
+        with pytest.raises(InputError, match="no answer labels"):
+            simulate_learner(curriculum, SimConfig(seed=0), labels=[])
+
 
 def refit_oracle(curriculum, config, student_id="sim", labels=None):
     """The simulation loop that refits a whole tree after every
@@ -397,6 +406,72 @@ class TestBatchedPathDescent:
         assert rows[-1].outcome == 1
 
 
+def pooled_learners(log, problems, features, sim):
+    """The simulated log as one ``simulate_learner`` per student over that
+    student's rows in row order, seeded from ``sim.seed`` in sorted student
+    order, with the log's orders put back and the students pooled in sorted
+    order."""
+    by_id = {p.item_id: p for p in problems}
+    labels = sorted({p.answer for p in problems})
+    students = sorted({r.student_id for r in log.rows})
+    seeds = np.random.SeedSequence(sim.seed).spawn(len(students))
+    pooled = []
+    for student, seq in zip(students, seeds):
+        mine = [r for r in log.rows if r.student_id == student]
+        config = SimConfig(seed=int(seq.generate_state(1)[0]),
+                           refit_every=sim.refit_every)
+        rows = simulate_learner(
+            [(by_id[r.item_id], features[r.item_id]) for r in mine], config,
+            student, labels)
+        pooled += [t._replace(order=r.order) for t, r in zip(rows, mine)]
+    return tuple(pooled)
+
+
+@st.composite
+def studies(draw):
+    """A log whose students' rows interleave, with ids that do not sort in
+    row order and orders with gaps, over 1-6 items; a 0-4 feature table
+    over those items; answers from up to 4 labels, some of them only on
+    problems the log never visits, so that learners meet few labels."""
+    n_items = draw(st.integers(1, 6))
+    n_labels = draw(st.integers(1, 4))
+    answers = draw(st.lists(st.integers(0, n_labels - 1),
+                            min_size=n_items + 2, max_size=n_items + 2))
+    problems = [ProblemInstance(f"i{k}", None, a)
+                for k, a in enumerate(answers)]
+    n_features = draw(st.integers(0, 4))
+    features = {p.item_id: _vec(draw(st.lists(
+        st.integers(0, 1), min_size=n_features, max_size=n_features)))
+        for p in problems}
+    ids = ["s3", "s10", "s1", "s2"]
+    last = dict.fromkeys(ids, 0)
+    rows = []
+    for s, k in draw(st.lists(st.tuples(st.sampled_from(ids),
+                                        st.integers(0, n_items - 1)),
+                              min_size=1, max_size=30)):
+        last[s] += draw(st.integers(1, 3))
+        rows.append((s, f"i{k}", draw(st.integers(0, 1)), last[s]))
+    return TransactionLog(rows), problems, features
+
+
+class TestStudyEquivalence:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @settings(deadline=None, max_examples=40)
+    @given(study=studies(), refit_every=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_simulated_log_is_the_pooled_learners(self, jobs, study,
+                                                  refit_every, seed):
+        log, problems, features = study
+        q = QMatrix([p.item_id for p in problems], ["k"],
+                    np.ones((len(problems), 1)))
+        sim = SimConfig(seed=seed, refit_every=refit_every)
+        # one KC's estimates have no correlation: report nothing
+        with mock.patch.object(apprentice, "param_report"):
+            simulated = simulate_and_estimate(log, problems, features, q,
+                                              sim=sim, jobs=jobs).simulated_log
+        assert simulated.rows == pooled_learners(log, problems, features, sim)
+
+
 class TestSimulateAndEstimate:
     def _study_inputs(self, n_students=6, seed=11):
         bundle = synth_cloze(ClozeSynthSpec(seed=7))
@@ -418,12 +493,10 @@ class TestSimulateAndEstimate:
         bundle, log = self._study_inputs()
         q = bundle.extras["oracle_q"]
         feats = bundle.extras["features_full"]
-        study = simulate_and_estimate(
-            log, bundle.problems, "custom", q,
-            sim=SimConfig(seed=21), custom_features=feats)
-        again = simulate_and_estimate(
-            log, bundle.problems, "custom", q,
-            sim=SimConfig(seed=21), custom_features=feats)
+        study = simulate_and_estimate(log, bundle.problems, feats, q,
+                                      sim=SimConfig(seed=21))
+        again = simulate_and_estimate(log, bundle.problems, feats, q,
+                                      sim=SimConfig(seed=21))
         assert study.simulated_log.rows == again.simulated_log.rows
         report = study.report
         assert report.slope_correlation is not None
@@ -432,13 +505,14 @@ class TestSimulateAndEstimate:
     def test_study_fits_penalize_beta_and_gamma_by_default(self):
         bundle, log = self._study_inputs(n_students=6)
         q = bundle.extras["oracle_q"]
-        study = simulate_and_estimate(log, bundle.problems, "human", q,
+        human = human_features(bundle.problems)
+        study = simulate_and_estimate(log, bundle.problems, human, q,
                                       sim=SimConfig(seed=4))
         explicit = simulate_and_estimate(
-            log, bundle.problems, "human", q, sim=SimConfig(seed=4),
+            log, bundle.problems, human, q, sim=SimConfig(seed=4),
             fit=FitConfig(l2_beta_gamma=STUDY_L2_BETA_GAMMA))
         unpenalized = simulate_and_estimate(
-            log, bundle.problems, "human", q, sim=SimConfig(seed=4),
+            log, bundle.problems, human, q, sim=SimConfig(seed=4),
             fit=FitConfig())
         assert study.params_sim == explicit.params_sim
         assert study.params_orig == explicit.params_orig
@@ -448,7 +522,8 @@ class TestSimulateAndEstimate:
         bundle, log = self._study_inputs()
         q = bundle.extras["oracle_q"]
         study = simulate_and_estimate(
-            log, bundle.problems, "human", q, sim=SimConfig(seed=3))
+            log, bundle.problems, human_features(bundle.problems), q,
+            sim=SimConfig(seed=3))
         orig = [(r.student_id, r.item_id, r.order) for r in log.rows]
         sim = [(r.student_id, r.item_id, r.order)
                for r in study.simulated_log.rows]
@@ -457,9 +532,10 @@ class TestSimulateAndEstimate:
     def test_jobs_do_not_change_study(self):
         bundle, log = self._study_inputs(n_students=4)
         q = bundle.extras["oracle_q"]
-        a = simulate_and_estimate(log, bundle.problems, "human", q,
+        human = human_features(bundle.problems)
+        a = simulate_and_estimate(log, bundle.problems, human, q,
                                   sim=SimConfig(seed=2), jobs=1)
-        b = simulate_and_estimate(log, bundle.problems, "human", q,
+        b = simulate_and_estimate(log, bundle.problems, human, q,
                                   sim=SimConfig(seed=2), jobs=3)
         assert a.simulated_log.rows == b.simulated_log.rows
 
@@ -469,17 +545,13 @@ class TestSimulateAndEstimate:
         missing = log.rows[0].item_id
         del feats[missing]
         with pytest.raises(InputError, match=repr(missing)):
-            simulate_and_estimate(log, bundle.problems, "custom",
-                                  bundle.extras["oracle_q"],
-                                  custom_features=feats)
-
-    def test_cogrl_mode_is_unknown(self):
-        # a thresholded Q-matrix is passed as custom_features instead
-        bundle, log = self._study_inputs(n_students=2)
-        with pytest.raises(ConfigurationError,
-                           match="unknown feature_mode 'cogrl'"):
-            simulate_and_estimate(log, bundle.problems, "cogrl",
+            simulate_and_estimate(log, bundle.problems, feats,
                                   bundle.extras["oracle_q"])
+
+    def test_human_features_need_cloze_content(self):
+        image = ProblemInstance("img", np.zeros((1, 2, 2)), 0)
+        with pytest.raises(InputError, match="cloze content"):
+            human_features([image])
 
     def test_cogrl_features_from_thresholded_matrix(self):
         bundle, log = self._study_inputs(n_students=8)
@@ -488,9 +560,8 @@ class TestSimulateAndEstimate:
                 for item in q.item_ids}
         # one-hot rule columns as binary input features fully determine the
         # answer, so every KC is learnable from these features
-        study = simulate_and_estimate(log, bundle.problems, "custom", q,
-                                      sim=SimConfig(seed=13),
-                                      custom_features=rows)
+        study = simulate_and_estimate(log, bundle.problems, rows, q,
+                                      sim=SimConfig(seed=13))
         assert min(study.params_sim.gamma.values()) > 0.2
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -509,17 +580,15 @@ class TestSimulateAndEstimate:
             [("a", item, k % 2, k + 1) for k, item in enumerate(items)])
         for log in (split, alone):
             with pytest.raises(InputError, match="inconsistent feature names"):
-                simulate_and_estimate(log, bundle.problems, "custom",
-                                      bundle.extras["oracle_q"],
-                                      custom_features=feats, jobs=jobs)
+                simulate_and_estimate(log, bundle.problems, feats,
+                                      bundle.extras["oracle_q"], jobs=jobs)
 
     def test_monotone_success_over_opportunities_with_full_features(self):
         bundle, log = self._study_inputs(n_students=20, seed=5)
         q = bundle.extras["oracle_q"]
         feats = bundle.extras["features_full"]
-        study = simulate_and_estimate(
-            log, bundle.problems, "custom", q, sim=SimConfig(seed=8),
-            custom_features=feats)
+        study = simulate_and_estimate(log, bundle.problems, feats, q,
+                                      sim=SimConfig(seed=8))
         table = compute_opportunities(study.simulated_log, q)
         by_kc: dict[str, dict[str, list[int]]] = {}
         for tr, opps in zip(study.simulated_log.rows, table.rows):

@@ -254,6 +254,21 @@ class TestSimulate:
                     "--out", tmp_path / "study.tsv"]) == 3
         assert "has no feature row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("features", [
+        ["--features", "human"],
+        ["--features", "file", "--features-file", "features_full.tsv"]])
+    def test_header_only_log_exit_code(self, cloze_dir, tmp_path, capsys,
+                                       features):
+        log = tmp_path / "log.tsv"
+        log.write_text("student_id\titem_id\toutcome\torder\n")
+        features = [cloze_dir / f if f.endswith(".tsv") else f
+                    for f in features]
+        assert run(["simulate", "--log", log,
+                    "--cloze", cloze_dir / "cloze.tsv",
+                    "--q-eval", cloze_dir / "oracle_q.tsv", *features,
+                    "--out", tmp_path / "study.tsv"]) == 3
+        assert "cannot fit on an empty log" in capsys.readouterr().err
+
     def test_cogrl_q_needs_rows_only_for_log_items(self, cloze_dir, tmp_path):
         assert run(["synth", "afm-log", "--out-dir", tmp_path / "log",
                     "--seed", "3", "--students", "3",

@@ -597,14 +597,14 @@ class TestBatchEquivalence:
     def test_image_cnn_batch_is_mean_of_samples(self, channels, filters, kernel,
                                                 stride, extra_h, extra_w,
                                                 batch, seed):
-        from cogrl.representation import ImageArchSpec, build_image_cnn
+        from cogrl.representation import ImageArchSpec, ImageCNN
 
         rng = np.random.default_rng(seed)
         spec = ImageArchSpec(
             in_shape=(channels, kernel + extra_h, kernel + extra_w),
             n_classes=3, filters=filters, kernel=kernel, stride=stride,
             rep_size=4)
-        net = build_image_cnn(spec, seed=int(rng.integers(1000)))
+        net = ImageCNN(spec, seed=int(rng.integers(1000)))
         samples = [(rng.uniform(0, 1, spec.in_shape), int(rng.integers(3)))
                    for _ in range(batch)]
         loss, grads = net.batch_loss_and_grads(samples)
@@ -719,11 +719,11 @@ class TestBatchEquivalence:
     @example(sides=[(0, 12), (12, 0), (3, 7), (0, 0)], seed=2)
     def test_cloze_lstm_batch_is_mean_of_samples(self, sides, seed):
         from cogrl.problems import ClozeContent
-        from cogrl.representation import CharVocab, ClozeArchSpec, build_cloze_lstm
+        from cogrl.representation import CharVocab, ClozeArchSpec, ClozeLSTM
 
         rng = np.random.default_rng(seed)
         chars = "abcdef z"
-        net = build_cloze_lstm(
+        net = ClozeLSTM(
             ClozeArchSpec(n_classes=3, embedding_dim=3, lstm_hidden=4,
                           combine_size=8, rep_size=5),
             CharVocab("abcdef "), seed=int(rng.integers(1000)))
@@ -753,9 +753,9 @@ class TestBatchEquivalence:
 
     def test_cloze_lstm_shortest_first_minibatch_keeps_input_order(self):
         from cogrl.problems import split_blank
-        from cogrl.representation import CharVocab, ClozeArchSpec, build_cloze_lstm
+        from cogrl.representation import CharVocab, ClozeArchSpec, ClozeLSTM
 
-        net = build_cloze_lstm(
+        net = ClozeLSTM(
             ClozeArchSpec(n_classes=3, embedding_dim=3, lstm_hidden=4,
                           combine_size=8, rep_size=5), CharVocab("abc "), seed=4)
         # prefixes shortest first, suffixes longest first
@@ -772,12 +772,12 @@ class TestBatchEquivalence:
         from cogrl.representation import (
             CharVocab,
             ClozeArchSpec,
-            build_cloze_lstm,
+            ClozeLSTM,
             extract_representations,
             training_accuracy,
         )
 
-        net = build_cloze_lstm(
+        net = ClozeLSTM(
             ClozeArchSpec(n_classes=2, embedding_dim=3, lstm_hidden=4,
                           combine_size=8, rep_size=5), CharVocab("abc "), seed=3)
         texts = ["___", "a ___", "___ cab", "abc ab ___ c", "cc ___ a b c"] * 8
@@ -794,11 +794,11 @@ class TestBatchEquivalence:
             expected / len(problems)
 
     def test_image_cnn_ragged_minibatch_rejected(self):
-        from cogrl.representation import ImageArchSpec, build_image_cnn
+        from cogrl.representation import ImageArchSpec, ImageCNN
 
-        net = build_image_cnn(ImageArchSpec(in_shape=(1, 6, 6), n_classes=2,
-                                            filters=2, kernel=3, stride=1,
-                                            rep_size=4))
+        net = ImageCNN(ImageArchSpec(in_shape=(1, 6, 6), n_classes=2,
+                                     filters=2, kernel=3, stride=1,
+                                     rep_size=4))
         with pytest.raises(DimensionError):
             net.batch_loss_and_grads([(np.zeros((1, 6, 6)), 0),
                                       (np.zeros((1, 6, 7)), 1)])
@@ -820,9 +820,9 @@ class TestGradCheck:
         from cogrl.representation import (
             CharVocab,
             ClozeArchSpec,
+            ClozeLSTM,
             ImageArchSpec,
-            build_cloze_lstm,
-            build_image_cnn,
+            ImageCNN,
         )
 
         rng = np.random.default_rng(seed)
@@ -833,7 +833,7 @@ class TestGradCheck:
                 filters=int(rng.integers(1, 4)), kernel=kernel,
                 stride=int(rng.integers(1, 3)),
                 rep_size=int(rng.integers(3, 8)))
-            net = build_image_cnn(spec, seed=seed)
+            net = ImageCNN(spec, seed=seed)
             sample = (rng.uniform(0, 1, spec.in_shape), 1)
         else:
             hidden = int(rng.integers(2, 6))
@@ -841,7 +841,7 @@ class TestGradCheck:
                 n_classes=3, embedding_dim=int(rng.integers(2, 5)),
                 lstm_hidden=hidden, combine_size=2 * hidden,
                 rep_size=int(rng.integers(3, 8)))
-            net = build_cloze_lstm(spec, CharVocab("abcdef "), seed=seed)
+            net = ClozeLSTM(spec, CharVocab("abcdef "), seed=seed)
             chars = "abcdef "
             text = "".join(chars[i] for i in rng.integers(0, 7, 8)) + "___" \
                 + "".join(chars[i] for i in rng.integers(0, 7, 8))

@@ -124,8 +124,10 @@ class TestCallers:
         rows = [Transaction(f"s{s}", p.item_id, 1, k + 1)
                 for s in range(3) for k, p in enumerate(problems)]
         study = simulate_and_estimate(
-            TransactionLog(rows), problems, "custom",
-            bundle.extras["oracle_q"], sim=SimConfig(seed=2),
-            custom_features=bundle.extras["features_full"], jobs=50)
+            TransactionLog(rows), problems, bundle.extras["features_full"],
+            bundle.extras["oracle_q"], sim=SimConfig(seed=2), jobs=50)
         assert [p.max_workers for p in pools] == [3]
         assert len(study.simulated_log) == len(rows)
+        # a learner gets its student's rows of the encoded items, no records
+        for task in pools[0].calls:
+            assert all(isinstance(v, (np.ndarray, int)) for v in _leaves(task))

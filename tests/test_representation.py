@@ -14,10 +14,10 @@ from cogrl.problems import ProblemInstance, split_blank
 from cogrl.representation import (
     CharVocab,
     ClozeArchSpec,
+    ClozeLSTM,
     ImageArchSpec,
+    ImageCNN,
     RepresentationMatrix,
-    build_cloze_lstm,
-    build_image_cnn,
     extract_representations,
     load_network,
     read_representations,
@@ -33,7 +33,7 @@ from test_neuralcore import lstm_step_full_reference
 class TestBuildImageCNN:
     def test_stated_75x100_shapes(self):
         spec = ImageArchSpec(in_shape=(3, 75, 100), n_classes=2)
-        net = build_image_cnn(spec, seed=0)
+        net = ImageCNN(spec, seed=0)
         assert net.conv_out_shape == (10, 14, 19)
         assert net.flat_size == 2660
         assert net.rep.out_size == 50
@@ -42,19 +42,19 @@ class TestBuildImageCNN:
     def test_stated_16x16_shapes(self):
         spec = ImageArchSpec(in_shape=(1, 16, 16), n_classes=2,
                              kernel=4, stride=2)
-        net = build_image_cnn(spec, seed=0)
+        net = ImageCNN(spec, seed=0)
         assert net.conv_out_shape == (10, 7, 7)
 
     def test_kernel_covering_whole_image(self):
         spec = ImageArchSpec(in_shape=(1, 4, 4), n_classes=2, filters=1,
                              kernel=4, stride=1, rep_size=5)
-        net = build_image_cnn(spec, seed=0)
+        net = ImageCNN(spec, seed=0)
         assert net.conv_out_shape == (1, 1, 1)
 
     def test_kernel_larger_than_image_rejected(self):
         spec = ImageArchSpec(in_shape=(1, 8, 8), n_classes=2, kernel=10)
         with pytest.raises(DimensionError):
-            build_image_cnn(spec, seed=0)
+            ImageCNN(spec, seed=0)
 
     @pytest.mark.parametrize("in_shape", [(1, 8), (1, 8, 8, 1), 8,
                                           (1, 8.0, 8), (1, True, 8)])
@@ -65,7 +65,7 @@ class TestBuildImageCNN:
     def test_in_shape_is_normalized_to_a_tuple(self):
         spec = ImageArchSpec(in_shape=[1, 8, 8], n_classes=2, kernel=3)
         assert spec.in_shape == (1, 8, 8)
-        assert build_image_cnn(spec).forward_logits(
+        assert ImageCNN(spec).forward_logits(
             np.zeros((1, 1, 8, 8)))[0].shape == (1, 2)
 
     @pytest.mark.parametrize("field,value", [
@@ -81,7 +81,7 @@ class TestBuildImageCNN:
 
         spec = ImageArchSpec(in_shape=(1, 6, 6), n_classes=2, filters=2,
                              kernel=3, stride=1, rep_size=4)
-        net = build_image_cnn(spec, seed=0)
+        net = ImageCNN(spec, seed=0)
         # a wrong image size, and one image not collated into a minibatch
         for images in (np.zeros((1, 1, 7, 7)), np.zeros((1, 6, 6))):
             for entry in (net.representation, net.forward_logits):
@@ -94,7 +94,7 @@ class TestBuildImageCNN:
     def test_parameter_count_reported(self):
         spec = ImageArchSpec(in_shape=(1, 8, 8), n_classes=2, filters=2,
                              kernel=3, stride=2, rep_size=4)
-        net = build_image_cnn(spec, seed=0)
+        net = ImageCNN(spec, seed=0)
         # conv 2*1*9 + gains 2, rep (2*3*3)->4 + 4, out 4*2 + 2
         assert net.parameter_count() == 18 + 2 + 18 * 4 + 4 + 8 + 2
 
@@ -104,7 +104,7 @@ class TestBuildClozeLSTM:
         vocab = CharVocab("abcdefgh _.")
         spec = ClozeArchSpec(n_classes=n_classes, embedding_dim=3,
                              lstm_hidden=4, combine_size=8, rep_size=5)
-        return build_cloze_lstm(spec, vocab, seed=1), vocab
+        return ClozeLSTM(spec, vocab, seed=1), vocab
 
     def test_three_answer_classes_three_logits(self):
         net, _ = self._tiny(3)
@@ -173,7 +173,7 @@ class TestNumericGuards:
 
         spec = ImageArchSpec(in_shape=(1, 6, 6), n_classes=2, filters=2,
                              kernel=3, stride=1, rep_size=4)
-        net = build_image_cnn(spec, seed=0)
+        net = ImageCNN(spec, seed=0)
         net.conv.gains[0] = np.inf
         with pytest.raises(NumericError, match="conv"):
             net.loss_and_probs(np.ones((1, 6, 6)), 0)
@@ -183,7 +183,7 @@ class TestNumericGuards:
 
         spec = ImageArchSpec(in_shape=(1, 6, 6), n_classes=2, filters=2,
                              kernel=3, stride=1, rep_size=4)
-        net = build_image_cnn(spec, seed=0)
+        net = ImageCNN(spec, seed=0)
         net.out.weights[0, 0] = np.nan
         with pytest.raises(NumericError, match="out"):
             net.loss_and_probs(np.ones((1, 6, 6)), 0)
@@ -209,7 +209,7 @@ class TestTrainModel:
     def _net(self, seed=0):
         spec = ImageArchSpec(in_shape=(1, 8, 8), n_classes=2, filters=3,
                              kernel=3, stride=2, rep_size=6)
-        return build_image_cnn(spec, seed=seed)
+        return ImageCNN(spec, seed=seed)
 
     def test_linearly_separable_reaches_full_accuracy(self):
         problems = _separable_problems()
@@ -250,7 +250,7 @@ class TestExtractRepresentations:
         problems = _separable_problems()
         spec = ImageArchSpec(in_shape=(1, 8, 8), n_classes=2, filters=3,
                              kernel=3, stride=2, rep_size=6)
-        net = build_image_cnn(spec, seed=0)
+        net = ImageCNN(spec, seed=0)
         train_model(net, problems, SGDConfig(seed=0, max_epochs=100))
         return net, problems
 
@@ -291,7 +291,7 @@ class TestExtractRepresentations:
             jitter=1, seed=11))
         spec = ImageArchSpec(in_shape=(1, 16, 16), n_classes=2, filters=6,
                              kernel=4, stride=2, rep_size=12)
-        net = build_image_cnn(spec, seed=11)
+        net = ImageCNN(spec, seed=11)
         train_model(net, bundle.problems,
                     SGDConfig(learning_rate=0.5, seed=11, max_epochs=300,
                               target_loss=1e-3))
@@ -358,7 +358,7 @@ class TestPipelineDeterminism:
                              kernel=3, stride=2, rep_size=8)
 
         def pipeline():
-            net = build_image_cnn(spec, seed=2)
+            net = ImageCNN(spec, seed=2)
             train_model(net, bundle.problems,
                         SGDConfig(seed=2, max_epochs=60, target_loss=0.0))
             reps = extract_representations(net, bundle.problems)
@@ -379,13 +379,13 @@ class TestNetworkCheckpoint:
     def test_parameter_and_gradient_order_is_body_then_head(self, arch):
         # the checkpoint writes its records in this order
         if arch == "cnn":
-            net = build_image_cnn(ImageArchSpec(
+            net = ImageCNN(ImageArchSpec(
                 in_shape=(1, 6, 6), n_classes=2, filters=2, kernel=3,
                 stride=1, rep_size=4))
             sample = (np.zeros((1, 6, 6)), 1)
             body = ["conv.kernels", "conv.gains"]
         else:
-            net = build_cloze_lstm(ClozeArchSpec(
+            net = ClozeLSTM(ClozeArchSpec(
                 n_classes=2, embedding_dim=3, lstm_hidden=4, combine_size=8,
                 rep_size=5), CharVocab("abc "))
             sample = (split_blank("ab ___ c"), 1)
@@ -400,7 +400,7 @@ class TestNetworkCheckpoint:
         problems = _separable_problems()
         spec = ImageArchSpec(in_shape=(1, 8, 8), n_classes=2, filters=3,
                              kernel=3, stride=2, rep_size=6)
-        net = build_image_cnn(spec, seed=0)
+        net = ImageCNN(spec, seed=0)
         train_model(net, problems, SGDConfig(seed=0, max_epochs=20,
                                              target_loss=0.0))
         path = tmp_path / "cnn.ckpt"
@@ -414,7 +414,7 @@ class TestNetworkCheckpoint:
         vocab = CharVocab("abco _")
         spec = ClozeArchSpec(n_classes=2, embedding_dim=3, lstm_hidden=4,
                              combine_size=8, rep_size=5)
-        net = build_cloze_lstm(spec, vocab, seed=4)
+        net = ClozeLSTM(spec, vocab, seed=4)
         path = tmp_path / "lstm.ckpt"
         save_network(path, net)
         restored = load_network(path)
@@ -425,14 +425,14 @@ class TestNetworkCheckpoint:
         assert restored.vocab.chars == vocab.chars
 
     def test_meta_is_the_architecture_and_its_spec(self):
-        cnn = build_image_cnn(ImageArchSpec(
+        cnn = ImageCNN(ImageArchSpec(
             in_shape=(1, 8, 8), n_classes=2, filters=3, kernel=3, stride=2,
             rep_size=6))
         assert json.dumps(cnn.meta(), sort_keys=True) == json.dumps({
             "architecture": "image_cnn", "in_shape": [1, 8, 8],
             "n_classes": 2, "filters": 3, "kernel": 3, "stride": 2,
             "rep_size": 6}, sort_keys=True)
-        lstm = build_cloze_lstm(ClozeArchSpec(
+        lstm = ClozeLSTM(ClozeArchSpec(
             n_classes=2, embedding_dim=3, lstm_hidden=4, combine_size=8,
             rep_size=5), CharVocab("cab _"))
         assert json.dumps(lstm.meta(), sort_keys=True) == json.dumps({
@@ -460,11 +460,11 @@ class TestNetworkCheckpoint:
     def test_malformed_meta_is_an_input_error(self, tmp_path, arch, field,
                                               value):
         if arch == "cnn":
-            net = build_image_cnn(ImageArchSpec(
+            net = ImageCNN(ImageArchSpec(
                 in_shape=(1, 8, 8), n_classes=2, filters=3, kernel=3,
                 stride=2, rep_size=6))
         else:
-            net = build_cloze_lstm(ClozeArchSpec(
+            net = ClozeLSTM(ClozeArchSpec(
                 n_classes=2, embedding_dim=3, lstm_hidden=4, combine_size=8,
                 rep_size=5), CharVocab("abc _"))
         path = tmp_path / "net.ckpt"
