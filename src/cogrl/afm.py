@@ -264,22 +264,6 @@ def afm_logits(theta, beta, gamma, pairs: Pairs) -> np.ndarray:
         pairs.row, beta[pairs.kc] + gamma[pairs.kc] * pairs.t, len(theta))
 
 
-def afm_predict(params: AFMParams, q: QMatrix, student: str, item: str,
-                opportunities: dict[str, int]) -> float:
-    """Probability of a correct first attempt for (student, item); the same
-    value ``afm_logits`` gives the row, to the bit."""
-    if student not in params.theta:
-        raise InputError(f"unknown student {student!r}")
-    terms = 0.0
-    for kc in q.kcs_for_item(item):
-        if kc not in params.beta or kc not in params.gamma:
-            raise InputError(f"unknown KC {kc!r} in params")
-        if kc not in opportunities:
-            raise InputError(f"no opportunity count for KC {kc!r}")
-        terms += params.beta[kc] + params.gamma[kc] * opportunities[kc]
-    return float(sigmoid(np.array([params.theta[student] + terms]))[0])
-
-
 # ---------------------------------------------------------------------------
 # vectorized design shared by fit and cross-validation
 

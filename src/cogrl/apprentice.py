@@ -358,6 +358,9 @@ def simulate_and_estimate(original_log: TransactionLog,
     simulates the students in worker processes, with the same result.
     Without ``fit``, both fits use ``l2_beta_gamma = STUDY_L2_BETA_GAMMA``.
     """
+    if q_eval.n_kcs < 2:
+        raise InputError(f"q_eval needs at least 2 KCs to correlate per-KC "
+                         f"parameters, got {q_eval.n_kcs}")
     fit = fit or FitConfig(l2_beta_gamma=STUDY_L2_BETA_GAMMA)
     sim = sim or SimConfig()
     by_id = {p.item_id: p for p in problems}

@@ -53,10 +53,6 @@ class QMatrix:
             raise InputError(
                 f"item {item_id!r} missing from Q-matrix") from None
 
-    def kcs_for_item(self, item_id: str) -> list[str]:
-        r = self.row(item_id)
-        return [kc for kc, v in zip(self.kc_names, r) if v]
-
 
 def faculty_transfer(item_ids: list[str]) -> QMatrix:
     """Single shared KC: practice on anything transfers to everything."""
@@ -195,6 +191,4 @@ def read_qmatrix(path) -> QMatrix:
     for ln, fields in rows:
         item_ids.append(fields[0])
         cells.append(read_binary(path, ln, fields[1:]))
-    if not cells:
-        raise InputError(f"{path}: the table has no items")
     return QMatrix(item_ids, columns[1:], np.array(cells, dtype=np.int64))

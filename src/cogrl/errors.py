@@ -66,9 +66,9 @@ def read_table(path, header: list[str] | None = None
 
     With ``header``, the first line must equal it exactly. Without, the
     table is item-keyed and wide: ``item_id`` then one or more distinct,
-    non-empty column names, and no two rows share an item id. The stream
-    yields (file line number, fields) for each data row that is not blank;
-    every row has exactly as many fields as the header.
+    non-empty column names, at least one row, and no two rows share an item
+    id. The stream yields (file line number, fields) for each data row that
+    is not blank; every row has exactly as many fields as the header.
     """
     lines = read_lines(path)
     columns = next(lines, "").split("\t")
@@ -99,6 +99,8 @@ def read_table(path, header: list[str] | None = None
                         f"{path}: line {ln}: duplicate item_id {fields[0]!r}")
                 items.add(fields[0])
             yield ln, fields
+        if keyed and not items:
+            raise InputError(f"{path}: the table has no items")
 
     return columns, rows()
 

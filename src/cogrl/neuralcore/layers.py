@@ -6,16 +6,14 @@ from ``forward`` and consumes it in ``backward``, which yields a dict of
 parameter gradients and, for every layer but the convolution (always a
 network's first layer), the gradient with respect to the layer input.
 
-Batch axis: ``ConvLayer`` and ``DenseLayer`` take a minibatch with a
+Batch axis: ``ConvLayer`` and ``DenseLayer`` take only a minibatch with a
 leading batch axis, ``(B, C, H, W)`` and ``(B, in_size)``, and return
 outputs (and, for the dense layer, input gradients) with the same leading
 axis. Their parameter gradients are sums over the batch axis; callers that
-want a mean scale the incoming gradient. ``ConvLayer.forward`` also runs
-one ``(C, H, W)`` image as a batch of one and returns its output without
-the batch axis; its backward pass takes only the minibatch form. Each
-convolution pass is one matrix product over a patch matrix that unfolds
-the minibatch's input windows (Chellapilla, Puri and Simard 2006), so the
-work is a BLAS product whatever the kernel size.
+want a mean scale the incoming gradient. Each convolution pass is one
+matrix product over a patch matrix that unfolds the minibatch's input
+windows (Chellapilla, Puri and Simard 2006), so the work is a BLAS product
+whatever the kernel size.
 ``LSTMCell`` is time-major: it runs a (T, B, input_size) minibatch of
 left-padded sequences under a (T, B) mask, computing only the cells of
 real steps.
@@ -85,7 +83,7 @@ class ConvLayer:
         return self.out_channels, (h - r) // s + 1, (w - r) // s + 1
 
     def forward(self, x: np.ndarray):
-        """Apply the layer to a (B, C, H, W) minibatch or one (C, H, W) input.
+        """Apply the layer to a (B, C, H, W) minibatch.
 
         The minibatch is one matrix product: the (out, C R R) kernels times
         the patch matrix of ``_patches``. The cache keeps the input and
@@ -94,17 +92,15 @@ class ConvLayer:
         caching the matrix was no faster and raised the peak memory.
         """
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 3
-        xb = x[None] if single else x
-        if xb.ndim != 4 or xb.shape[1] != self.in_channels:
+        if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise DimensionError(
-                f"conv layer expects ({self.in_channels}, H, W) input or a "
-                f"(B, {self.in_channels}, H, W) minibatch, got {x.shape}")
-        _, oh, ow = self.output_shape(xb.shape[2], xb.shape[3])
-        z = self.kernels.reshape(self.out_channels, -1) @ self._patches(xb)
-        t = np.tanh(z, out=z).reshape(self.out_channels, xb.shape[0], oh, ow)
+                f"conv layer expects a (B, {self.in_channels}, H, W) "
+                f"minibatch, got {x.shape}")
+        _, oh, ow = self.output_shape(x.shape[2], x.shape[3])
+        z = self.kernels.reshape(self.out_channels, -1) @ self._patches(x)
+        t = np.tanh(z, out=z).reshape(self.out_channels, x.shape[0], oh, ow)
         y = (self.gains[:, None, None, None] * t).transpose(1, 0, 2, 3)
-        return (y[0] if single else y), (xb, t)
+        return y, (x, t)
 
     def backward(self, dy: np.ndarray, cache):
         """The kernel and gain gradients of a (B, out, oh, ow) output
@@ -197,11 +193,11 @@ class LSTMCell:
     Gates follow the standard formulation: input, forget and output gates
     through the logistic function, the cell candidate through tanh, then
     ``c_t = f*c_prev + i*g`` and ``h_t = o*tanh(c_t)``. The four gates are
-    stored stacked (order i, f, g, o) so one step costs two matrix products;
-    the per-gate matrices ``w_ii, w_if, w_ig, w_io`` / ``w_hi, w_hf, w_hc,
-    w_ho`` and the eight biases are live views into the stacked arrays.
-    ``_gates`` is the one implementation of the gate math: ``step``, ``run``
-    and ``backward_through_time`` all go through it.
+    stored stacked in the order i, f, g, o: gate k reads rows
+    ``k*hidden:(k+1)*hidden`` of ``w_x``, ``w_h``, ``b_x`` and ``b_h``, so
+    one step costs two matrix products. ``_gates`` is the one
+    implementation of the gate math: ``run`` and ``backward_through_time``
+    both go through it.
     """
 
     def __init__(self, input_size: int, hidden_size: int, *,
@@ -220,45 +216,6 @@ class LSTMCell:
         # into the logistic on the i, f and o blocks (see _gates)
         self._half = np.repeat([0.5, 0.5, 1.0, 0.5], hidden_size)
         self._shift = np.repeat([0.5, 0.5, 0.0, 0.5], hidden_size)
-
-    def _block(self, arr, gate):
-        h = self.hidden_size
-        return arr[gate * h:(gate + 1) * h]
-
-    # per-gate views: input weights
-    w_ii = property(lambda self: self._block(self.w_x, 0))
-    w_if = property(lambda self: self._block(self.w_x, 1))
-    w_ig = property(lambda self: self._block(self.w_x, 2))
-    w_io = property(lambda self: self._block(self.w_x, 3))
-    # per-gate views: hidden weights
-    w_hi = property(lambda self: self._block(self.w_h, 0))
-    w_hf = property(lambda self: self._block(self.w_h, 1))
-    w_hc = property(lambda self: self._block(self.w_h, 2))
-    w_ho = property(lambda self: self._block(self.w_h, 3))
-    # per-gate views: biases
-    b_ii = property(lambda self: self._block(self.b_x, 0))
-    b_if = property(lambda self: self._block(self.b_x, 1))
-    b_ig = property(lambda self: self._block(self.b_x, 2))
-    b_io = property(lambda self: self._block(self.b_x, 3))
-    b_hi = property(lambda self: self._block(self.b_h, 0))
-    b_hf = property(lambda self: self._block(self.b_h, 1))
-    b_hg = property(lambda self: self._block(self.b_h, 2))
-    b_ho = property(lambda self: self._block(self.b_h, 3))
-
-    def step(self, x_t, h_prev, c_prev):
-        """Single recurrence step, through the gate routine ``run`` uses, on
-        a batch of one; returns (h_t, c_t)."""
-        x_t, h_prev, c_prev = (np.asarray(v, dtype=np.float64)
-                               for v in (x_t, h_prev, c_prev))
-        if x_t.shape != (self.input_size,) or h_prev.shape != (self.hidden_size,) \
-                or c_prev.shape != (self.hidden_size,):
-            raise DimensionError(
-                f"LSTM step expects input {self.input_size} and state "
-                f"{self.hidden_size}, got {x_t.shape}/{h_prev.shape}/{c_prev.shape}")
-        _, _, _, o, c, tc = self._gates(
-            x_t[None], h_prev[None], c_prev[None], self.b_x + self.b_h,
-            np.empty((1, 4 * self.hidden_size)))
-        return o[0] * tc[0], c[0]
 
     def _gates(self, x_t, h_prev, c_prev, bias, buf):
         """Gates (i, f, g, o), new cell state and its tanh for the live rows

@@ -399,8 +399,6 @@ def read_representations(path) -> RepresentationMatrix:
         except ValueError:
             raise InputError(f"{path}: line {ln}: bad value, need a number "
                              f"in [0, 1]") from None
-    if not rows:
-        raise InputError(f"{path}: the table has no items")
     return RepresentationMatrix(item_ids, np.array(rows, dtype=np.float64))
 
 

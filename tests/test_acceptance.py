@@ -13,9 +13,10 @@ import pytest
 
 from cogrl.afm import (
     CVConfig,
+    Pairs,
     TransactionLog,
     afm_fit,
-    afm_predict,
+    afm_logits,
     assign_folds,
     compute_opportunities,
     item_stratified_cv,
@@ -42,7 +43,13 @@ from cogrl.ingest import (
     synth_cloze,
     synth_visual,
 )
-from cogrl.neuralcore import ConvLayer, LSTMCell, SGDConfig, grad_check
+from cogrl.neuralcore import (
+    ConvLayer,
+    LSTMCell,
+    SGDConfig,
+    grad_check,
+    sigmoid,
+)
 from cogrl.problems import split_blank
 from cogrl.representation import (
     CharVocab,
@@ -168,27 +175,34 @@ def _conv_oracle(x, kernels, gains, stride):
     return y
 
 
-def _lstm_oracle(cell, x, h_prev, c_prev):
+def _lstm_oracle(cell, xs):
+    """One sequence's final (h, c), iterated from the zero state over its
+    steps. Gate k of the documented order i, f, g, o reads rows
+    k*H:(k+1)*H of w_x, w_h, b_x and b_h."""
+    hid = cell.hidden_size
+
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
     def dot(row, vec):
         return sum(float(a) * float(b) for a, b in zip(row, vec))
 
-    h_out, c_out = [], []
-    for r in range(cell.hidden_size):
-        i = sig(dot(cell.w_ii[r], x) + cell.b_ii[r]
-                + dot(cell.w_hi[r], h_prev) + cell.b_hi[r])
-        f = sig(dot(cell.w_if[r], x) + cell.b_if[r]
-                + dot(cell.w_hf[r], h_prev) + cell.b_hf[r])
-        g = math.tanh(dot(cell.w_ig[r], x) + cell.b_ig[r]
-                      + dot(cell.w_hc[r], h_prev) + cell.b_hg[r])
-        o = sig(dot(cell.w_io[r], x) + cell.b_io[r]
-                + dot(cell.w_ho[r], h_prev) + cell.b_ho[r])
-        c_t = f * c_prev[r] + i * g
-        h_out.append(o * math.tanh(c_t))
-        c_out.append(c_t)
-    return np.array(h_out), np.array(c_out)
+    def pre(k, r, x, h):
+        j = k * hid + r
+        return (dot(cell.w_x[j], x) + cell.b_x[j]
+                + dot(cell.w_h[j], h) + cell.b_h[j])
+
+    h, c = [0.0] * hid, [0.0] * hid
+    for x in xs:
+        h_next, c_next = [], []
+        for r in range(hid):
+            i, f = sig(pre(0, r, x, h)), sig(pre(1, r, x, h))
+            g, o = math.tanh(pre(2, r, x, h)), sig(pre(3, r, x, h))
+            c_t = f * c[r] + i * g
+            h_next.append(o * math.tanh(c_t))
+            c_next.append(c_t)
+        h, c = h_next, c_next
+    return np.array(h), np.array(c)
 
 
 def test_criterion_2_transcription_oracles():
@@ -201,23 +215,27 @@ def test_criterion_2_transcription_oracles():
         conv = ConvLayer(in_ch, out_ch, r, stride, rng=rng)
         conv.gains[:] = rng.uniform(0.5, 2.0, out_ch)
         x = rng.uniform(-1, 1, (in_ch, h, w))
-        y, _ = conv.forward(x)
+        y, _ = conv.forward(x[None])
         conv_worst = max(conv_worst, float(np.max(np.abs(
-            y - _conv_oracle(x, conv.kernels, conv.gains, stride)))))
+            y[0] - _conv_oracle(x, conv.kernels, conv.gains, stride)))))
 
+    # LSTMCell.run on ragged, left-padded minibatches of 1-3 rows
     lstm_worst = 0.0
     for _ in range(100):
         inp, hid = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         cell = LSTMCell(inp, hid, rng=rng)
         cell.b_x[:] = rng.uniform(-0.5, 0.5, 4 * hid)
         cell.b_h[:] = rng.uniform(-0.5, 0.5, 4 * hid)
-        x = rng.uniform(-2, 2, inp)
-        h_prev, c_prev = rng.uniform(-1, 1, hid), rng.uniform(-2, 2, hid)
-        h, c = cell.step(x, h_prev, c_prev)
-        h_ref, c_ref = _lstm_oracle(cell, x, h_prev, c_prev)
-        lstm_worst = max(lstm_worst,
-                         float(np.max(np.abs(h - h_ref))),
-                         float(np.max(np.abs(c - c_ref))))
+        lengths = rng.integers(0, 6, int(rng.integers(1, 4)))
+        steps = int(lengths.max())
+        mask = np.arange(steps)[:, None] >= steps - lengths
+        xs = rng.uniform(-2, 2, (steps, len(lengths), inp))
+        h, c, _ = cell.run(xs, mask)
+        for b, n in enumerate(lengths):
+            h_ref, c_ref = _lstm_oracle(cell, xs[steps - n:, b])
+            lstm_worst = max(lstm_worst,
+                             float(np.max(np.abs(h[b] - h_ref))),
+                             float(np.max(np.abs(c[b] - c_ref))))
 
     ok = conv_worst < 1e-12 and lstm_worst < 1e-12
     report("2 transcription oracles", ok,
@@ -507,12 +525,17 @@ def test_criterion_9_invariant_suites():
         shifted = AFMParams(theta={"s": params.theta["s"] + c},
                             beta={k: v - c for k, v in params.beta.items()},
                             gamma=dict(params.gamma))
-        for item in items:
-            kc = f"item:{item}"
-            t = int(rng.integers(0, 5))
-            p0 = afm_predict(params, q, "s", item, {kc: t})
-            p1 = afm_predict(shifted, q, "s", item, {kc: t})
-            assert math.isclose(p0, p1, rel_tol=1e-9)
+        # row k is the student's attempt at item k, whose one KC is k
+        pairs = Pairs(np.arange(3), np.arange(3),
+                      np.array([int(rng.integers(0, 5)) for _ in items]))
+        kcs = q.kc_names
+        p0, p1 = (sigmoid(afm_logits(np.full(3, p.theta["s"]),
+                                     np.array([p.beta[k] for k in kcs]),
+                                     np.array([p.gamma[k] for k in kcs]),
+                                     pairs))
+                  for p in (params, shifted))
+        for a, b in zip(p0.tolist(), p1.tolist()):
+            assert math.isclose(a, b, rel_tol=1e-9)
     timings["shift prediction-invariance"] = time.time() - start
 
     start = time.time()

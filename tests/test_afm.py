@@ -13,6 +13,7 @@ from cogrl.afm import (
     CVConfig,
     FitConfig,
     FitDiagnostics,
+    Pairs,
     Transaction,
     TransactionLog,
     _Design,
@@ -20,7 +21,6 @@ from cogrl.afm import (
     _softplus,
     afm_fit,
     afm_logits,
-    afm_predict,
     assign_folds,
     compare_models,
     compute_opportunities,
@@ -114,21 +114,17 @@ class TestComputeOpportunities:
 
 
 class TestPredict:
-    def _setup(self):
-        q = QMatrix(["A"], ["k1"], np.array([[1]]))
-        params = AFMParams(theta={"s": 0.0}, beta={"k1": 0.0},
-                           gamma={"k1": 0.5})
-        return q, params
+    """``afm_logits`` on hand-built (row, KC, opportunity) pairs."""
 
     def test_all_zero_params_half(self):
-        q, _ = self._setup()
-        params = AFMParams(theta={"s": 0.0}, beta={"k1": 0.0},
-                           gamma={"k1": 0.0})
-        assert afm_predict(params, q, "s", "A", {"k1": 3}) == 0.5
+        eta = afm_logits(np.zeros(1), np.zeros(1), np.zeros(1),
+                         Pairs(np.array([0]), np.array([0]), np.array([3])))
+        assert sigmoid(eta).tolist() == [0.5]
 
     def test_arithmetic_example(self):
-        q, params = self._setup()
-        p = afm_predict(params, q, "s", "A", {"k1": 2})
+        eta = afm_logits(np.zeros(1), np.zeros(1), np.array([0.5]),
+                         Pairs(np.array([0]), np.array([0]), np.array([2])))
+        p = float(sigmoid(eta)[0])
         assert math.isclose(p, _sig(1.0), rel_tol=1e-9)
         assert math.isclose(p, 0.7311, abs_tol=5e-5)
 
@@ -139,12 +135,15 @@ class TestPredict:
             theta={"s": float(rng.normal())},
             beta={k: float(rng.normal()) for k in q.kc_names},
             gamma={k: float(rng.uniform(0, 1)) for k in q.kc_names})
-        opps = {"k1": 4, "k3": 2}
         expected = _sig(params.theta["s"]
                         + params.beta["k1"] + params.gamma["k1"] * 4
                         + params.beta["k3"] + params.gamma["k3"] * 2)
-        assert math.isclose(afm_predict(params, q, "s", "A", opps), expected,
-                            rel_tol=1e-12)
+        eta = afm_logits(np.array([params.theta["s"]]),
+                         np.array([params.beta[k] for k in q.kc_names]),
+                         np.array([params.gamma[k] for k in q.kc_names]),
+                         Pairs(np.array([0, 0]), np.array([0, 2]),
+                               np.array([4, 2])))
+        assert math.isclose(float(sigmoid(eta)[0]), expected, rel_tol=1e-12)
 
     def test_logits_hand_computation_four_transactions(self):
         q = faculty_transfer(["A", "B"])
@@ -157,24 +156,15 @@ class TestPredict:
         expected = [0.5 + 0.2, 0.5 + 0.2 + 0.1, -0.5 + 0.2, -0.5 + 0.2 + 0.1]
         assert np.allclose(eta, expected, rtol=1e-12, atol=0.0)
 
-    def test_unknown_student_rejected(self):
-        q, params = self._setup()
-        with pytest.raises(InputError):
-            afm_predict(params, q, "nobody", "A", {"k1": 0})
-
     def test_monotone_in_theta_beta_and_gamma(self):
-        q, _ = self._setup()
-        base = dict(theta={"s": 0.1}, beta={"k1": -0.2}, gamma={"k1": 0.3})
-        p0 = afm_predict(AFMParams(**base), q, "s", "A", {"k1": 2})
-        up_theta = AFMParams(theta={"s": 0.6}, beta=base["beta"],
-                             gamma=base["gamma"])
-        up_beta = AFMParams(theta=base["theta"], beta={"k1": 0.3},
-                            gamma=base["gamma"])
-        up_gamma = AFMParams(theta=base["theta"], beta=base["beta"],
-                             gamma={"k1": 0.8})
-        assert afm_predict(up_theta, q, "s", "A", {"k1": 2}) > p0
-        assert afm_predict(up_beta, q, "s", "A", {"k1": 2}) > p0
-        assert afm_predict(up_gamma, q, "s", "A", {"k1": 2}) > p0
+        # row 0 is the base case; rows 1-3 raise theta, beta and gamma in
+        # turn. Row r reads KC r, at opportunity 2.
+        eta = afm_logits(np.array([0.1, 0.6, 0.1, 0.1]),
+                         np.array([-0.2, -0.2, 0.3, -0.2]),
+                         np.array([0.3, 0.3, 0.3, 0.8]),
+                         Pairs(np.arange(4), np.arange(4), np.full(4, 2)))
+        p = sigmoid(eta)
+        assert np.all(p[1:] > p[0])
 
 
 class TestFit:
@@ -184,9 +174,9 @@ class TestFit:
                     ("s2", "A", 1, 1), ("s2", "B", 1, 2)])
         params, diag = afm_fit(log, q)
         assert diag.converged
-        table = compute_opportunities(log, q)
-        for tr, opps in zip(log.rows, table.rows):
-            assert afm_predict(params, q, tr.student_id, tr.item_id, opps) > 0.5
+        p = _oracle_probabilities(params, log.rows,
+                                  compute_opportunities(log, q).rows)
+        assert np.all(p > 0.5)
         for v in params.theta.values():
             assert math.isfinite(v)
 
@@ -425,11 +415,16 @@ class TestIdentifiability:
             theta={"s": params.theta["s"] + c},
             beta={k: v - c for k, v in params.beta.items()},
             gamma=dict(params.gamma))
-        for item in items:
-            kc = f"item:{item}"
-            p0 = afm_predict(params, q, "s", item, {kc: 2})
-            p1 = afm_predict(shifted, q, "s", item, {kc: 2})
-            assert math.isclose(p0, p1, rel_tol=1e-9)
+        # row k is the student's attempt at item k, whose one KC is k
+        pairs = Pairs(np.arange(4), np.arange(4), np.full(4, 2))
+        kcs = q.kc_names
+        p0, p1 = (sigmoid(afm_logits(np.full(4, p.theta["s"]),
+                                     np.array([p.beta[k] for k in kcs]),
+                                     np.array([p.gamma[k] for k in kcs]),
+                                     pairs))
+                  for p in (params, shifted))
+        for a, b in zip(p0.tolist(), p1.tolist()):
+            assert math.isclose(a, b, rel_tol=1e-9)
 
 
 class TestFitConfig:
@@ -595,26 +590,6 @@ class TestColumnarEquivalence:
                 sigmoid(afm_logits(theta[cols.student], beta, gamma,
                                    pairs)[mask]),
                 _oracle_probabilities(params, *zip(*test)))
-
-    @settings(deadline=None, max_examples=80)
-    @given(_cv_cases(), st.data())
-    def test_afm_predict_equals_shared_logits(self, case, data):
-        log, q, _, _ = case
-        value = st.floats(-20, 20)
-        params = AFMParams(
-            theta={s: data.draw(value) for s in log.columns.students},
-            beta={k: data.draw(value) for k in q.kc_names},
-            gamma={k: data.draw(st.floats(0, 5)) for k in q.kc_names})
-        cols = log.columns
-        theta = np.array([params.theta[s] for s in cols.students])
-        beta = np.array([params.beta[k] for k in q.kc_names])
-        gamma = np.array([params.gamma[k] for k in q.kc_names])
-        p = sigmoid(afm_logits(theta[cols.student], beta, gamma,
-                               opportunity_pairs(cols, q)))
-        assert [afm_predict(params, q, tr.student_id, tr.item_id, opps)
-                for tr, opps in zip(log.rows,
-                                    compute_opportunities(log, q).rows)] \
-            == p.tolist()
 
     @settings(deadline=None, max_examples=40)
     @given(_cv_cases())

@@ -462,10 +462,11 @@ class TestStudyEquivalence:
     def test_simulated_log_is_the_pooled_learners(self, jobs, study,
                                                   refit_every, seed):
         log, problems, features = study
-        q = QMatrix([p.item_id for p in problems], ["k"],
-                    np.ones((len(problems), 1)))
+        # the study needs two KCs; the property is about the simulated log
+        q = QMatrix([p.item_id for p in problems], ["k1", "k2"],
+                    np.ones((len(problems), 2)))
         sim = SimConfig(seed=seed, refit_every=refit_every)
-        # one KC's estimates have no correlation: report nothing
+        # two copies of one KC need not correlate: report nothing
         with mock.patch.object(apprentice, "param_report"):
             simulated = simulate_and_estimate(log, problems, features, q,
                                               sim=sim, jobs=jobs).simulated_log

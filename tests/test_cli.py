@@ -252,7 +252,29 @@ class TestSimulate:
                     "--q-eval", cloze_dir / "oracle_q.tsv",
                     "--features", "cogrl", "--cogrl-q", empty,
                     "--out", tmp_path / "study.tsv"]) == 3
-        assert "has no feature row" in capsys.readouterr().err
+        assert "q_empty.tsv: the table has no items" in capsys.readouterr().err
+
+    def test_one_kc_q_eval_rejected_before_any_learner_runs(
+            self, cloze_dir, tmp_path, capsys, monkeypatch):
+        assert run(["synth", "afm-log", "--out-dir", tmp_path / "log",
+                    "--seed", "3", "--students", "4",
+                    "--qmatrix", cloze_dir / "oracle_q.tsv"]) == 0
+        items = [ln.split("\t")[0] for ln in
+                 (cloze_dir / "oracle_q.tsv").read_text().splitlines()[1:]]
+        one_kc = tmp_path / "q_one.tsv"
+        one_kc.write_text("item_id\tall\n"
+                          + "".join(f"{item}\t1\n" for item in items))
+
+        def no_learners(*_):
+            raise AssertionError("learners ran")
+
+        monkeypatch.setattr("cogrl.apprentice.run_tasks", no_learners)
+        assert run(["simulate", "--log", tmp_path / "log" / "transactions.tsv",
+                    "--cloze", cloze_dir / "cloze.tsv", "--q-eval", one_kc,
+                    "--features", "human",
+                    "--out", tmp_path / "study.tsv"]) == 3
+        assert "q_eval needs at least 2 KCs" in capsys.readouterr().err
+        assert not (tmp_path / "study.tsv").exists()
 
     @pytest.mark.parametrize("features", [
         ["--features", "human"],

@@ -119,8 +119,9 @@ class TestSanitize:
         q = QMatrix(["a", "b"], ["k1", "k2", "dead"],
                     np.array([[1, 0, 0], [1, 1, 0]]))
         clean, _ = sanitize_qmatrix(q)
-        assert clean.kcs_for_item("a") == ["k1"]
-        assert clean.kcs_for_item("b") == ["k1", "k2"]
+        assert clean.kc_names == ["k1", "k2"]
+        assert clean.row("a").tolist() == [1, 0]
+        assert clean.row("b").tolist() == [1, 1]
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 100_000))

@@ -193,8 +193,8 @@ class TestConvForward:
     def test_all_zero_input(self):
         conv = ConvLayer(1, 1, 3, rng=np.random.default_rng(0))
         conv.gains[:] = 2.0
-        y, _ = conv.forward(np.zeros((1, 5, 5)))
-        assert np.array_equal(y, np.zeros((1, 3, 3)))
+        y, _ = conv.forward(np.zeros((1, 1, 5, 5)))
+        assert np.array_equal(y, np.zeros((1, 1, 3, 3)))
 
     def test_identity_kernel_gives_tanh_of_valid_region(self):
         conv = ConvLayer(1, 1, 2, stride=1, rng=np.random.default_rng(0))
@@ -202,18 +202,18 @@ class TestConvForward:
         conv.kernels[0, 0, 0, 0] = 1.0  # flip-origin
         conv.gains[:] = 1.0
         x = np.random.default_rng(1).uniform(-1, 1, (1, 5, 5))
-        y, _ = conv.forward(x)
-        assert np.allclose(y[0], np.tanh(x[0, 1:, 1:]), atol=1e-15)
+        y, _ = conv.forward(x[None])
+        assert np.allclose(y[0, 0], np.tanh(x[0, 1:, 1:]), atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_direct_summation_oracle(self, seed):
         rng = np.random.default_rng(seed)
         conv = ConvLayer(1, 1, 2, stride=1, rng=rng)
         x = rng.uniform(-1, 1, (1, 5, 5))
-        y, _ = conv.forward(x)
-        assert y.shape == (1, 4, 4)
+        y, _ = conv.forward(x[None])
+        assert y.shape == (1, 1, 4, 4)
         expected = conv_reference(x, conv.kernels, conv.gains, 1)
-        assert np.allclose(y, expected, atol=1e-12)
+        assert np.allclose(y[0], expected, atol=1e-12)
 
     def test_100_random_cases_match_oracle(self):
         rng = np.random.default_rng(42)
@@ -227,19 +227,21 @@ class TestConvForward:
             conv = ConvLayer(in_ch, out_ch, r, stride, rng=rng)
             conv.gains[:] = rng.uniform(0.5, 2.0, out_ch)
             x = rng.uniform(-1, 1, (in_ch, h, w))
-            y, _ = conv.forward(x)
+            y, _ = conv.forward(x[None])
             expected = conv_reference(x, conv.kernels, conv.gains, stride)
-            assert np.allclose(y, expected, atol=1e-12)
+            assert np.allclose(y[0], expected, atol=1e-12)
 
     def test_kernel_too_large_rejected(self):
         conv = ConvLayer(1, 1, 6, rng=np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            conv.forward(np.zeros((1, 5, 5)))
+            conv.forward(np.zeros((1, 1, 5, 5)))
 
     def test_wrong_channel_count_rejected(self):
         conv = ConvLayer(2, 1, 3, rng=np.random.default_rng(0))
-        with pytest.raises(DimensionError):
-            conv.forward(np.zeros((1, 5, 5)))
+        # a one-channel minibatch, and a single unbatched two-channel image
+        for x in (np.zeros((1, 1, 5, 5)), np.zeros((2, 5, 5))):
+            with pytest.raises(DimensionError, match=r"\(B, 2, H, W\)"):
+                conv.forward(x)
 
     def test_flip_kernel_is_involution_and_relates_correlation(self):
         rng = np.random.default_rng(3)
@@ -250,13 +252,13 @@ class TestConvForward:
         conv.kernels = k
         conv.gains[:] = 1.0
         x = rng.uniform(-1, 1, (1, 5, 5))
-        y, _ = conv.forward(x)
+        y, _ = conv.forward(x[None])
         kf = k[0, 0, ::-1, ::-1]
         corr = np.zeros((3, 3))
         for a in range(3):
             for b in range(3):
                 corr[a, b] = np.sum(x[0, a:a + 3, b:b + 3] * kf)
-        assert np.allclose(y[0], np.tanh(corr), atol=1e-12)
+        assert np.allclose(y[0, 0], np.tanh(corr), atol=1e-12)
 
     @settings(deadline=None, max_examples=60)
     @given(h=st.integers(1, 30), w=st.integers(1, 30),
@@ -265,10 +267,10 @@ class TestConvForward:
         conv = ConvLayer(1, 1, r, stride, rng=np.random.default_rng(0))
         if h < r or w < r:
             with pytest.raises(DimensionError):
-                conv.forward(np.zeros((1, h, w)))
+                conv.forward(np.zeros((1, 1, h, w)))
             return
-        y, _ = conv.forward(np.zeros((1, h, w)))
-        assert y.shape == (1, (h - r) // stride + 1, (w - r) // stride + 1)
+        y, _ = conv.forward(np.zeros((1, 1, h, w)))
+        assert y.shape == (1, 1, (h - r) // stride + 1, (w - r) // stride + 1)
 
 
 class TestDenseForward:
@@ -311,8 +313,10 @@ class TestDenseForward:
 
 
 def lstm_step_reference(cell, x, h_prev, c_prev):
-    """Scalar-by-scalar transcription of the six gate equations, using the
-    per-gate weight views."""
+    """Scalar-by-scalar transcription of the six gate equations. Gate k of
+    the documented order i, f, g, o reads rows k*H:(k+1)*H of the stacked
+    w_x, w_h, b_x and b_h."""
+    hid = cell.hidden_size
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
@@ -320,13 +324,15 @@ def lstm_step_reference(cell, x, h_prev, c_prev):
     def dot(row, vec):
         return sum(float(a) * float(b) for a, b in zip(row, vec))
 
+    def pre(k, r):
+        j = k * hid + r
+        return (dot(cell.w_x[j], x) + cell.b_x[j]
+                + dot(cell.w_h[j], h_prev) + cell.b_h[j])
+
     h_out, c_out = [], []
-    for r in range(cell.hidden_size):
-        a_i = dot(cell.w_ii[r], x) + cell.b_ii[r] + dot(cell.w_hi[r], h_prev) + cell.b_hi[r]
-        a_f = dot(cell.w_if[r], x) + cell.b_if[r] + dot(cell.w_hf[r], h_prev) + cell.b_hf[r]
-        a_g = dot(cell.w_ig[r], x) + cell.b_ig[r] + dot(cell.w_hc[r], h_prev) + cell.b_hg[r]
-        a_o = dot(cell.w_io[r], x) + cell.b_io[r] + dot(cell.w_ho[r], h_prev) + cell.b_ho[r]
-        i, f, g, o = sig(a_i), sig(a_f), math.tanh(a_g), sig(a_o)
+    for r in range(hid):
+        i, f = sig(pre(0, r)), sig(pre(1, r))
+        g, o = math.tanh(pre(2, r)), sig(pre(3, r))
         c_t = f * c_prev[r] + i * g
         h_out.append(o * math.tanh(c_t))
         c_out.append(c_t)
@@ -334,6 +340,9 @@ def lstm_step_reference(cell, x, h_prev, c_prev):
 
 
 class TestLSTMStep:
+    """One step of the production gate routine, ``_gates``, on a batch of
+    one row that carries state: h_t = o tanh(c_t)."""
+
     def _zero_cell(self, input_size=3, hidden=4):
         cell = LSTMCell(input_size, hidden, rng=np.random.default_rng(0))
         cell.w_x[:] = 0.0
@@ -342,15 +351,19 @@ class TestLSTMStep:
 
     def test_all_zero_cell_zero_state(self):
         cell = self._zero_cell()
-        h, c = cell.step(np.ones(3), np.zeros(4), np.zeros(4))
-        assert np.allclose(h, 0.0) and np.allclose(c, 0.0)
+        _, _, _, o, c, tc = cell._gates(
+            np.ones((1, 3)), np.zeros((1, 4)), np.zeros((1, 4)),
+            cell.b_x + cell.b_h, np.empty((1, 16)))
+        assert np.allclose(o * tc, 0.0) and np.allclose(c, 0.0)
 
     def test_all_zero_cell_forced_state(self):
         cell = self._zero_cell()
         c_prev = np.array([0.5, -1.0, 2.0, 0.0])
-        h, c = cell.step(np.ones(3), np.zeros(4), c_prev)
-        assert np.allclose(c, 0.5 * c_prev)
-        assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev))
+        _, _, _, o, c, tc = cell._gates(
+            np.ones((1, 3)), np.zeros((1, 4)), c_prev[None],
+            cell.b_x + cell.b_h, np.empty((1, 16)))
+        assert np.allclose(c[0], 0.5 * c_prev)
+        assert np.allclose(o[0] * tc[0], 0.5 * np.tanh(0.5 * c_prev))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_equation_oracle(self, seed):
@@ -359,10 +372,12 @@ class TestLSTMStep:
         x = rng.uniform(-1, 1, 3)
         h_prev = rng.uniform(-1, 1, 4)
         c_prev = rng.uniform(-2, 2, 4)
-        h, c = cell.step(x, h_prev, c_prev)
+        _, _, _, o, c, tc = cell._gates(
+            x[None], h_prev[None], c_prev[None], cell.b_x + cell.b_h,
+            np.empty((1, 16)))
         h_ref, c_ref = lstm_step_reference(cell, x, h_prev, c_prev)
-        assert np.allclose(h, h_ref, atol=1e-12)
-        assert np.allclose(c, c_ref, atol=1e-12)
+        assert np.allclose(o[0] * tc[0], h_ref, atol=1e-12)
+        assert np.allclose(c[0], c_ref, atol=1e-12)
 
     def test_100_random_cases_match_oracle(self):
         rng = np.random.default_rng(11)
@@ -375,15 +390,21 @@ class TestLSTMStep:
             x = rng.uniform(-2, 2, inp)
             h_prev = rng.uniform(-1, 1, hid)
             c_prev = rng.uniform(-2, 2, hid)
-            h, c = cell.step(x, h_prev, c_prev)
+            _, _, _, o, c, tc = cell._gates(
+                x[None], h_prev[None], c_prev[None], cell.b_x + cell.b_h,
+                np.empty((1, 4 * hid)))
             h_ref, c_ref = lstm_step_reference(cell, x, h_prev, c_prev)
-            assert np.allclose(h, h_ref, atol=1e-12)
-            assert np.allclose(c, c_ref, atol=1e-12)
+            assert np.allclose(o[0] * tc[0], h_ref, atol=1e-12)
+            assert np.allclose(c[0], c_ref, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         cell = LSTMCell(3, 4, rng=np.random.default_rng(0))
-        with pytest.raises(DimensionError):
-            cell.step(np.zeros(2), np.zeros(4), np.zeros(4))
+        for xs, mask in ((np.zeros((2, 1, 2)), np.ones((2, 1))),  # size 2
+                         (np.zeros((2, 3)), np.ones((2, 1))),  # no batch axis
+                         (np.zeros((2, 1, 3)), np.ones((1, 2)))):  # mask shape
+            with pytest.raises(DimensionError,
+                               match=r"LSTM expects \(T, B, 3\)"):
+                cell.run(xs, mask)
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10_000))
@@ -404,14 +425,6 @@ class TestLSTMStep:
         for gate in (i, f, o):
             assert np.all((gate > 0) & (gate < 1))
         assert np.all(np.abs(c) <= np.abs(c_prev) + 1.0 + 1e-12)
-
-    def test_gate_views_are_live(self):
-        cell = LSTMCell(2, 3, rng=np.random.default_rng(0))
-        cell.w_ii[0, 0] = 123.0
-        assert cell.w_x[0, 0] == 123.0
-        assert cell.w_ii.shape == (3, 2)
-        assert cell.w_hc.shape == (3, 3)
-        assert cell.b_hg.shape == (3,)
 
 
 class _DenseNet(Network):

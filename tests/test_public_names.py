@@ -1,0 +1,149 @@
+"""No public name in the library is there only for the tests.
+
+A public name (no leading ``_``) that a ``src/cogrl`` module defines at
+module level or in a class body is read somewhere in ``src/cogrl``,
+``bench/`` or ``demos/``: as a bare name, as an attribute, or, in
+``bench/``, as a part of a ``module:attr.path`` span target string. Test
+files do not count. So a computation the commands never run does not keep
+a second implementation alive for its unit tests, and the tests check the
+code that runs.
+
+Names are matched by their bare text, whatever defines or reads them, so
+the lint misses a name that some other object also reads: a method such
+as ``step`` passes while any ``.step`` attribute is read anywhere. It
+catches names nothing reads at all; a reused name needs a reviewer.
+
+``ALLOWED`` lists the names kept on purpose, each with its reason.
+"""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cogrl"
+
+# a bench span target, such as "cogrl.afm:TransactionLog.__init__"
+TARGET = re.compile(r"[\w.]+:([\w.]+)")
+
+ALLOWED = {
+    "read_params": "format reader of the parameter table write_params writes",
+    "load_network": "format reader of the checkpoint save_network writes",
+    "EXIT_USAGE": "documents exit code 2, which argparse itself returns",
+    "SanitationReport.changed": "the report's summary, what idempotence means",
+    # fit diagnostics the run manifest is to report (ROADMAP item 2)
+    "FitDiagnostics.objective_history": "each fit's objective per step",
+    "CVResult.fold_items": "the items each CV fold held out",
+}
+
+
+def public_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each public module-level name and each public name
+    in a module-level class body; a class member is named ``Class.member``."""
+    found = []
+
+    def names(body, prefix=""):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            found.extend((node.lineno, prefix + name) for name in targets
+                         if not name.startswith("_"))
+            if isinstance(node, ast.ClassDef) and not prefix:
+                names(node.body, node.name + ".")
+
+    names(ast.parse(source).body)
+    return found
+
+
+def names_read(source: str, targets: bool = False) -> set[str]:
+    """The bare names and attribute names a module reads, and with
+    ``targets`` the parts of its span target strings."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif targets and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str) \
+                and (match := TARGET.fullmatch(node.value)):
+            read.update(match.group(1).split("."))
+    return read
+
+
+def unread_public_names(definitions, read: set[str]
+                        ) -> list[tuple[str, int, str]]:
+    """The (module, line, name) definitions whose bare name is not read."""
+    return sorted((module, line, name) for module, line, name in definitions
+                  if name.rpartition(".")[2] not in read)
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    modules = sorted(SRC.rglob("*.py"))
+    readers = modules + sorted(
+        path for folder in ("bench", "demos")
+        for path in (ROOT / folder).rglob("*.py")
+        if not path.name.startswith("test_"))
+    assert len(modules) > 10 and len(readers) > len(modules) + 5
+    read = set()
+    for path in readers:
+        read |= names_read(path.read_text(encoding="utf-8"),
+                           targets=path.is_relative_to(ROOT / "bench"))
+    definitions = [(str(path.relative_to(SRC)), line, name)
+                   for path in modules
+                   for line, name in public_definitions(
+                       path.read_text(encoding="utf-8"))]
+    unread = unread_public_names(definitions, read)
+    assert [hit for hit in unread if hit[2] not in ALLOWED] == []
+    # an allowlisted name that has gained a reader leaves the list
+    assert sorted(ALLOWED) == sorted(name for _, _, name in unread)
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f():\n    pass", ["f"]),
+    ("X = 1\n_Y = 2", ["X"]),
+    ("x: int = 1", ["x"]),
+    ("class C:\n    a: int\n    def m(self):\n        pass\n"
+     "    def _p(self):\n        pass\n    k = property(lambda self: 1)",
+     ["C", "C.a", "C.m", "C.k"]),
+    ("class C:\n    class D:\n        def m(self):\n            pass",
+     ["C", "C.D"]),
+    ("def f():\n    y = 1\n    def g():\n        pass", ["f"]),
+])
+def test_definitions_found(source, expected):
+    assert [name for _, name in public_definitions(source)] == expected
+
+
+@pytest.mark.parametrize("source, targets, read", [
+    ("f()", False, {"f"}),
+    ("a.b.c", False, {"a", "b", "c"}),
+    ("x = 1", False, set()),
+    ("a.b = 1", False, {"a"}),
+    ("t = 'cogrl.afm:TransactionLog.__init__'", True,
+     {"TransactionLog", "__init__"}),
+    ("t = 'cogrl.afm:TransactionLog.__init__'", False, set()),
+    ("t = 'a note: about things'", True, set()),
+])
+def test_reads_found(source, targets, read):
+    assert names_read(source, targets) == read
+
+
+def test_unread_member_found_by_its_bare_name():
+    definitions = [("m.py", 1, "C"), ("m.py", 2, "C.step"),
+                   ("m.py", 3, "helper")]
+    assert unread_public_names(definitions, {"C", "helper"}) == \
+        [("m.py", 2, "C.step")]
+    # the blind spot: any read of a ``step`` attribute counts for C.step
+    assert unread_public_names(definitions, {"C", "helper", "step"}) == []

@@ -388,7 +388,8 @@ TIGHTENED = {
     "transactions": lambda header, rows: False,
     "images": lambda header, rows: _repeats([r[0] for r in rows]),
     "cloze": lambda header, rows: _repeats([r[0] for r in rows]),
-    "features": _binary_tightening,
+    "features": lambda header, rows: (
+        _binary_tightening(header, rows) or not rows),
     "kc_map": lambda header, rows: header != ["item_id", "kc_name"],
     "qmatrix": _binary_tightening,
     "params": lambda header, rows: _repeats([tuple(r[:2]) for r in rows]),
@@ -521,7 +522,7 @@ class TestRoundTrip:
     @given(data=st.data())
     def test_features(self, tmp_path, data):
         names = _distinct(data, nonempty_cell, 1, 3)
-        ids = _distinct(data, any_cell, 0, 4)
+        ids = _distinct(data, any_cell, 1, 4)
         features = {i: {n: data.draw(st.sampled_from([0, 1])) for n in names}
                     for i in ids}
         assert _round_trip(tmp_path, write_features, read_features, features,
@@ -619,7 +620,8 @@ def test_digit_separators_are_not_numbers(tmp_path, reader, text):
 
 
 @pytest.mark.parametrize("reader, header", [
-    (read_qmatrix, "item_id\tk1"), (read_representations, "item_id\trep_00")])
+    (read_qmatrix, "item_id\tk1"), (read_representations, "item_id\trep_00"),
+    (read_features, "item_id\tf1")])
 def test_header_only_table_names_the_file(tmp_path, reader, header):
     path = tmp_path / "t.tsv"
     path.write_text(header + "\n")
