@@ -21,7 +21,8 @@ from cogrl.representation import (
 )
 
 bundle = synth_visual(VisualSynthSpec(seed=7))
-template_of = bundle.extras["template_of"]
+oracle = bundle.extras["oracle_q"]
+template = dict(zip(oracle.item_ids, oracle.cells.argmax(axis=1).tolist()))
 print(f"{len(bundle.problems)} problems from 4 templates, "
       f"classes {bundle.answer_labels}")
 
@@ -46,7 +47,7 @@ print(f"thresholded Q-matrix: {q.n_items} items x {q.n_kcs} KCs "
 shared = total = 0
 for i in range(len(q.item_ids)):
     for j in range(i + 1, len(q.item_ids)):
-        if template_of[q.item_ids[i]] != template_of[q.item_ids[j]]:
+        if template[q.item_ids[i]] != template[q.item_ids[j]]:
             continue
         total += 1
         shared += bool((q.row(q.item_ids[i]) & q.row(q.item_ids[j])).any())
@@ -54,7 +55,7 @@ print(f"same-template item pairs sharing at least one KC: "
       f"{shared}/{total} = {shared / total:.0%}")
 
 for t in range(4):
-    rows = [q.row(item) for item in q.item_ids if template_of[item] == t]
+    rows = [q.row(item) for item in q.item_ids if template[item] == t]
     common = np.bitwise_and.reduce(np.stack(rows))
     kcs = [kc for kc, v in zip(q.kc_names, common) if v]
     print(f"  template {t}: KCs shared by every item: {kcs}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -248,7 +248,6 @@ class FitDiagnostics:
     iterations: int
     objective: float
     residual: float  # max-norm of the projected gradient at the fit
-    objective_history: list[float] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +479,6 @@ def _newton(design: _Design, config: FitConfig):
     f, eta, e = design.objective(theta, x[:k], x[k:], config)
     if not np.isfinite(f):
         raise FitError("objective non-finite at the zero start")
-    history = [f]
     iterations = 0
     while True:
         g_theta, g_x, d_theta, d_x = design.newton_direction(
@@ -503,13 +501,12 @@ def _newton(design: _Design, config: FitConfig):
         else:
             break
         theta, x, f, eta, e = cand_theta, cand_x, fc, eta_c, e_c
-        history.append(f)
     # gamma at 0 may keep a gradient that points below 0
     g_x[k:] = np.where(x[k:] > 0, g_x[k:], np.maximum(g_x[k:], 0.0))
     residual = float(np.max(np.abs(np.concatenate([g_theta, g_x]))))
     return theta, x[:k], x[k:], FitDiagnostics(
         converged=converged, iterations=iterations, objective=f,
-        residual=residual, objective_history=history)
+        residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +529,6 @@ def assign_folds(item_ids, folds: int, seed: int) -> list[list[str]]:
 class CVResult:
     mean_rmse: float
     fold_rmses: list[float]
-    fold_items: list[list[str]]
     fold_fits: list[FitDiagnostics]
 
 
@@ -570,8 +566,7 @@ def item_stratified_cv(log: TransactionLog, q: QMatrix,
         _cv_fold, [(cols, pairs, q.n_kcs, row_fold == k, fit)
                    for k in range(len(folds))], jobs))
     return CVResult(mean_rmse=float(np.mean(fold_rmses)),
-                    fold_rmses=list(fold_rmses), fold_items=folds,
-                    fold_fits=list(fold_fits))
+                    fold_rmses=list(fold_rmses), fold_fits=list(fold_fits))
 
 
 @dataclass

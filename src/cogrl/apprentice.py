@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .afm import (
-    AFMParams,
     FitConfig,
     ParamReport,
     Transaction,
@@ -310,8 +309,6 @@ class SimulationStudy:
     """Outcome of the simulate-and-estimate comparison."""
 
     simulated_log: TransactionLog
-    params_sim: AFMParams
-    params_orig: AFMParams
     report: ParamReport  # sim columns first, original as reference
 
     def to_tsv_lines(self) -> list[str]:
@@ -385,8 +382,7 @@ def simulate_and_estimate(original_log: TransactionLog,
         # float64 like every log's outcomes, and defined for no students
         y=np.concatenate([np.zeros(0), *outcomes])))
 
-    params_sim, _ = afm_fit(simulated_log, q_eval, fit)
-    params_orig, _ = afm_fit(original_log, q_eval, fit)
-    report = param_report(params_sim, q_eval, reference=params_orig)
-    return SimulationStudy(simulated_log=simulated_log, params_sim=params_sim,
-                           params_orig=params_orig, report=report)
+    fitted, _ = afm_fit(simulated_log, q_eval, fit)
+    reference, _ = afm_fit(original_log, q_eval, fit)
+    return SimulationStudy(simulated_log, param_report(
+        fitted, q_eval, reference=reference))

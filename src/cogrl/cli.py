@@ -155,7 +155,7 @@ def cmd_synth(args, seed):
         q_path = os.path.join(out_dir, "oracle_q.tsv")
         write_qmatrix(q_path, bundle.extras["oracle_q"])
         human_path = os.path.join(out_dir, "features_human.tsv")
-        write_features(human_path, bundle.extras["features_human"],
+        write_features(human_path, human_features(bundle.problems),
                        ARTICLE_FEATURE_NAMES)
         full_path = os.path.join(out_dir, "features_full.tsv")
         write_features(full_path, bundle.extras["features_full"],

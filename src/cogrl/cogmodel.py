@@ -26,6 +26,8 @@ class QMatrix:
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=np.int64)
         n, m = len(self.item_ids), len(self.kc_names)
+        if n == 0:
+            raise InputError("a Q-matrix needs at least one item")
         if self.cells.shape != (n, m):
             raise InputError(
                 f"cells shape {self.cells.shape} does not match "
@@ -56,16 +58,12 @@ class QMatrix:
 
 def faculty_transfer(item_ids: list[str]) -> QMatrix:
     """Single shared KC: practice on anything transfers to everything."""
-    if not item_ids:
-        raise InputError("faculty_transfer needs at least one item")
     return QMatrix(list(item_ids), ["faculty"],
                    np.ones((len(item_ids), 1), dtype=np.int64))
 
 
 def identical_transfer(item_ids: list[str]) -> QMatrix:
     """One unique KC per item: transfer only across identical stimuli."""
-    if not item_ids:
-        raise InputError("identical_transfer needs at least one item")
     names = [f"item:{item}" for item in item_ids]
     return QMatrix(list(item_ids), names, np.eye(len(item_ids), dtype=np.int64))
 
@@ -75,11 +73,6 @@ class SanitationReport:
     dropped_columns: list[str] = field(default_factory=list)
     merged_columns: list[tuple[str, list[str]]] = field(default_factory=list)
     residual_items: list[str] = field(default_factory=list)
-
-    @property
-    def changed(self) -> bool:
-        return bool(self.dropped_columns or self.merged_columns
-                    or self.residual_items)
 
     def lines(self) -> list[str]:
         return [f"dropped all-zero column {name}"

@@ -290,12 +290,11 @@ def synth_visual(spec: VisualSynthSpec) -> DatasetBundle:
     Template t is a fixed solid block in its own grid cell; instances
     translate the block by seeded jitter and add pixel noise. Templates are
     split between two answer classes (t mod 2). extras carries the oracle
-    Q-matrix (one template KC per item) and the template assignment.
+    Q-matrix: one template KC per item, the items in template order.
     """
     rng = np.random.default_rng(spec.seed)
     c, h, w = spec.image_shape
     problems: list[ProblemInstance] = []
-    template_of: dict[str, int] = {}
     for t in range(spec.templates):
         r0, r1, c0, c1 = _template_block(spec, t)
         for j in range(spec.images_per_template):
@@ -307,19 +306,14 @@ def synth_visual(spec: VisualSynthSpec) -> DatasetBundle:
                 image = np.clip(
                     image + rng.uniform(-spec.noise, spec.noise, size=(c, h, w)),
                     0.0, 1.0)
-            item = f"v{t:02d}_{j:02d}"
             problems.append(ProblemInstance(
-                item_id=item, content=image, answer=t % 2))
-            template_of[item] = t
-    answer_labels = ["c0", "c1"]
-    item_ids = [p.item_id for p in problems]
-    cells = np.eye(spec.templates, dtype=np.int64)[
-        [template_of[item] for item in item_ids]]
-    oracle = QMatrix(item_ids, [f"template_{t}" for t in range(spec.templates)],
-                     cells)
-    return DatasetBundle(
-        problems=problems, answer_labels=answer_labels,
-        extras={"oracle_q": oracle, "template_of": template_of})
+                item_id=f"v{t:02d}_{j:02d}", content=image, answer=t % 2))
+    oracle = QMatrix([p.item_id for p in problems],
+                     [f"template_{t}" for t in range(spec.templates)],
+                     np.repeat(np.eye(spec.templates, dtype=np.int64),
+                               spec.images_per_template, axis=0))
+    return DatasetBundle(problems=problems, answer_labels=["c0", "c1"],
+                         extras={"oracle_q": oracle})
 
 
 def write_image_dataset(out_dir, bundle: DatasetBundle) -> str:
@@ -410,9 +404,9 @@ def synth_cloze(spec: ClozeSynthSpec) -> DatasetBundle:
     hidden rule uses vowel-sound words spelled without a vowel, so its
     questions collide with consonant-rule questions on all six features
     while disagreeing on the answer. extras carries the oracle rule
-    Q-matrix, the rule assignment, and both feature tables (the six human
-    features, and those plus ``next_word_vowel_sound`` which restores full
-    information).
+    Q-matrix (one rule KC per item) and the full feature table: the six
+    human features (``human_features`` of the problems) plus
+    ``next_word_vowel_sound``, which restores full information.
     """
     rng = np.random.default_rng(spec.seed)
     rules = dict(_CLOZE_RULES)
@@ -434,65 +428,28 @@ def synth_cloze(spec: ClozeSynthSpec) -> DatasetBundle:
 
     answer_labels = ["a", "an", "the"]
     problems: list[ProblemInstance] = []
-    rule_of: dict[str, str] = {}
-    human_features: dict[str, dict[str, int]] = {}
     full_features: dict[str, dict[str, int]] = {}
     vowel_sound_words = set(_VOWEL_NOUNS) | set(_HIDDEN_NOUNS)
-    for i, (rule, text, answer) in enumerate(texts):
+    for i, (_, text, answer) in enumerate(texts):
         item = f"q{i:03d}"
         content = split_blank(text)
         problems.append(ProblemInstance(
             item_id=item, content=content,
             answer=answer_labels.index(answer)))
-        rule_of[item] = rule
         feats = article_human_features(content)
-        human_features[item] = feats
         post_tokens = TOKEN_RE.findall(content.suffix.lower())
         next_word = post_tokens[0] if post_tokens else ""
-        full_features[item] = dict(feats)
-        full_features[item]["next_word_vowel_sound"] = int(
+        feats["next_word_vowel_sound"] = int(
             next_word in vowel_sound_words or feats["next_word_starts_with_vowel"])
+        full_features[item] = feats
 
-    _check_rule_consistency(problems, answer_labels, human_features,
-                            full_features, rule_of)
-
-    item_ids = [p.item_id for p in problems]
     kc_names = sorted(rules)
-    cells = np.eye(len(kc_names), dtype=np.int64)[
-        [kc_names.index(rule_of[item]) for item in item_ids]]
-    oracle = QMatrix(item_ids, kc_names, cells)
+    oracle = QMatrix([p.item_id for p in problems], kc_names,
+                     np.eye(len(kc_names), dtype=np.int64)[
+                         [kc_names.index(rule) for rule, _, _ in texts]])
     return DatasetBundle(
         problems=problems, answer_labels=answer_labels,
-        extras={"oracle_q": oracle, "rule_of_item": rule_of,
-                "features_human": human_features,
-                "features_full": full_features})
-
-
-def _check_rule_consistency(problems, answer_labels, human, full, rule_of):
-    """Reject a rule set whose answers contradict the feature tables.
-
-    Human-feature collisions across differing answers are allowed only when
-    one side is the hidden rule; the full-information features must be
-    contradiction free.
-    """
-    by_vec: dict[tuple, set] = {}
-    for p in problems:
-        vec = tuple(human[p.item_id][n] for n in ARTICLE_FEATURE_NAMES)
-        by_vec.setdefault(vec, set()).add((p.answer, rule_of[p.item_id]))
-    for vec, group in by_vec.items():
-        answers = {a for a, _ in group}
-        if len(answers) > 1 and not any(r == "rule_an_hidden" for _, r in group):
-            raise InputError(
-                f"contradictory rule set: feature vector {vec} maps to "
-                f"answers {sorted(answer_labels[a] for a in answers)}")
-    by_full: dict[tuple, set] = {}
-    for p in problems:
-        vec = tuple(full[p.item_id][n] for n in FULL_FEATURE_NAMES)
-        by_full.setdefault(vec, set()).add(p.answer)
-    for vec, answers in by_full.items():
-        if len(answers) > 1:
-            raise InputError(
-                f"contradictory rule set under full features: {vec}")
+        extras={"oracle_q": oracle, "features_full": full_features})
 
 
 # ---------------------------------------------------------------------------

@@ -302,12 +302,12 @@ def test_criterion_4_cv_ordering(visual_study):
 def test_criterion_5_representation_clustering(visual_study):
     accuracy = visual_study["accuracy"]
     q = visual_study["q_cogrl"]
-    template_of = visual_study["bundle"].extras["template_of"]
+    oracle = visual_study["bundle"].extras["oracle_q"]
     items = q.item_ids
     shared = total = 0
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
-            if template_of[items[i]] != template_of[items[j]]:
+            if (oracle.row(items[i]) != oracle.row(items[j])).any():
                 continue
             total += 1
             if (q.row(items[i]) & q.row(items[j])).any():
@@ -357,9 +357,9 @@ def test_criterion_7_apprentice_study(cloze_study):
     human = simulate_and_estimate(log, bundle.problems,
                                   human_features(bundle.problems), q_rules,
                                   sim=SimConfig(seed=123))
-    hidden_slope = human.params_sim.gamma[hidden]
-    expressible = {k: human.params_sim.gamma[k]
-                   for k in q_rules.kc_names if k != hidden}
+    slope = dict(zip(human.report.kc_names, human.report.slopes))
+    hidden_slope = slope[hidden]
+    expressible = {k: slope[k] for k in q_rules.kc_names if k != hidden}
     min_expressible = min(expressible.values())
 
     full = simulate_and_estimate(
@@ -495,7 +495,7 @@ def test_criterion_9_invariant_suites():
                     (rng.uniform(size=(n, m)) < 0.4).astype(int))
         once, _ = sanitize_qmatrix(q)
         twice, rep = sanitize_qmatrix(once)
-        assert not rep.changed
+        assert rep.lines() == ["no changes"]
         assert np.array_equal(once.cells, twice.cells)
     timings["sanitize idempotence"] = time.time() - start
 
@@ -540,7 +540,7 @@ def test_criterion_9_invariant_suites():
 
     start = time.time()
     bundle = synth_cloze(ClozeSynthSpec(seed=1))
-    feats = bundle.extras["features_human"]
+    feats = human_features(bundle.problems)
     problems = bundle.problems[:30]
     curriculum = [(p, feats[p.item_id]) for p in problems]
     for trial in range(10):

@@ -180,12 +180,19 @@ class TestFit:
         for v in params.theta.values():
             assert math.isfinite(v)
 
-    def test_objective_history_non_decreasing(self):
+    def test_objective_never_falls_with_more_steps(self):
         log, q, _ = synth_afm_log(AfmLogSynthSpec(
             students=20, items=12, kcs=3, seed=4))
-        _, diag = afm_fit(log, q)
-        hist = diag.objective_history
-        assert all(b >= a for a, b in zip(hist, hist[1:]))
+        _, done = afm_fit(log, q)
+        assert done.converged and done.iterations >= 2
+        # the objective after each step: the fit stopped at max_iter = 1..n
+        steps = [afm_fit(log, q, FitConfig(max_iter=m))[1]
+                 for m in range(1, done.iterations + 1)]
+        assert [d.iterations for d in steps] == \
+            list(range(1, done.iterations + 1))
+        objectives = [_start_objective(log, q)] + [d.objective for d in steps]
+        assert all(b >= a for a, b in zip(objectives, objectives[1:]))
+        assert objectives[-1] == done.objective
 
     def test_gamma_non_negative(self):
         log, q, _ = synth_afm_log(AfmLogSynthSpec(
@@ -253,8 +260,7 @@ class TestItemStratifiedCV:
             students=20, items=12, kcs=3, seed=2))
         r1 = item_stratified_cv(log, q, None, CVConfig(folds=4, seed=7))
         r2 = item_stratified_cv(log, q, None, CVConfig(folds=4, seed=7))
-        assert r1.fold_items == r2.fold_items
-        assert r1.fold_rmses == r2.fold_rmses
+        assert r1 == r2
 
     def test_fold_assignment_pure_function_of_ids(self):
         ids = [f"i{k}" for k in range(10)]
@@ -284,8 +290,8 @@ class TestItemStratifiedCV:
         log = _log(rows)
         result = item_stratified_cv(log, faculty_transfer(log.columns.items),
                                     None, CVConfig(folds=3, seed=0))
-        assert sorted(i for fold in result.fold_items for i in fold) == \
-            ["a\x00", "b", "c"]
+        folds = assign_folds(log.columns.items, 3, 0)
+        assert sorted(i for fold in folds for i in fold) == ["a\x00", "b", "c"]
         assert len(result.fold_rmses) == 3
 
     def test_jobs_do_not_change_results(self):
@@ -313,11 +319,12 @@ class TestCompareModels:
         log, q, _ = synth_afm_log(AfmLogSynthSpec(
             students=15, items=10, kcs=2, seed=8))
         items = q.item_ids
-        table = compare_models(
-            log, [("faculty", faculty_transfer(items)),
-                  ("identical", identical_transfer(items))],
-            None, CVConfig(folds=3, seed=4))
-        assert table.results[0].fold_items == table.results[1].fold_items
+        models = [("faculty", faculty_transfer(items)),
+                  ("identical", identical_transfer(items))]
+        cv = CVConfig(folds=3, seed=4)
+        table = compare_models(log, models, None, cv)
+        assert table.results == [item_stratified_cv(log, model, None, cv)
+                                 for _, model in models]
 
     def test_tsv_and_text_outputs(self):
         log, q, _ = synth_afm_log(AfmLogSynthSpec(
@@ -650,7 +657,6 @@ def _oracle_solve(design, config):
     theta, beta, gamma = (np.zeros(n) for n in (design.n_students,
                                                 design.n_kcs, design.n_kcs))
     f, eta, e = design.objective(theta, beta, gamma, config)
-    history = [f]
     alpha = 1.0
     converged = False
     iterations = 0
@@ -673,20 +679,27 @@ def _oracle_solve(design, config):
         rel = (fc - f) / max(1.0, abs(f))
         theta, beta, gamma, f = cand_theta, cand_beta, cand_gamma, fc
         eta, e = eta_c, e_c
-        history.append(f)
         if rel < config.tol:
             converged = True
             break
         alpha = min(alpha * 2.0, 2.0)
     return theta, beta, gamma, FitDiagnostics(
         converged=converged, iterations=iterations, objective=f,
-        residual=math.nan, objective_history=history)
+        residual=math.nan)
 
 
 def _design(log, q):
     cols = log.columns
     return _Design.masked(cols, opportunity_pairs(cols, q), q.n_kcs,
                           np.ones(len(log), dtype=bool))[0]
+
+
+def _start_objective(log, q):
+    """The default fit's penalized log-likelihood at its zero start."""
+    design = _design(log, q)
+    zeros = np.zeros(q.n_kcs)
+    return design.objective(np.zeros(design.n_students), zeros, zeros,
+                            FitConfig())[0]
 
 
 def _projected_gradient(design, theta, beta, gamma, cfg):
@@ -819,18 +832,18 @@ class TestNewtonSolver:
         # every attempt right: beta grows without bound as the fit goes on
         log = _log([(f"s{s}", f"i{j}", 1, j + 1)
                     for s in range(3) for j in range(4)])
-        params, diag = afm_fit(log, model(log.columns.items))
+        q = model(log.columns.items)
+        params, diag = afm_fit(log, q)
         assert np.isfinite(diag.objective)
         assert all(math.isfinite(v) for v in params.beta.values())
         assert min(params.gamma.values()) >= 0.0
-        assert diag.objective >= diag.objective_history[0]
+        assert diag.objective >= _start_objective(log, q)
 
     def test_max_iter_bounds_the_steps(self):
         log, q, _ = synth_afm_log(AfmLogSynthSpec(
             students=20, items=12, kcs=3, seed=4))
         _, diag = afm_fit(log, q, FitConfig(max_iter=2))
         assert not diag.converged and diag.iterations == 2
-        assert len(diag.objective_history) == 3
         _, done = afm_fit(log, q)
         assert done.converged and done.residual < diag.residual
 

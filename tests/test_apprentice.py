@@ -203,7 +203,7 @@ class TestSimulateLearner:
 
     def test_determinism_same_seed(self):
         bundle = synth_cloze(ClozeSynthSpec(seed=2))
-        feats = bundle.extras["features_human"]
+        feats = human_features(bundle.problems)
         curriculum = [(p, feats[p.item_id]) for p in bundle.problems[:20]]
         a = simulate_learner(curriculum, SimConfig(seed=9), labels=[0, 1, 2])
         b = simulate_learner(curriculum, SimConfig(seed=9), labels=[0, 1, 2])
@@ -515,9 +515,8 @@ class TestSimulateAndEstimate:
         unpenalized = simulate_and_estimate(
             log, bundle.problems, human, q, sim=SimConfig(seed=4),
             fit=FitConfig())
-        assert study.params_sim == explicit.params_sim
-        assert study.params_orig == explicit.params_orig
-        assert study.params_sim != unpenalized.params_sim
+        assert study.report == explicit.report
+        assert study.report != unpenalized.report
 
     def test_simulated_log_mirrors_orders_and_students(self):
         bundle, log = self._study_inputs()
@@ -563,7 +562,7 @@ class TestSimulateAndEstimate:
         # answer, so every KC is learnable from these features
         study = simulate_and_estimate(log, bundle.problems, rows, q,
                                       sim=SimConfig(seed=13))
-        assert min(study.params_sim.gamma.values()) > 0.2
+        assert min(study.report.slopes) > 0.2
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_feature_names_checked_across_students(self, jobs):

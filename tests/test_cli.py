@@ -467,6 +467,16 @@ class TestGradcheckAndErrors:
                     "--models", "mystery", "--folds", "2",
                     "--out", tmp_path / "c.tsv"]) == 4
 
+    @pytest.mark.parametrize("model", ["faculty", "identical"])
+    def test_header_only_log_compare_exit_code(self, tmp_path, capsys,
+                                               model):
+        log = tmp_path / "log.tsv"
+        log.write_text("student_id\titem_id\toutcome\torder\n")
+        assert run(["compare", "--log", log, "--models", model,
+                    "--folds", "2", "--out", tmp_path / "c.tsv"]) == 3
+        assert "a Q-matrix needs at least one item" in capsys.readouterr().err
+        assert not (tmp_path / "c.tsv").exists()
+
     @pytest.mark.parametrize("models,entry", [
         ("=qmatrix.tsv", "=qmatrix.tsv"), ("faculty,faculty", "faculty"),
         ("faculty,faculty=qmatrix.tsv", "faculty=qmatrix.tsv"),

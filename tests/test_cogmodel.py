@@ -133,7 +133,7 @@ class TestSanitize:
                     [f"k{k}" for k in range(m)], cells)
         once, _ = sanitize_qmatrix(q)
         twice, report = sanitize_qmatrix(once)
-        assert not report.changed
+        assert report.lines() == ["no changes"]
         assert once.kc_names == twice.kc_names
         assert np.array_equal(once.cells, twice.cells)
         # every row usable afterwards
@@ -169,3 +169,14 @@ class TestQMatrixIO:
     def test_validation_rejects_duplicate_kcs(self):
         with pytest.raises(InputError):
             QMatrix(["a"], ["k", "k"], np.array([[1, 1]]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: QMatrix([], ["k"], np.zeros((0, 1))),
+        lambda: QMatrix([], [], np.zeros((0, 0))),
+        lambda: faculty_transfer([]),
+        lambda: identical_transfer([])])
+    def test_validation_rejects_zero_items(self, build):
+        # write_qmatrix would write a header-only file read_qmatrix rejects
+        with pytest.raises(InputError, match="a Q-matrix needs at least one "
+                                             "item"):
+            build()

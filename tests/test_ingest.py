@@ -14,7 +14,7 @@ from cogrl.afm import (
     compute_opportunities,
     read_params,
 )
-from cogrl.apprentice import ARTICLE_FEATURE_NAMES
+from cogrl.apprentice import ARTICLE_FEATURE_NAMES, human_features
 from cogrl.cogmodel import QMatrix, read_kc_map, read_qmatrix
 from cogrl.errors import InputError
 from cogrl.ingest import (
@@ -242,7 +242,7 @@ class TestClozeIO:
 class TestFeaturesIO:
     def test_round_trip(self, tmp_path):
         bundle = synth_cloze(ClozeSynthSpec(seed=1))
-        feats = bundle.extras["features_human"]
+        feats = human_features(bundle.problems)
         path = tmp_path / "f.tsv"
         write_features(path, feats, ARTICLE_FEATURE_NAMES)
         assert read_features(path) == feats
@@ -324,6 +324,15 @@ class TestTextInput:
             pass
 
 
+def _kc_of(bundle):
+    """Each item's one KC in the bundle's oracle Q-matrix: its template or
+    its rule."""
+    q = bundle.extras["oracle_q"]
+    assert (q.cells.sum(axis=1) == 1).all()
+    return {item: q.kc_names[j]
+            for item, j in zip(q.item_ids, q.cells.argmax(axis=1))}
+
+
 class TestSynthVisual:
     def test_construction_counts_and_oracle(self):
         bundle = synth_visual(VisualSynthSpec(seed=0))
@@ -337,17 +346,18 @@ class TestSynthVisual:
     def test_zero_jitter_zero_noise_identical_within_template(self):
         bundle = synth_visual(VisualSynthSpec(
             templates=2, images_per_template=3, jitter=0, noise=0.0, seed=1))
-        tpl = bundle.extras["template_of"]
+        tpl = _kc_of(bundle)
         groups = {}
         for p in bundle.problems:
             groups.setdefault(tpl[p.item_id], []).append(p.content)
+        assert sorted(groups) == ["template_0", "template_1"]
         for images in groups.values():
             for img in images[1:]:
                 assert np.array_equal(img, images[0])
 
     def test_within_template_distance_below_across(self):
         bundle = synth_visual(VisualSynthSpec(seed=2))
-        tpl = bundle.extras["template_of"]
+        tpl = _kc_of(bundle)
         within, across = [], []
         problems = bundle.problems
         for i in range(len(problems)):
@@ -372,8 +382,8 @@ class TestSynthVisual:
 class TestSynthCloze:
     def test_every_question_satisfies_its_rule(self):
         bundle = synth_cloze(ClozeSynthSpec(seed=0))
-        rule_of = bundle.extras["rule_of_item"]
-        human = bundle.extras["features_human"]
+        rule_of = _kc_of(bundle)
+        human = human_features(bundle.problems)
         expected_answer = {"rule_a_consonant": "a", "rule_an_vowel": "an",
                            "rule_an_hidden": "an"}
         signature_bit = {
@@ -395,8 +405,8 @@ class TestSynthCloze:
 
     def test_hidden_rule_collides_on_human_features(self):
         bundle = synth_cloze(ClozeSynthSpec(seed=3))
-        rule_of = bundle.extras["rule_of_item"]
-        human = bundle.extras["features_human"]
+        rule_of = _kc_of(bundle)
+        human = human_features(bundle.problems)
         hidden_vecs = {tuple(human[p.item_id].values())
                        for p in bundle.problems
                        if rule_of[p.item_id] == "rule_an_hidden"}
@@ -416,12 +426,34 @@ class TestSynthCloze:
 
     def test_without_hidden_rule_no_collisions(self):
         bundle = synth_cloze(ClozeSynthSpec(seed=4, include_hidden_rule=False))
-        human = bundle.extras["features_human"]
+        human = human_features(bundle.problems)
         by_vec = {}
         for p in bundle.problems:
             vec = tuple(sorted(human[p.item_id].items()))
             by_vec.setdefault(vec, set()).add(p.answer)
         assert all(len(answers) == 1 for answers in by_vec.values())
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 200), st.booleans())
+    def test_features_determine_every_answer_but_the_hidden_rules(
+            self, seed, questions, include_hidden_rule):
+        bundle = synth_cloze(ClozeSynthSpec(
+            questions=questions, include_hidden_rule=include_hidden_rule,
+            seed=seed))
+        rule_of = _kc_of(bundle)
+        human = human_features(bundle.problems)
+        for table in (bundle.extras["features_full"], human):
+            groups = {}
+            for p in bundle.problems:
+                groups.setdefault(tuple(table[p.item_id].items()),
+                                  []).append(p)
+            for group in groups.values():
+                if len({p.answer for p in group}) > 1:
+                    # only the vowel-sound words spelled without a vowel
+                    # collide, and only on the six human features
+                    assert table is human
+                    assert any(rule_of[p.item_id] == "rule_an_hidden"
+                               for p in group)
 
     def test_deterministic(self):
         a = synth_cloze(ClozeSynthSpec(seed=9))
