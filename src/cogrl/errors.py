@@ -5,8 +5,9 @@ specific class that applies.
 
 The text-file dialect lives here too. ``read_lines`` is the one place text
 input files are decoded, so undecodable bytes end in ``InputError``
-everywhere; ``read_table`` is the one TSV reader on top of it, and
-``write_lines`` the one text writer.
+everywhere; ``read_table`` is the one TSV reader on top of it, holding
+every rule the formats' rows share, and ``write_lines`` the one text
+writer.
 """
 
 from __future__ import annotations
@@ -60,15 +61,16 @@ def read_lines(path) -> Iterator[str]:
 BINARY = {"0": 0, "1": 1}
 
 
-def read_table(path, header: list[str] | None = None
+def read_table(path, header: list[str] | None = None, keyed: bool = False
                ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """Check a TSV's header; returns (columns, stream of data rows).
 
     With ``header``, the first line must equal it exactly. Without, the
-    table is item-keyed and wide: ``item_id`` then one or more distinct,
-    non-empty column names, at least one row, and no two rows share an item
-    id. The stream yields (file line number, fields) for each data row that
-    is not blank; every row has exactly as many fields as the header.
+    table is wide: ``item_id`` then one or more distinct, non-empty column
+    names. The stream yields (file line number, fields) for each data row
+    that is not blank. Every row has exactly as many fields as the header,
+    none of them empty, and the table has at least one row. A wide table,
+    or one read with ``keyed``, has no two rows with the same first cell.
     """
     lines = read_lines(path)
     columns = next(lines, "").split("\t")
@@ -79,13 +81,14 @@ def read_table(path, header: list[str] | None = None
         raise InputError(
             f"{path}: expected header item_id<TAB><one or more column names>")
     else:
+        keyed = True
         twice = [c for c, n in Counter(columns).items() if n > 1]
         if twice:
             raise InputError(
                 f"{path}: line 1: duplicate column name {twice[0]!r}")
 
     def rows():
-        width, keyed, items = len(columns), header is None, set()
+        width, keys, empty = len(columns), set(), True
         for ln, line in enumerate(lines, start=2):
             if not line.strip():
                 continue
@@ -93,14 +96,18 @@ def read_table(path, header: list[str] | None = None
             if len(fields) != width:
                 raise InputError(f"{path}: line {ln}: expected {width} "
                                  f"columns, got {len(fields)}")
+            if "" in fields:
+                raise InputError(f"{path}: line {ln}: empty "
+                                 f"{columns[fields.index('')]} cell")
             if keyed:
-                if fields[0] in items:
-                    raise InputError(
-                        f"{path}: line {ln}: duplicate item_id {fields[0]!r}")
-                items.add(fields[0])
+                if fields[0] in keys:
+                    raise InputError(f"{path}: line {ln}: duplicate "
+                                     f"{columns[0]} {fields[0]!r}")
+                keys.add(fields[0])
+            empty = False
             yield ln, fields
-        if keyed and not items:
-            raise InputError(f"{path}: the table has no items")
+        if empty:
+            raise InputError(f"{path}: the table has no rows")
 
     return columns, rows()
 

@@ -54,9 +54,6 @@ def load_transactions(path) -> TransactionLog:
     rows, line_numbers = [], []
     for ln, (student, item, outcome, order) in read_table(
             path, TRANSACTIONS_HEADER)[1]:
-        if not student or not item:
-            raise InputError(
-                f"{path}: line {ln}: student_id and item_id must be non-empty")
         if not _ORDER.fullmatch(order):
             raise InputError(
                 f"{path}: line {ln}: order must be a decimal integer within "
@@ -151,42 +148,35 @@ MANIFEST_HEADER = ["item_id", "image", "answer"]
 def load_images(manifest_path) -> DatasetBundle:
     """Load an image manifest TSV; paths are relative to the manifest."""
     base = os.path.dirname(os.path.abspath(manifest_path))
-    problems: list[ProblemInstance] = []
-    answer_labels: list[str] = []
     shape = None
-    for ln, (item, rel, answer) in _item_rows(manifest_path, MANIFEST_HEADER):
+
+    def content_of(ln, rel):
+        nonlocal shape
         image = read_image(os.path.join(base, rel))
-        if shape is None:
-            shape = image.shape
-        elif image.shape[0] != shape[0]:
+        shape = shape or image.shape
+        if image.shape[0] != shape[0]:
             raise InputError(
                 f"{manifest_path}: line {ln}: mixed channel counts "
                 f"({image.shape[0]} vs {shape[0]})")
-        elif image.shape != shape:
+        if image.shape != shape:
             raise InputError(
                 f"{manifest_path}: line {ln}: mixed image sizes "
                 f"({image.shape} vs {shape})")
-        if answer not in answer_labels:
-            answer_labels.append(answer)
+        return image
+
+    return _load_problems(manifest_path, MANIFEST_HEADER, content_of)
+
+
+def _load_problems(path, header, content_of) -> DatasetBundle:
+    """Read a problem table (item id, content cell, answer label): each
+    content cell through ``content_of(line number, cell)``, each answer
+    coded by its label's order of first appearance."""
+    problems, labels = [], {}
+    for ln, (item, cell, answer) in read_table(path, header, keyed=True)[1]:
         problems.append(ProblemInstance(
-            item_id=item, content=image, answer=answer_labels.index(answer)))
-    if not problems:
-        raise InputError(f"{manifest_path}: no image rows")
-    return DatasetBundle(problems=problems, answer_labels=answer_labels)
-
-
-def _item_rows(path, header):
-    """The rows of a problem table: every cell non-empty, item ids unique."""
-    seen = set()
-    for ln, fields in read_table(path, header)[1]:
-        if not all(fields):
-            raise InputError(
-                f"{path}: line {ln}: expected {len(header)} non-empty columns")
-        if fields[0] in seen:
-            raise InputError(
-                f"{path}: line {ln}: duplicate item_id {fields[0]!r}")
-        seen.add(fields[0])
-        yield ln, fields
+            item_id=item, content=content_of(ln, cell),
+            answer=labels.setdefault(answer, len(labels))))
+    return DatasetBundle(problems=problems, answer_labels=list(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +187,13 @@ CLOZE_HEADER = ["item_id", "text", "answer"]
 
 def load_cloze(path) -> DatasetBundle:
     """Load a cloze TSV; each text carries exactly one >=3-underscore blank."""
-    problems: list[ProblemInstance] = []
-    answer_labels: list[str] = []
-    for ln, (item, text, answer) in _item_rows(path, CLOZE_HEADER):
+    def content_of(ln, text):
         try:
-            content = split_blank(text)
+            return split_blank(text)
         except InputError as exc:
             raise InputError(f"{path}: line {ln}: {exc}") from None
-        if answer not in answer_labels:
-            answer_labels.append(answer)
-        problems.append(ProblemInstance(
-            item_id=item, content=content, answer=answer_labels.index(answer)))
-    if not problems:
-        raise InputError(f"{path}: no question rows")
-    return DatasetBundle(problems=problems, answer_labels=answer_labels)
+
+    return _load_problems(path, CLOZE_HEADER, content_of)
 
 
 def write_cloze(path, bundle: DatasetBundle) -> None:

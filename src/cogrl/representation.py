@@ -262,8 +262,7 @@ def _left_pad(seqs):
 # training
 
 
-def check_training_set(problems: list[ProblemInstance],
-                       source: str = "training set") -> None:
+def check_training_set(problems: list[ProblemInstance], source: str) -> None:
     """InputError, prefixed with ``source``, unless ``problems`` can train a
     content network: at least 2 problems, at least 2 answer classes present
     and, for cloze questions, some text besides the blanks to build a
@@ -283,8 +282,8 @@ def train_model(net: Network, problems: list[ProblemInstance],
                 config: SGDConfig) -> list[float]:
     """Minibatch SGD with seeded per-epoch shuffling; returns the per-epoch
     mean-loss history. Stops early once the mean epoch loss falls below
-    config.target_loss."""
-    check_training_set(problems)
+    config.target_loss. The problems are a set that ``check_training_set``
+    accepts."""
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
     n = len(problems)

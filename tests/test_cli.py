@@ -252,7 +252,7 @@ class TestSimulate:
                     "--q-eval", cloze_dir / "oracle_q.tsv",
                     "--features", "cogrl", "--cogrl-q", empty,
                     "--out", tmp_path / "study.tsv"]) == 3
-        assert "q_empty.tsv: the table has no items" in capsys.readouterr().err
+        assert "q_empty.tsv: the table has no rows" in capsys.readouterr().err
 
     def test_one_kc_q_eval_rejected_before_any_learner_runs(
             self, cloze_dir, tmp_path, capsys, monkeypatch):
@@ -289,7 +289,7 @@ class TestSimulate:
                     "--cloze", cloze_dir / "cloze.tsv",
                     "--q-eval", cloze_dir / "oracle_q.tsv", *features,
                     "--out", tmp_path / "study.tsv"]) == 3
-        assert "cannot fit on an empty log" in capsys.readouterr().err
+        assert "log.tsv: the table has no rows" in capsys.readouterr().err
 
     def test_cogrl_q_needs_rows_only_for_log_items(self, cloze_dir, tmp_path):
         assert run(["synth", "afm-log", "--out-dir", tmp_path / "log",
@@ -402,7 +402,7 @@ class TestGradcheckAndErrors:
         reps.write_text("item_id\trep_00\n")
         assert run(["qmatrix", "--reps", reps,
                     "--out", tmp_path / "q.tsv"]) == 3
-        assert "reps.tsv: the table has no items" in capsys.readouterr().err
+        assert "reps.tsv: the table has no rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-3", "1.5"])
     def test_reps_cell_outside_unit_interval_exit_code(self, tmp_path, capsys,
@@ -474,8 +474,27 @@ class TestGradcheckAndErrors:
         log.write_text("student_id\titem_id\toutcome\torder\n")
         assert run(["compare", "--log", log, "--models", model,
                     "--folds", "2", "--out", tmp_path / "c.tsv"]) == 3
-        assert "a Q-matrix needs at least one item" in capsys.readouterr().err
+        assert "log.tsv: the table has no rows" in capsys.readouterr().err
         assert not (tmp_path / "c.tsv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["fit-afm", "--qmatrix", "oracle_q.tsv"],
+        ["cv", "--qmatrix", "oracle_q.tsv"],
+        ["compare", "--models", "faculty"],
+        ["compare", "--models", "mine=oracle_q.tsv"],
+        ["simulate", "--cloze", "cloze.tsv", "--q-eval", "oracle_q.tsv",
+         "--features", "human"]],
+        ids=["fit-afm", "cv", "compare-faculty", "compare-path", "simulate"])
+    def test_header_only_log_is_one_error(self, cloze_dir, tmp_path, capsys,
+                                          command):
+        log = tmp_path / "log.tsv"
+        log.write_text("student_id\titem_id\toutcome\torder\n")
+        command = [cloze_dir / a if a.endswith(".tsv") else a
+                   for a in command]
+        assert run([*command, "--log", log, "--out", tmp_path / "o.tsv"]) == 3
+        assert capsys.readouterr().err == \
+            f"cogrl: input error: {log}: the table has no rows\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log.tsv"]
 
     @pytest.mark.parametrize("models,entry", [
         ("=qmatrix.tsv", "=qmatrix.tsv"), ("faculty,faculty", "faculty"),

@@ -18,6 +18,7 @@ from cogrl.representation import (
     ImageArchSpec,
     ImageCNN,
     RepresentationMatrix,
+    check_training_set,
     extract_representations,
     load_network,
     read_representations,
@@ -221,12 +222,14 @@ class TestTrainModel:
 
     def test_single_class_rejected(self):
         problems = [p for p in _separable_problems() if p.answer == 0]
-        with pytest.raises(InputError):
-            train_model(self._net(), problems, SGDConfig())
+        with pytest.raises(InputError, match="t: training needs at least 2 "
+                                             "answer classes"):
+            check_training_set(problems, "t")
 
     def test_fewer_than_two_problems_rejected(self):
-        with pytest.raises(InputError):
-            train_model(self._net(), _separable_problems()[:1], SGDConfig())
+        with pytest.raises(InputError,
+                           match="t: training needs at least 2 problems"):
+            check_training_set(_separable_problems()[:1], "t")
 
     def test_same_seed_identical_history(self):
         problems = _separable_problems()

@@ -383,18 +383,28 @@ def _outside_unit_interval(cell):
         return False
 
 
+def _unfilled(header, rows):
+    """A data cell is empty, or the table has no data rows."""
+    return not rows or any("" in r for r in rows)
+
+
 # the inputs a reader may now reject that the previous reader accepted
 TIGHTENED = {
-    "transactions": lambda header, rows: False,
-    "images": lambda header, rows: _repeats([r[0] for r in rows]),
-    "cloze": lambda header, rows: _repeats([r[0] for r in rows]),
+    "transactions": _unfilled,
+    "images": lambda header, rows: (
+        _unfilled(header, rows) or _repeats([r[0] for r in rows])),
+    "cloze": lambda header, rows: (
+        _unfilled(header, rows) or _repeats([r[0] for r in rows])),
     "features": lambda header, rows: (
-        _binary_tightening(header, rows) or not rows),
-    "kc_map": lambda header, rows: header != ["item_id", "kc_name"],
-    "qmatrix": _binary_tightening,
-    "params": lambda header, rows: _repeats([tuple(r[:2]) for r in rows]),
+        _unfilled(header, rows) or _binary_tightening(header, rows)),
+    "kc_map": lambda header, rows: (
+        _unfilled(header, rows) or header != ["item_id", "kc_name"]),
+    "qmatrix": lambda header, rows: (
+        _unfilled(header, rows) or _binary_tightening(header, rows)),
+    "params": lambda header, rows: (
+        _unfilled(header, rows) or _repeats([tuple(r[:2]) for r in rows])),
     "representations": lambda header, rows: (
-        _wide_tightening(header, rows) or not rows
+        _unfilled(header, rows) or _wide_tightening(header, rows)
         or any(_outside_unit_interval(c) for r in rows for c in r[1:])),
 }
 
@@ -481,7 +491,8 @@ class TestRoundTrip:
         items = _distinct(data, nonempty_cell, 1, 4)
         rows = []
         for s in students:
-            seen = data.draw(st.lists(st.sampled_from(items), unique=True))
+            seen = data.draw(st.lists(st.sampled_from(items), min_size=1,
+                                      unique=True))
             for order, item in enumerate(seen, start=1):
                 rows.append(Transaction(s, item, data.draw(st.sampled_from(
                     [0, 1])), order * 2))
@@ -522,7 +533,7 @@ class TestRoundTrip:
     @given(data=st.data())
     def test_features(self, tmp_path, data):
         names = _distinct(data, nonempty_cell, 1, 3)
-        ids = _distinct(data, any_cell, 1, 4)
+        ids = _distinct(data, nonempty_cell, 1, 4)
         features = {i: {n: data.draw(st.sampled_from([0, 1])) for n in names}
                     for i in ids}
         assert _round_trip(tmp_path, write_features, read_features, features,
@@ -532,7 +543,7 @@ class TestRoundTrip:
     @given(data=st.data())
     def test_qmatrix(self, tmp_path, data):
         kcs = _distinct(data, nonempty_cell, 1, 3)
-        ids = _distinct(data, any_cell, 1, 4)
+        ids = _distinct(data, nonempty_cell, 1, 4)
         cells = data.draw(st.lists(st.lists(st.sampled_from([0, 1]),
                                             min_size=len(kcs),
                                             max_size=len(kcs)),
@@ -544,18 +555,20 @@ class TestRoundTrip:
     @cases
     @given(data=st.data())
     def test_params(self, tmp_path, data):
-        def values(low=None):
-            return data.draw(st.dictionaries(any_cell, st.floats(
-                low, allow_nan=False, allow_infinity=False), max_size=3))
+        def values(low=None, min_size=0):
+            return data.draw(st.dictionaries(nonempty_cell, st.floats(
+                low, allow_nan=False, allow_infinity=False),
+                min_size=min_size, max_size=3))
 
-        params = AFMParams(theta=values(), beta=values(), gamma=values(0.0))
+        params = AFMParams(theta=values(min_size=1), beta=values(),
+                           gamma=values(0.0))
         back = _round_trip(tmp_path, write_params, read_params, params)
         assert NORMALIZE["params"](back) == NORMALIZE["params"](params)
 
     @cases
     @given(data=st.data())
     def test_representations(self, tmp_path, data):
-        ids = _distinct(data, any_cell, 1, 4)
+        ids = _distinct(data, nonempty_cell, 1, 4)
         dims = data.draw(st.integers(1, 3))
         values = np.array(data.draw(st.lists(
             st.lists(st.floats(0.0, 1.0), min_size=dims,
@@ -619,14 +632,31 @@ def test_digit_separators_are_not_numbers(tmp_path, reader, text):
         reader(path)
 
 
+# a well-formed data row under each reader's header
+A_ROW = {
+    load_transactions: "s1\ti1\t1\t1", load_images: "v1\ta.pgm\tc0",
+    load_cloze: "q1\ta ___ b\tan", read_features: "q1\t1",
+    read_kc_map: "q1\tk1", read_qmatrix: "q1\t1",
+    read_params: "s1\ttheta\t0.5", read_representations: "q1\t0.5"}
+
+
 @pytest.mark.parametrize("reader, header", [
+    (load_transactions, "student_id\titem_id\toutcome\torder"),
+    (load_images, "item_id\timage\tanswer"),
+    (load_cloze, "item_id\ttext\tanswer"), (read_kc_map, "item_id\tkc_name"),
     (read_qmatrix, "item_id\tk1"), (read_representations, "item_id\trep_00"),
-    (read_features, "item_id\tf1")])
+    (read_features, "item_id\tf1"), (read_params, "entity\trole\tvalue")])
 def test_header_only_table_names_the_file(tmp_path, reader, header):
+    """A header-only table and a row with an empty first or last cell."""
     path = tmp_path / "t.tsv"
     path.write_text(header + "\n")
-    with pytest.raises(InputError, match=r"t\.tsv: the table has no items"):
+    with pytest.raises(InputError, match=r"t\.tsv: the table has no rows"):
         reader(path)
+    first, *rest = A_ROW[reader].split("\t")
+    for row in (["", *rest], [first, *rest[:-1], ""]):
+        path.write_text(header + "\n" + "\t".join(row) + "\n")
+        with pytest.raises(InputError, match=r"t\.tsv: line 2: empty "):
+            reader(path)
 
 
 @pytest.mark.parametrize("reader", [read_qmatrix, read_features])
@@ -636,7 +666,10 @@ def test_binary_cells_are_exactly_0_or_1(tmp_path, reader, text):
     path = tmp_path / "t.tsv"
     path.write_text(f"item_id\tk1\tk2\na\t0\t1\nb\t1\t{text}\n",
                     encoding="utf-8")
-    with pytest.raises(InputError, match="line 3: cells must be 0 or 1"):
+    # an empty cell is caught by the table rule before the binary check
+    message = "line 3: empty k2 cell" if text == "" else (
+        "line 3: cells must be 0 or 1")
+    with pytest.raises(InputError, match=message):
         reader(path)
 
 
