@@ -8,16 +8,20 @@ The model predicts first-attempt correctness as
 where the opportunity count is how many of the student's prior transactions
 required that KC. Fitting maximizes the L2-penalized Bernoulli
 log-likelihood, keeping all learning rates non-negative, by projected
-Newton iterated until the Newton decrement is negligible: every Hessian
-block is one ``np.bincount`` pass, and one Schur step reduces each Newton
-system to the students or to the KC coordinates. Model comparison uses
-item-stratified cross-validated RMSE: folds partition items, so a model
-only scores well if its KCs carry information across problems.
+Newton iterated until the Newton decrement is negligible: every gradient
+and Hessian block comes from five sums per (student, KC) cell, and one
+Schur step reduces each Newton system to the students or to the KC
+coordinates. Model comparison uses item-stratified cross-validated RMSE:
+folds partition items, so a model only scores well if its KCs carry
+information across problems; every fold's fit starts from the fit to the
+whole log.
 
 Data are columnar: a log is its columns, coded and validated in one pass,
 and each Q-matrix adds one CSR-ordered array of (row, KC, opportunity)
-pairs, from which ``afm_logits`` computes every logit of the fit, scoring
-and log sampler. A CV fold is a boolean mask over those arrays; the softplus
+pairs, from which ``afm_logits`` computes the logits of the log sampler
+and a design's ``logits`` those of the fit and of held-out scoring, with
+the same arithmetic. A CV fold is a boolean mask over the rows, and every
+fit of a run writes into one workspace of buffers; the softplus
 max(eta, 0) + log1p(exp(-|eta|)) leaves exp(-|eta|) to the next gradient.
 """
 
@@ -267,13 +271,17 @@ def afm_logits(theta, beta, gamma, pairs: Pairs) -> np.ndarray:
 # vectorized design shared by fit and cross-validation
 
 
-def _softplus(x, e):
-    """log(1 + e^x), given e = exp(-|x|)."""
-    return np.maximum(x, 0.0) + np.log1p(e)
+def _softplus(x, e, out=None, scratch=None):
+    """log(1 + e^x), given e = exp(-|x|); ``out`` and ``scratch`` are
+    optional buffers shaped like x."""
+    out = np.maximum(x, 0.0, out=out)
+    out += np.log1p(e, out=scratch)
+    return out
 
 
 def _psd_solve(m, b):
-    """A solution of m x = b for a symmetric positive semi-definite m.
+    """A solution of m x = b for a symmetric positive semi-definite m, and
+    whether m was found singular.
 
     An LU solve of the unit-diagonal scaling of m once its Cholesky factor
     shows m is positive definite (numpy has no triangular solve); where the
@@ -281,59 +289,155 @@ def _psd_solve(m, b):
     with collinear KC columns and no penalty), the minimum-norm
     least-squares solution instead."""
     if len(b) == 0:
-        return np.zeros(0)
+        return np.zeros(0), False
     scale = np.sqrt(np.maximum(np.diagonal(m), 0.0))
     scale = 1.0 / np.where(scale > 0, scale, 1.0)
     m = m * scale[:, None] * scale
     b = b * scale
     try:
         if np.min(np.diagonal(np.linalg.cholesky(m))) ** 2 > 1e-12:
-            return scale * np.linalg.solve(m, b)
+            return scale * np.linalg.solve(m, b), False
     except np.linalg.LinAlgError:
         pass
-    return scale * np.linalg.lstsq(m, b, rcond=None)[0]
+    return scale * np.linalg.lstsq(m, b, rcond=None)[0], True
 
 
-@dataclass
+class _Workspace:
+    """The buffers every Newton step writes into, for designs of at most
+    n rows, u units, K KCs and S students; a smaller design uses the
+    leading part of each. Two (eta, exp(-|eta|)) slots hold the current
+    point and the candidate the objective writes; ``accept`` swaps them."""
+
+    def __init__(self, n_rows, n_units, n_kcs, n_students):
+        self.sizes = (n_rows, n_units, n_kcs, n_students)
+        # a subset of a design whose units are pairs may have rows as units
+        n_units = max(n_rows, n_units)
+        self.slots = np.empty((2, 2, n_rows))
+        self.candidate = 1
+        self.rows = np.empty((4, n_rows))
+        self.flag = np.empty(n_rows, dtype=bool)
+        # five unit-sized weights and their sums per (student, KC) cell
+        self.units = np.empty(5 * n_units)
+        self.cells = np.empty(5 * n_students * (n_kcs + 1))
+        self.students_by_kcs = np.empty((3, n_students * n_kcs))
+        # the columns of the design last built here
+        self.code = np.empty(n_rows, dtype=np.intp)
+        self.s_idx = np.empty(n_rows, dtype=np.intp)
+        self.y = np.empty(n_rows)
+        self.sign = np.empty(n_rows)
+        self.kc = np.empty(n_units, dtype=np.intp)
+        self.t = np.empty(n_units)
+        self.cell = np.empty(n_units, dtype=np.intp)
+
+    def __reduce__(self):
+        # a worker process gets the sizes and allocates its own buffers
+        return _Workspace, self.sizes
+
+    def accept(self):
+        """Make the candidate slot the current one."""
+        self.candidate = 1 - self.candidate
+
+
 class _Design:
-    """Flat index arrays for one set of transactions against one Q-matrix,
-    the pairs in row order. A point is (theta, x) with x = (beta, gamma)."""
+    """Flat index arrays for one set of transactions against one Q-matrix.
+    A point is (theta, x) with x = (beta, gamma).
 
-    s_idx: np.ndarray
-    n_students: int
-    y: np.ndarray
-    pair_trans: np.ndarray
-    pair_kc: np.ndarray
-    pair_t: np.ndarray
-    n_kcs: int
+    The units are the rows when no row needs two KCs, a row that needs
+    none holding the idle KC ``n_kcs`` at opportunity 0; otherwise they are
+    the (row, KC) pairs in row order, ``unit_row`` giving each its row.
+    The sign of y - p and each unit's cell live in the workspace, so a
+    design built on a workspace replaces the one built there before it."""
 
-    def __post_init__(self):
-        self.pairs = Pairs(self.pair_trans, self.pair_kc, self.pair_t)
-        self.right = self.y > 0
-        self.sign = 2.0 * self.y - 1.0
-        # each pair's flat (KC, student) cell of the KC-by-theta block
-        self.pair_cell = self.pair_kc * self.n_students \
-            + self.s_idx[self.pair_trans]
-        # no row needs two KCs: the KC-by-KC block is then block-diagonal,
-        # one 2 x 2 (beta, gamma) block per KC
-        self.single_kc = not np.any(np.diff(self.pair_trans) == 0)
+    def __init__(self, s_idx, n_students, y, kc, t, n_kcs, unit_row=None,
+                 ws=None):
+        self.s_idx, self.n_students, self.y = s_idx, n_students, y
+        self.kc, self.t, self.n_kcs, self.unit_row = kc, t, n_kcs, unit_row
+        n, u = len(y), len(kc)
+        self.ws = ws or _Workspace(n, u, n_kcs, n_students)
+        self.sign = np.multiply(y, 2.0, out=self.ws.sign[:n])
+        self.sign -= 1.0
+        # each unit's flat (student, KC) cell, the idle KC last
+        self.cell = np.multiply(s_idx if unit_row is None else s_idx[unit_row],
+                                n_kcs + 1, out=self.ws.cell[:u])
+        self.cell += kc
 
     @classmethod
-    def masked(cls, cols: LogColumns, pairs: Pairs, n_kcs: int, rows):
-        """The rows the mask ``rows`` keeps, with their students renumbered
-        in sorted order; returns the design and the kept student codes."""
-        students, s_idx = np.unique(cols.student[rows], return_inverse=True)
-        kept = rows[pairs.row]
-        design = cls(s_idx, len(students), cols.y[rows],
-                     (np.cumsum(rows) - 1)[pairs.row[kept]], pairs.kc[kept],
-                     pairs.t[kept].astype(np.float64), n_kcs)
-        return design, students
+    def of_pairs(cls, s_idx, n_students, y, pairs: Pairs, n_kcs, ws=None):
+        """The design of the rows with these students and outcomes and of
+        their (row, KC, opportunity) pairs, built into ``ws`` when given."""
+        t = pairs.t.astype(np.float64)
+        if np.any(np.diff(pairs.row) == 0):
+            return cls(s_idx, n_students, y, pairs.kc, t, n_kcs, pairs.row,
+                       ws)
+        n = len(y)
+        kc, row_t = (np.empty(n, dtype=np.intp), np.empty(n)) if ws is None \
+            else (ws.kc[:n], ws.t[:n])
+        kc.fill(n_kcs)
+        kc[pairs.row] = pairs.kc
+        row_t.fill(0.0)
+        row_t[pairs.row] = t
+        return cls(s_idx, n_students, y, kc, row_t, n_kcs, None, ws)
+
+    def subset(self, rows):
+        """The design of the rows the mask ``rows`` keeps, built into this
+        design's workspace, with their students renumbered in sorted
+        order; returns it and the kept students' codes."""
+        ws = self.ws
+        keep = np.flatnonzero(rows)
+        n = len(keep)
+        code = np.take(self.s_idx, keep, out=ws.code[:n], mode="clip")
+        present = np.zeros(self.n_students, dtype=bool)
+        present[code] = True
+        students = np.flatnonzero(present)
+        s_idx = np.take(np.cumsum(present) - 1, code, out=ws.s_idx[:n],
+                        mode="clip")
+        y = np.take(self.y, keep, out=ws.y[:n], mode="clip")
+        if self.unit_row is not None:
+            kept = np.flatnonzero(rows[self.unit_row])
+            pairs = Pairs((np.cumsum(rows) - 1)[self.unit_row[kept]],
+                          self.kc[kept], self.t[kept])
+            return _Design.of_pairs(s_idx, len(students), y, pairs,
+                                    self.n_kcs, ws), students
+        kc = np.take(self.kc, keep, out=ws.kc[:n], mode="clip")
+        t = np.take(self.t, keep, out=ws.t[:n], mode="clip")
+        return _Design(s_idx, len(students), y, kc, t, self.n_kcs, None,
+                       ws), students
+
+    def idle(self):
+        """Per coordinate of x, whether no unit informs it: a beta whose KC
+        has no unit, a gamma whose KC has none at opportunity above 0."""
+        k = self.n_kcs
+        return np.concatenate([np.bincount(self.kc, minlength=k + 1)[:k],
+                               np.bincount(self.kc, self.t, k + 1)[:k]]) == 0
+
+    def logits(self, theta, beta, gamma):
+        """``afm_logits`` of the design's rows, written into the
+        workspace's candidate eta: theta[s_idx] + (0 + c_1 + ...) with
+        c = beta[kc] + gamma[kc] * t per unit."""
+        ws, n, u = self.ws, len(self.y), len(self.kc)
+        eta = ws.slots[ws.candidate, 0, :n]
+        c, g = ws.units[:u], ws.units[u:2 * u]
+        if self.unit_row is None:  # the idle KC adds 0 + 0 * 0
+            beta, gamma = np.append(beta, 0.0), np.append(gamma, 0.0)
+        np.take(beta, self.kc, out=c, mode="clip")
+        np.take(gamma, self.kc, out=g, mode="clip")
+        g *= self.t
+        c += g
+        np.take(theta, self.s_idx, out=eta, mode="clip")
+        eta += c if self.unit_row is None else np.bincount(self.unit_row, c, n)
+        return eta
 
     def objective(self, theta, beta, gamma, cfg: FitConfig):
-        """Penalized log-likelihood, with the eta and exp(-|eta|) it used."""
-        eta = afm_logits(theta[self.s_idx], beta, gamma, self.pairs)
-        e = np.exp(-np.abs(eta))
-        ll = float(np.sum(self.y * eta - _softplus(eta, e)))
+        """Penalized log-likelihood, with the eta and exp(-|eta|) it used:
+        views of the workspace's candidate slot."""
+        ws, n = self.ws, len(self.y)
+        eta = self.logits(theta, beta, gamma)
+        e = np.abs(eta, out=ws.slots[ws.candidate, 1, :n])
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        terms = np.multiply(self.y, eta, out=ws.rows[0, :n])
+        terms -= _softplus(eta, e, ws.rows[1, :n], ws.rows[2, :n])
+        ll = float(np.sum(terms))
         ll -= 0.5 * cfg.l2_theta * float(np.sum(theta * theta))
         ll -= 0.5 * cfg.l2_beta_gamma * float(np.sum(beta * beta)
                                               + np.sum(gamma * gamma))
@@ -341,48 +445,75 @@ class _Design:
 
     def newton_direction(self, eta, e, theta, x, cfg: FitConfig):
         """The gradient (g_theta, g_x) at the point with the given eta and
-        exp(-|eta|), and the projected Newton direction (d_theta, d_x) there.
+        exp(-|eta|), the projected Newton direction (d_theta, d_x) there,
+        and whether its system was singular.
 
         The direction solves H d = g, H the penalized Fisher information
         (the negated Hessian), over the free coordinates: every gamma except
         those at 0 whose gradient points below 0 (the active set), and no
         coordinate that has neither data nor penalty. Each row has one
         student, so the theta block of H is diagonal and one Schur step
-        eliminates a side: the KCs when each row has at most one (leaving
-        an S x S system), theta otherwise (a P x P one, P <= 2K)."""
-        k, n_s = self.n_kcs, self.n_students
-        inv = 1.0 / (1.0 + e)
-        small = e * inv  # min(p, 1 - p), so never rounded to 0
-        w = small * inv  # p (1 - p)
-        # y - p is small where the outcome agrees with the sign of eta
-        r = self.sign * np.where((eta >= 0) == self.right, small, inv)
-        rp, wp, t = r[self.pair_trans], w[self.pair_trans], self.pair_t
-        g_theta = np.bincount(self.s_idx, r, n_s) - cfg.l2_theta * theta
-        g_x = np.concatenate([np.bincount(self.pair_kc, rp, k),
-                              np.bincount(self.pair_kc, rp * t, k)]) \
-            - cfg.l2_beta_gamma * x
-        wt = wp * t
+        eliminates a side: the KCs when the units are the rows (leaving an
+        S x S system), theta otherwise (a P x P one, P <= 2K). Every
+        sum over units comes from five sums per (student, KC) cell, of
+        r = y - p, r t, w = p (1 - p), w t and w t^2: a KC's is the sum of
+        its column and, when the units are the rows, a student's the sum
+        of its row."""
+        k, n_s, n, u = self.n_kcs, self.n_students, len(self.y), len(self.kc)
+        ws = self.ws
+        inv = np.add(e, 1.0, out=ws.rows[0, :n])
+        np.divide(1.0, inv, out=inv)
+        small = np.multiply(e, inv, out=ws.rows[1, :n])  # min(p, 1 - p)
+        weights = ws.units[:5 * u].reshape(5, u)
+        rows = self.unit_row is None
+        r, w = (weights[0], weights[2]) if rows else ws.rows[2:, :n]
+        np.multiply(small, inv, out=w)  # so never rounded to 0
+        # |y - p| is e * inv where the outcome agrees with the sign of eta,
+        # inv where it does not: max(e, 0 or 1) * inv picks one exactly
+        disagree = np.less(np.multiply(self.sign, eta, out=r), 0.0,
+                           out=ws.flag[:n])
+        np.maximum(e, disagree, out=r)
+        r *= inv
+        r *= self.sign
+        if not rows:
+            np.take(r, self.unit_row, out=weights[0], mode="clip")
+            np.take(w, self.unit_row, out=weights[2], mode="clip")
+        np.multiply(weights[0], self.t, out=weights[1])
+        np.multiply(weights[2], self.t, out=weights[3])
+        np.multiply(weights[3], self.t, out=weights[4])
+        sums = ws.cells[:5 * n_s * (k + 1)].reshape(5, n_s, k + 1)
+        sums.fill(0.0)
+        for cells, v in zip(sums, weights):
+            np.add.at(cells.reshape(-1), self.cell, v)
+        by_kc = sums[:, :, :k].sum(axis=1)
+        if rows:
+            g_theta, a = sums[0].sum(axis=1), sums[2].sum(axis=1)
+        else:
+            g_theta, a = (np.bincount(self.s_idx, v, n_s) for v in (r, w))
+        g_theta -= cfg.l2_theta * theta
+        a += cfg.l2_theta
+        g_x = by_kc[:2].reshape(-1) - cfg.l2_beta_gamma * x
         # the (beta, beta), (beta, gamma) and (gamma, gamma) curvature per KC
-        c = [np.bincount(self.pair_kc, v, k) for v in (wp, wt, wt * t)]
+        c = by_kc[2:]
         free = np.concatenate([c[0], c[2]]) + cfg.l2_beta_gamma > 0
         free[k:] &= (x[k:] > 0) | (g_x[k:] >= 0)
-        a = np.bincount(self.s_idx, w, n_s) + cfg.l2_theta
-        # the KC-by-theta block: its beta rows and its gamma rows
-        b_b, b_g = (np.bincount(self.pair_cell, v, k * n_s).reshape(k, n_s)
-                    for v in (wp, wt))
-        b_b *= free[:k, None]
-        b_g *= free[k:, None]
-        eliminate = self._eliminate_kcs if self.single_kc \
-            else self._eliminate_theta
-        d_theta, d_x = eliminate(w, a, b_b, b_g, c, g_theta,
-                                 np.where(free, g_x, 0.0), free,
-                                 cfg.l2_beta_gamma)
-        return g_theta, g_x, d_theta, d_x
+        # the theta-by-KC block: its beta columns and its gamma columns
+        b_b, b_g = sums[2, :, :k], sums[3, :, :k]
+        b_b *= free[:k]
+        b_g *= free[k:]
+        # with the rows as units the KC-by-KC block is block-diagonal, one
+        # 2 x 2 (beta, gamma) block per KC
+        eliminate = self._eliminate_kcs if rows else self._eliminate_theta
+        d_theta, d_x, singular = eliminate(w, a, b_b, b_g, c, g_theta,
+                                           np.where(free, g_x, 0.0), free,
+                                           cfg.l2_beta_gamma)
+        return g_theta, g_x, d_theta, d_x, singular
 
     def _eliminate_kcs(self, w, a, b_b, b_g, c, g_theta, g_x, free, l2):
         """Solve by the S x S Schur complement of the KC block, given that
-        each row has at most one KC; b_b, b_g and g_x are 0 off the free
-        set, and c holds the unpenalized 2 x 2 block entries per KC."""
+        no row needs two KCs; the S x K blocks b_b and b_g and g_x are 0
+        off the free set, and c holds the unpenalized 2 x 2 block entries
+        per KC."""
         k = self.n_kcs
         c_bb = (c[0] + l2) * free[:k]
         c_bg = c[1] * (free[:k] & free[k:])
@@ -397,29 +528,30 @@ class _Design:
         i_bb = s * np.where(regular, c_gg, c_bb)
         i_gg = s * np.where(regular, c_bb, c_gg)
         i_bg = s * np.where(regular, -c_bg, c_bg)
-        u_b = b_b * i_bb[:, None]
-        u_b += b_g * i_bg[:, None]
-        u_g = b_b * i_bg[:, None]
-        u_g += b_g * i_gg[:, None]
+        u_b, u_g, tmp = (m[:b_b.size].reshape(b_b.shape)
+                         for m in self.ws.students_by_kcs)
+        np.multiply(b_b, i_bb, out=u_b)
+        u_b += np.multiply(b_g, i_bg, out=tmp)
+        np.multiply(b_b, i_bg, out=u_g)
+        u_g += np.multiply(b_g, i_gg, out=tmp)
         v_b = i_bb * g_x[:k] + i_bg * g_x[k:]
         v_g = i_bg * g_x[:k] + i_gg * g_x[k:]
-        schur = np.diag(a) - b_b.T @ u_b - b_g.T @ u_g
-        d_theta = _psd_solve(schur, g_theta - b_b.T @ v_b - b_g.T @ v_g)
-        return d_theta, np.concatenate([v_b - u_b @ d_theta,
-                                        v_g - u_g @ d_theta])
+        schur = np.diag(a) - b_b @ u_b.T - b_g @ u_g.T
+        d_theta, singular = _psd_solve(schur, g_theta - b_b @ v_b - b_g @ v_g)
+        return d_theta, np.concatenate([v_b - d_theta @ u_b,
+                                        v_g - d_theta @ u_g]), singular
 
     @cached_property
     def _pair_products(self):
         """Every ordered (p, q) of two pairs on one row, p = q included: its
         flat (KC_p, KC_q) cell, its row, t_q and t_p * t_q."""
-        per_row = np.bincount(self.pair_trans, minlength=len(self.y))
-        m = per_row[self.pair_trans]
+        per_row = np.bincount(self.unit_row, minlength=len(self.y))
+        m = per_row[self.unit_row]
         p = np.repeat(np.arange(len(m)), m)
-        first = (np.cumsum(per_row) - per_row)[self.pair_trans]
+        first = (np.cumsum(per_row) - per_row)[self.unit_row]
         q = np.repeat(first - (np.cumsum(m) - m), m) + np.arange(len(p))
-        return (self.pair_kc[p] * self.n_kcs + self.pair_kc[q],
-                self.pair_trans[p], self.pair_t[q],
-                self.pair_t[p] * self.pair_t[q])
+        return (self.kc[p] * self.n_kcs + self.kc[q], self.unit_row[p],
+                self.t[q], self.t[p] * self.t[q])
 
     def _eliminate_theta(self, w, a, b_b, b_g, c, g_theta, g_x, free, l2):
         """Solve by the P x P Schur complement of the theta block, P the
@@ -435,12 +567,12 @@ class _Design:
         h_kk = (np.block([[c_bb, c_bg], [c_bg.T, c_gg]])
                 + l2 * np.eye(2 * k))[np.ix_(on, on)]
         inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0)
-        b_on = np.concatenate([b_b, b_g])[on]
-        d_on = _psd_solve(h_kk - (b_on * inv_a) @ b_on.T,
-                          g_x[on] - b_on @ (inv_a * g_theta))
+        b_on = np.concatenate([b_b, b_g], axis=1)[:, on]
+        d_on, singular = _psd_solve(h_kk - (inv_a * b_on.T) @ b_on,
+                                    g_x[on] - (inv_a * g_theta) @ b_on)
         d_x = np.zeros(2 * k)
         d_x[on] = d_on
-        return inv_a * (g_theta - b_on.T @ d_on), d_x
+        return inv_a * (g_theta - b_on @ d_on), d_x, singular
 
 
 # ---------------------------------------------------------------------------
@@ -462,27 +594,42 @@ def afm_fit(log: TransactionLog, q: QMatrix, config: FitConfig | None = None):
     config = config or FitConfig()
     if len(log) == 0:
         raise InputError("cannot fit on an empty log")
-    cols = log.columns
-    design, _ = _Design.masked(cols, opportunity_pairs(cols, q), q.n_kcs,
-                               np.ones(len(log), dtype=bool))
-    theta, beta, gamma, diag = _newton(design, config)
-    return AFMParams(theta=dict(zip(cols.students, theta.tolist())),
+    theta, beta, gamma, diag = _newton(_log_design(log.columns, q), config)
+    return AFMParams(theta=dict(zip(log.columns.students, theta.tolist())),
                      beta=dict(zip(q.kc_names, beta.tolist())),
                      gamma=dict(zip(q.kc_names, gamma.tolist()))), diag
 
 
-def _newton(design: _Design, config: FitConfig):
+def _log_design(cols: LogColumns, q: QMatrix) -> _Design:
+    """The design of every row of a log, whose student codes index it."""
+    return _Design.of_pairs(cols.student, len(cols.students), cols.y,
+                            opportunity_pairs(cols, q), q.n_kcs)
+
+
+def _newton(design: _Design, config: FitConfig, start=None):
     """The fit ``afm_fit`` describes, on one design: theta, beta, gamma and
-    the FitDiagnostics."""
-    k = design.n_kcs
-    theta, x = np.zeros(design.n_students), np.zeros(2 * k)
-    f, eta, e = design.objective(theta, x[:k], x[k:], config)
-    if not np.isfinite(f):
-        raise FitError("objective non-finite at the zero start")
+    the FitDiagnostics. It starts from 0, or from ``start`` = (theta, x)
+    with every coordinate that has neither data nor penalty at 0; a start
+    whose first Newton system is singular gives way to 0, because the
+    optimum it would reach is not unique."""
+    k, ws = design.n_kcs, design.ws
+    starts = [(np.zeros(design.n_students), np.zeros(2 * k))]
+    if start is not None:
+        theta, x = np.array(start[0]), np.array(start[1])
+        if config.l2_beta_gamma == 0:
+            x[design.idle()] = 0.0
+        starts.insert(0, (theta, x))
+    for theta, x in starts:
+        f, eta, e = design.objective(theta, x[:k], x[k:], config)
+        if not np.isfinite(f):
+            raise FitError("objective non-finite at the start")
+        ws.accept()
+        g_theta, g_x, d_theta, d_x, singular = design.newton_direction(
+            eta, e, theta, x, config)
+        if not singular:
+            break
     iterations = 0
     while True:
-        g_theta, g_x, d_theta, d_x = design.newton_direction(
-            eta, e, theta, x, config)
         decrement = float(g_theta @ d_theta + g_x @ d_x)
         converged = decrement <= config.tol * max(1.0, abs(f))
         if converged or iterations == config.max_iter:
@@ -500,7 +647,10 @@ def _newton(design: _Design, config: FitConfig):
             alpha *= 0.5
         else:
             break
+        ws.accept()
         theta, x, f, eta, e = cand_theta, cand_x, fc, eta_c, e_c
+        g_theta, g_x, d_theta, d_x, _ = design.newton_direction(
+            eta, e, theta, x, config)
     # gamma at 0 may keep a gradient that points below 0
     g_x[k:] = np.where(x[k:] > 0, g_x[k:], np.maximum(g_x[k:], 0.0))
     residual = float(np.max(np.abs(np.concatenate([g_theta, g_x]))))
@@ -530,16 +680,19 @@ class CVResult:
     mean_rmse: float
     fold_rmses: list[float]
     fold_fits: list[FitDiagnostics]
+    start_fit: FitDiagnostics  # the full-log fit every fold starts from
 
 
-def _cv_fold(cols: LogColumns, pairs: Pairs, n_kcs: int, held,
-             fit: FitConfig) -> tuple[float, FitDiagnostics]:
-    design, students = _Design.masked(cols, pairs, n_kcs, ~held)
-    theta_fit, beta, gamma, diag = _newton(design, fit)
-    theta = np.zeros(len(cols.students))
+def _cv_fold(design: _Design, held, fit: FitConfig,
+             start) -> tuple[float, FitDiagnostics]:
+    train, students = design.subset(~held)
+    theta_fit, beta, gamma, diag = _newton(train, fit, (start[0][students],
+                                                        start[1]))
+    theta = np.zeros(design.n_students)
     theta[students] = theta_fit
-    p = sigmoid(afm_logits(theta[cols.student], beta, gamma, pairs)[held])
-    return float(np.sqrt(np.mean((cols.y[held] - p) ** 2))), diag
+    test, students = design.subset(held)
+    p = sigmoid(test.logits(theta[students], beta, gamma))
+    return float(np.sqrt(np.mean((test.y - p) ** 2))), diag
 
 
 def item_stratified_cv(log: TransactionLog, q: QMatrix,
@@ -551,22 +704,28 @@ def item_stratified_cv(log: TransactionLog, q: QMatrix,
     Opportunity counts come from the full log (practice history is part of
     the data); each fold fits on training-item transactions only and scores
     the held-out items' transactions, with unseen students at theta = 0 and
-    unseen KCs at beta = gamma = 0. Folds are independent; jobs > 1 runs
-    them in worker processes with results merged by fold index, so the
-    outcome does not depend on the job count.
+    unseen KCs at beta = gamma = 0. Every fold's fit starts from the fit to
+    the full log (see ``_newton`` for the coordinates it starts at 0, and
+    for the folds it fits from 0), and every fit of the run steps in one
+    workspace. Folds are independent; jobs > 1 runs them in worker
+    processes with results merged by fold index, so the outcome does not
+    depend on the job count.
     """
     fit = fit or FitConfig()
     cv = cv or CVConfig()
     cols = log.columns
     folds = assign_folds(cols.items, cv.folds, cv.seed)
-    pairs = opportunity_pairs(cols, q)
+    design = _log_design(cols, q)
+    theta, beta, gamma, start_fit = _newton(design, fit)
+    start = (theta, np.concatenate([beta, gamma]))
     fold_of = {item: k for k, fold in enumerate(folds) for item in fold}
     row_fold = np.array([fold_of[item] for item in cols.items])[cols.item]
     fold_rmses, fold_fits = zip(*run_tasks(
-        _cv_fold, [(cols, pairs, q.n_kcs, row_fold == k, fit)
+        _cv_fold, [(design, row_fold == k, fit, start)
                    for k in range(len(folds))], jobs))
     return CVResult(mean_rmse=float(np.mean(fold_rmses)),
-                    fold_rmses=list(fold_rmses), fold_fits=list(fold_fits))
+                    fold_rmses=list(fold_rmses), fold_fits=list(fold_fits),
+                    start_fit=start_fit)
 
 
 @dataclass

@@ -9,8 +9,8 @@ Every run is controlled by --seed (falling back to the COGRL_SEED
 environment variable, then 0) and rerunning a subcommand with identical
 flags produces byte-identical primary output files regardless of --jobs.
 Each run also emits a single-line JSON manifest (flags, input digests,
-output paths, duration); the manifest itself carries timing and is not a
-primary output.
+output paths, duration, and for cv and compare the diagnostics of every
+AFM fit); the manifest itself carries timing and is not a primary output.
 
 Exit codes: 0 success; 2 usage error; 3 input error (missing or malformed
 files/data); 4 configuration error (architecture or precondition); 5
@@ -128,7 +128,8 @@ def _sha256(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each handler returns (input paths, output paths)
+# subcommands: each handler returns (input paths, output paths), and cv
+# and compare the diagnostics their manifest records
 
 
 def cmd_synth(args, seed):
@@ -265,7 +266,17 @@ def cmd_cv(args, seed):
         f"{i}\t{rmse:.6f}" for i, rmse in enumerate(result.fold_rmses)]
         + [f"mean\t{result.mean_rmse:.6f}"])
     print(f"cv: mean_rmse={result.mean_rmse:.6f} folds={args.folds}")
-    return [args.log, args.qmatrix], [args.out]
+    return [args.log, args.qmatrix], [args.out], _cv_diagnostics(result)
+
+
+def _cv_diagnostics(result) -> dict:
+    """The manifest record of a cross-validation: its full-log start fit
+    and every fold's fit."""
+    def fit(d):
+        return {"converged": d.converged, "iterations": d.iterations,
+                "objective": d.objective, "residual": d.residual}
+    return {"start": fit(result.start_fit),
+            "folds": [fit(d) for d in result.fold_fits]}
 
 
 def _parse_models(spec: str, item_ids):
@@ -302,7 +313,9 @@ def cmd_compare(args, seed):
                            jobs=args.jobs)
     write_lines(args.out, table.to_tsv_lines())
     print(table.to_text())
-    return [args.log] + paths, [args.out]
+    return [args.log] + paths, [args.out], {
+        name: _cv_diagnostics(result)
+        for name, result in zip(table.names, table.results)}
 
 
 def cmd_simulate(args, seed):
@@ -551,7 +564,7 @@ def main(argv=None) -> int:
     start = time.time()
     try:
         seed = _resolve_seed(args)
-        inputs, outputs = args.func(args, seed)
+        inputs, outputs, *diagnostics = args.func(args, seed)
         manifest_path = _manifest_path(args, outputs)
         if manifest_path:
             flags = {k: v for k, v in vars(args).items()
@@ -565,6 +578,8 @@ def main(argv=None) -> int:
                 "outputs": outputs,
                 "duration_s": round(time.time() - start, 3),
             }
+            if diagnostics:
+                record["diagnostics"] = diagnostics[0]
             write_lines(manifest_path, [json.dumps(record, sort_keys=True)])
     except InputError as exc:
         print(f"cogrl: input error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Additive Factors Model: counting, prediction, fitting and evaluation."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from cogrl.afm import (
     Transaction,
     TransactionLog,
     _Design,
+    _log_design,
     _newton,
     _softplus,
     afm_fit,
@@ -502,10 +504,9 @@ def _oracle_design(rows, opp_rows, q):
             pair_trans.append(i)
             pair_kc.append(kc_index[kc])
             pair_t.append(t)
-    design = _Design(s_idx, len(students), y,
-                     np.array(pair_trans, dtype=np.intp),
-                     np.array(pair_kc, dtype=np.intp),
-                     np.array(pair_t, dtype=np.float64), q.n_kcs)
+    design = _Design.of_pairs(s_idx, len(students), y, Pairs(
+        np.array(pair_trans, dtype=np.intp), np.array(pair_kc, dtype=np.intp),
+        np.array(pair_t, dtype=np.int64)), q.n_kcs)
     return students, design
 
 
@@ -522,19 +523,40 @@ def _oracle_probabilities(params, rows, opp_rows):
 def _cv_cases(draw):
     """A log with interleaved students, multi-KC items, items with no KC and
     one student seen on a single item (so only in that item's held-out
-    fold), a Q-matrix over its items, a fold count and a seed."""
+    fold), a Q-matrix over its items, a fold count and a seed.
+
+    Three cases may be added. A twin of KC k0 that differs from it on one
+    item only: a fold that holds that item out sees two equal columns,
+    whose optimum without a penalty is not unique. An item that each
+    student attempts at most once, with a KC of its own: every pair of
+    that KC is at opportunity 0, and the fold holding the item out sees
+    the KC only on held-out items."""
     n_items = draw(st.integers(2, 7))
     n_kcs = draw(st.integers(1, 4))
     cells = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_kcs,
                                    max_size=n_kcs),
                           min_size=n_items, max_size=n_items))
     items = [f"i{k}" for k in range(n_items)]
-    q = QMatrix(items, [f"k{j}" for j in range(n_kcs)], np.array(cells))
-    events = draw(st.lists(st.tuples(st.sampled_from(["s0", "s1", "s2", "s3"]),
+    kcs = [f"k{j}" for j in range(n_kcs)]
+    if draw(st.booleans()):
+        flip = draw(st.integers(0, n_items - 1))
+        cells = [row + [row[0] ^ (i == flip)] for i, row in enumerate(cells)]
+        kcs.append("twin")
+    students = ["s0", "s1", "s2", "s3"]
+    events = draw(st.lists(st.tuples(st.sampled_from(students),
                                      st.sampled_from(items),
                                      st.integers(0, 1),
                                      st.integers(1, 3)),
                            min_size=1, max_size=40))
+    if draw(st.booleans()):
+        cells = [row + [0] for row in cells] + [[0] * len(kcs) + [1]]
+        items.append("once")
+        kcs.append("first")
+        for student in draw(st.lists(st.sampled_from(students), min_size=1,
+                                     unique=True)):
+            events.insert(draw(st.integers(0, len(events))),
+                          (student, "once", draw(st.integers(0, 1)), 1))
+    q = QMatrix(items, kcs, np.array(cells))
     solo = (draw(st.integers(0, len(events))), draw(st.sampled_from(items)),
             draw(st.integers(0, 1)))
     events.insert(solo[0], ("solo", solo[1], solo[2], 1))
@@ -546,6 +568,27 @@ def _cv_cases(draw):
     n_log_items = len({tr.item_id for tr in rows})
     folds = draw(st.integers(2, max(2, n_log_items)))
     return TransactionLog(rows), q, folds, draw(st.integers(0, 1000))
+
+
+def _held_rmse(cols, pairs, students, theta_fit, beta, gamma, held):
+    """The RMSE of a fold's fit on its held-out rows, scored on the whole
+    log with unseen students at theta = 0."""
+    theta = np.zeros(len(cols.students))
+    theta[students] = theta_fit
+    p = sigmoid(afm_logits(theta[cols.student], beta, gamma, pairs)[held])
+    return float(np.sqrt(np.mean((cols.y[held] - p) ** 2)))
+
+
+def _first_system_singular(design, start, cfg):
+    """Whether the first Newton system of a fit from ``start`` = (theta,
+    x), with the coordinates that have neither data nor penalty at 0, is
+    singular."""
+    k = design.n_kcs
+    theta, x = start[0].copy(), start[1].copy()
+    if cfg.l2_beta_gamma == 0:
+        x[design.idle()] = 0.0
+    _, eta, e = design.objective(theta, x[:k], x[k:], cfg)
+    return design.newton_direction(eta, e, theta, x, cfg)[4]
 
 
 class TestColumnarEquivalence:
@@ -571,6 +614,7 @@ class TestColumnarEquivalence:
              for kc, t in opps.items()]
 
         rng = np.random.default_rng(seed)
+        design = _log_design(cols, q)
         for fold_items in assign_folds(log.columns.items, folds, fold_seed):
             held = set(fold_items)
             mask = np.array([tr.item_id in held for tr in log.rows])
@@ -579,11 +623,14 @@ class TestColumnarEquivalence:
             test = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
                     if tr.item_id in held]
             students, want = _oracle_design(*zip(*train), q)
-            got, codes = _Design.masked(cols, pairs, q.n_kcs, ~mask)
+            got, codes = design.subset(~mask)
             assert [cols.students[c] for c in codes] == students
-            for name in ("s_idx", "y", "pair_trans", "pair_kc", "pair_t"):
+            for name in ("s_idx", "y", "kc", "t", "sign", "cell"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert (got.unit_row is None) == (want.unit_row is None)
+            if got.unit_row is not None:
+                assert np.array_equal(got.unit_row, want.unit_row)
             assert got.n_students == want.n_students
 
             params = AFMParams(
@@ -593,10 +640,14 @@ class TestColumnarEquivalence:
             theta = np.array([params.theta.get(s, 0.0) for s in cols.students])
             beta = np.array([params.beta[k] for k in q.kc_names])
             gamma = np.array([params.gamma[k] for k in q.kc_names])
+            p = sigmoid(afm_logits(theta[cols.student], beta, gamma,
+                                   pairs)[mask])
+            assert np.array_equal(p, _oracle_probabilities(
+                params, *zip(*test)))
+            # cross-validation scores the held-out rows' design alone
+            scored, codes = design.subset(mask)
             assert np.array_equal(
-                sigmoid(afm_logits(theta[cols.student], beta, gamma,
-                                   pairs)[mask]),
-                _oracle_probabilities(params, *zip(*test)))
+                sigmoid(scored.logits(theta[codes], beta, gamma)), p)
 
     @settings(deadline=None, max_examples=40)
     @given(_cv_cases())
@@ -607,6 +658,11 @@ class TestColumnarEquivalence:
         fit = FitConfig(max_iter=40)
         result = item_stratified_cv(log, q, fit, CVConfig(folds, fold_seed))
         oracle_opps = _oracle_opportunities(log, q)
+        # every fold starts from the fit to the whole log
+        everyone, full = _oracle_design(log.rows, oracle_opps, q)
+        theta_all, beta, gamma, start_fit = _newton(full, fit)
+        assert result.start_fit == start_fit
+        index = {s: i for i, s in enumerate(everyone)}
         expected = []
         for fold_items in assign_folds(log.columns.items, folds, fold_seed):
             held = set(fold_items)
@@ -615,34 +671,95 @@ class TestColumnarEquivalence:
             test = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
                     if tr.item_id in held]
             students, design = _oracle_design(*zip(*train), q)
-            theta, beta, gamma, _ = _newton(design, fit)
+            theta, beta_f, gamma_f, _ = _newton(design, fit, (
+                theta_all[[index[s] for s in students]],
+                np.concatenate([beta, gamma])))
             params = AFMParams(dict(zip(students, theta.tolist())),
-                               dict(zip(q.kc_names, beta.tolist())),
-                               dict(zip(q.kc_names, gamma.tolist())))
+                               dict(zip(q.kc_names, beta_f.tolist())),
+                               dict(zip(q.kc_names, gamma_f.tolist())))
             p = _oracle_probabilities(params, *zip(*test))
             y = np.array([tr.outcome for tr, _ in test], dtype=np.float64)
             expected.append(float(np.sqrt(np.mean((y - p) ** 2))))
         assert result.fold_rmses == expected
+
+    @settings(deadline=None, max_examples=80)
+    @given(_cv_cases(), st.sampled_from([0.0, 0.01, 1.0]))
+    def test_warm_folds_match_cold_folds(self, case, l2):
+        """A fold fit from the full-log fit against the same fold fit from
+        0: the same when the start's first Newton system is singular, and
+        held-out RMSEs within 1e-8 where both converged under a penalty.
+
+        The fits stop at a decrement of 1e-20 * max(1, |objective|): the
+        decrement is the squared distance to the optimum in the Hessian's
+        norm, so at the default 1e-14 two converged fits of one fold may
+        sit about 1e-7 apart. Without a penalty, a fold whose outcomes
+        some KCs separate has no finite optimum, so where it stops depends
+        on where it starts; such a fit is only compared on singular folds.
+        """
+        log, q, folds, fold_seed = case
+        if folds > len(log.columns.items):
+            return
+        cfg = FitConfig(l2_beta_gamma=l2, tol=1e-20, max_iter=60)
+        cols = log.columns
+        pairs = opportunity_pairs(cols, q)
+        design = _log_design(cols, q)
+        theta, beta, gamma, _ = _newton(design, cfg)
+        x = np.concatenate([beta, gamma])
+        for fold_items in assign_folds(cols.items, folds, fold_seed):
+            held = np.isin(cols.item, [cols.items.index(i)
+                                       for i in fold_items])
+            train, students = design.subset(~held)
+            start = (theta[students], x)
+            singular = _first_system_singular(train, start, cfg)
+            *warm, warm_fit = _newton(train, cfg, start)
+            *cold, cold_fit = _newton(train, cfg)
+            if singular:
+                assert warm_fit == cold_fit
+                for a, b in zip(warm, cold):
+                    assert np.array_equal(a, b)
+            elif l2 > 0 and warm_fit.converged and cold_fit.converged:
+                assert abs(_held_rmse(cols, pairs, students, *warm, held)
+                           - _held_rmse(cols, pairs, students, *cold, held)
+                           ) <= 1e-8
+
+    def test_warm_folds_take_fewer_steps(self):
+        # every attempt at i0 is right: its KC's beta runs off without a
+        # penalty, and a fold started from the full fit starts far along
+        log, _, _ = synth_afm_log(AfmLogSynthSpec(
+            students=12, items=6, kcs=2, seed=5))
+        rows = [tr._replace(outcome=1) if tr.item_id == "i000" else tr
+                for tr in log.rows]
+        log = TransactionLog(rows)
+        q = identical_transfer(log.columns.items)
+        cv = CVConfig(folds=3, seed=1)
+        result = item_stratified_cv(log, q, None, cv)
+        design = _log_design(log.columns, q)
+        cold = 0
+        for fold_items in assign_folds(log.columns.items, 3, 1):
+            held = np.isin(log.columns.item, [log.columns.items.index(i)
+                                              for i in fold_items])
+            cold += _newton(design.subset(~held)[0], FitConfig())[3].iterations
+        assert all(fit.converged for fit in result.fold_fits)
+        assert sum(fit.iterations for fit in result.fold_fits) < cold
 
 
 # ---------------------------------------------------------------------------
 # the projected Newton solver against the first-order ascent it replaced
 
 
-def _oracle_ascent_direction(design, eta, e, theta, beta, gamma, cfg):
+def _oracle_ascent_direction(design, pairs, eta, e, theta, beta, gamma,
+                             cfg):
     """The gradient divided by the diagonal of the penalized Fisher
     information; coordinates with neither data nor penalty stay put."""
     p = np.where(eta >= 0, 1.0, e) / (1.0 + e)
     r = design.y - p
     w = p * (1.0 - p)
-    r_pairs, w_pairs = r[design.pair_trans], w[design.pair_trans]
+    r_pairs, w_pairs = r[pairs.row], w[pairs.row]
     blocks = [
         (design.s_idx, r, w, design.n_students, cfg.l2_theta, theta),
-        (design.pair_kc, r_pairs, w_pairs, design.n_kcs,
-         cfg.l2_beta_gamma, beta),
-        (design.pair_kc, r_pairs * design.pair_t,
-         w_pairs * design.pair_t ** 2, design.n_kcs, cfg.l2_beta_gamma,
-         gamma)]
+        (pairs.kc, r_pairs, w_pairs, design.n_kcs, cfg.l2_beta_gamma, beta),
+        (pairs.kc, r_pairs * pairs.t, w_pairs * pairs.t ** 2, design.n_kcs,
+         cfg.l2_beta_gamma, gamma)]
     steps = []
     for index, grad_w, fisher_w, length, l2, x in blocks:
         g = np.bincount(index, grad_w, length) - l2 * x
@@ -651,7 +768,7 @@ def _oracle_ascent_direction(design, eta, e, theta, beta, gamma, cfg):
     return steps
 
 
-def _oracle_solve(design, config):
+def _oracle_solve(design, pairs, config):
     """Projected, Fisher-preconditioned gradient ascent with step halving,
     stopping on a relative objective change below config.tol."""
     theta, beta, gamma = (np.zeros(n) for n in (design.n_students,
@@ -662,7 +779,7 @@ def _oracle_solve(design, config):
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
         s_theta, s_beta, s_gamma = _oracle_ascent_direction(
-            design, eta, e, theta, beta, gamma, config)
+            design, pairs, eta, e, theta, beta, gamma, config)
         while alpha >= 1e-14:
             cand_theta = theta + alpha * s_theta
             cand_beta = beta + alpha * s_beta
@@ -689,9 +806,7 @@ def _oracle_solve(design, config):
 
 
 def _design(log, q):
-    cols = log.columns
-    return _Design.masked(cols, opportunity_pairs(cols, q), q.n_kcs,
-                          np.ones(len(log), dtype=bool))[0]
+    return _log_design(log.columns, q)
 
 
 def _start_objective(log, q):
@@ -702,18 +817,62 @@ def _start_objective(log, q):
                             FitConfig())[0]
 
 
-def _projected_gradient(design, theta, beta, gamma, cfg):
+def _projected_gradient(design, pairs, theta, beta, gamma, cfg):
     """The gradient, with each gamma at 0 that it points below 0 dropped."""
-    eta = afm_logits(theta[design.s_idx], beta, gamma, design.pairs)
+    eta = afm_logits(theta[design.s_idx], beta, gamma, pairs)
     r = design.y - sigmoid(eta)
-    r_pairs = r[design.pair_trans]
+    r_pairs = r[pairs.row]
     k = design.n_kcs
-    g_gamma = np.bincount(design.pair_kc, r_pairs * design.pair_t, k) \
+    g_gamma = np.bincount(pairs.kc, r_pairs * pairs.t, k) \
         - cfg.l2_beta_gamma * gamma
     return np.concatenate([
         np.bincount(design.s_idx, r, design.n_students) - cfg.l2_theta * theta,
-        np.bincount(design.pair_kc, r_pairs, k) - cfg.l2_beta_gamma * beta,
+        np.bincount(pairs.kc, r_pairs, k) - cfg.l2_beta_gamma * beta,
         np.where(gamma > 0, g_gamma, np.maximum(g_gamma, 0.0))])
+
+
+def _oracle_newton_direction(design, pairs, eta, e, theta, x, cfg):
+    """The gradient and projected Newton direction as they were computed
+    before the cell sums: a bincount per sum, over rows, pairs or
+    (KC, student) cells, and the same elimination."""
+    k, n_s = design.n_kcs, design.n_students
+    pair_trans, pair_kc, pair_t = pairs.row, pairs.kc, pairs.t.astype(float)
+    pair_cell = pair_kc * n_s + design.s_idx[pair_trans]
+    inv = 1.0 / (1.0 + e)
+    small = e * inv
+    w = small * inv
+    r = (2.0 * design.y - 1.0) * np.where((eta >= 0) == (design.y > 0),
+                                          small, inv)
+    rp, wp, t = r[pair_trans], w[pair_trans], pair_t
+    g_theta = np.bincount(design.s_idx, r, n_s) - cfg.l2_theta * theta
+    g_x = np.concatenate([np.bincount(pair_kc, rp, k),
+                          np.bincount(pair_kc, rp * t, k)]) \
+        - cfg.l2_beta_gamma * x
+    wt = wp * t
+    c = [np.bincount(pair_kc, v, k) for v in (wp, wt, wt * t)]
+    free = np.concatenate([c[0], c[2]]) + cfg.l2_beta_gamma > 0
+    free[k:] &= (x[k:] > 0) | (g_x[k:] >= 0)
+    a = np.bincount(design.s_idx, w, n_s) + cfg.l2_theta
+    b_b, b_g = (np.bincount(pair_cell, v, k * n_s).reshape(k, n_s)
+                for v in (wp, wt))
+    b_b *= free[:k, None]
+    b_g *= free[k:, None]
+    eliminate = design._eliminate_kcs if design.unit_row is None \
+        else design._eliminate_theta
+    d_theta, d_x, _ = eliminate(w, a, b_b.T, b_g.T, c, g_theta,
+                                np.where(free, g_x, 0.0), free,
+                                cfg.l2_beta_gamma)
+    return g_theta, g_x, d_theta, d_x
+
+
+def _draw_point(data, design):
+    """A point (theta, x) with every gamma 0, 0.3 or 1."""
+    k = design.n_kcs
+    value = st.floats(-3, 3)
+    theta = np.array([data.draw(value) for _ in range(design.n_students)])
+    x = np.array([data.draw(value) for _ in range(k)] + [
+        data.draw(st.sampled_from([0.0, 0.3, 1.0])) for _ in range(k)])
+    return theta, x
 
 
 @st.composite
@@ -755,7 +914,8 @@ class TestNewtonSolver:
     def test_objective_at_least_the_oracles(self, case):
         log, q, cfg = case
         design = _design(log, q)
-        *_, want = _oracle_solve(design, FitConfig(
+        pairs = opportunity_pairs(log.columns, q)
+        *_, want = _oracle_solve(design, pairs, FitConfig(
             cfg.l2_theta, cfg.l2_beta_gamma, tol=1e-6))
         theta, beta, gamma, got = _newton(design, cfg)
         assert got.objective >= \
@@ -763,27 +923,84 @@ class TestNewtonSolver:
         assert np.all(gamma >= 0)
         assert design.objective(theta, beta, gamma, cfg)[0] == got.objective
         assert math.isclose(got.residual, np.max(np.abs(_projected_gradient(
-            design, theta, beta, gamma, cfg))), rel_tol=1e-6, abs_tol=1e-12)
+            design, pairs, theta, beta, gamma, cfg))), rel_tol=1e-6,
+            abs_tol=1e-12)
 
     @settings(deadline=None, max_examples=100)
     @given(_fit_cases(single_kc=True), st.data())
     def test_both_eliminations_give_one_step(self, case, data):
+        # the rows as units with the S x S step, and the pairs as units
+        # with the P x P step
         log, q, cfg = case
         design = _design(log, q)
-        assert design.single_kc
+        assert design.unit_row is None
+        cols, pairs = log.columns, opportunity_pairs(log.columns, q)
+        by_pairs = _Design(cols.student, len(cols.students), cols.y,
+                           pairs.kc, pairs.t.astype(float), q.n_kcs,
+                           pairs.row)
         k = design.n_kcs
-        value = st.floats(-3, 3)
-        theta = np.array([data.draw(value) for _ in range(design.n_students)])
-        x = np.array([data.draw(value) for _ in range(k)] + [
-            data.draw(st.sampled_from([0.0, 0.3, 1.0])) for _ in range(k)])
+        theta, x = _draw_point(data, design)
         _, eta, e = design.objective(theta, x[:k], x[k:], cfg)
-        *_, d_theta, d_x = design.newton_direction(eta, e, theta, x, cfg)
-        design.single_kc = False
-        *_, d_theta2, d_x2 = design.newton_direction(eta, e, theta, x, cfg)
+        *_, d_theta, d_x, _ = design.newton_direction(eta, e, theta, x, cfg)
+        *_, d_theta2, d_x2, _ = by_pairs.newton_direction(eta, e, theta, x,
+                                                          cfg)
         step, step2 = np.concatenate([d_theta, d_x]), \
             np.concatenate([d_theta2, d_x2])
         assert np.max(np.abs(step - step2)) <= \
             1e-10 * max(np.max(np.abs(step)), 1e-300)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(_fit_cases(), _fit_cases(single_kc=True)), st.data())
+    def test_cell_sums_give_the_bincount_step(self, case, data):
+        log, q, cfg = case
+        design = _design(log, q)
+        theta, x = _draw_point(data, design)
+        k = design.n_kcs
+        _, eta, e = design.objective(theta, x[:k], x[k:], cfg)
+        got = design.newton_direction(eta, e, theta, x, cfg)[:4]
+        want = _oracle_newton_direction(design, opportunity_pairs(
+            log.columns, q), eta, e, theta, x, cfg)
+        # the gradient, then the step, each relative to its largest entry
+        for part in (slice(0, 2), slice(2, 4)):
+            a, b = (np.concatenate(v[part]) for v in (got, want))
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)),
+                                                         1e-300)
+
+    def test_objective_logits_are_afm_logits(self):
+        for model in (faculty_transfer, None):
+            log, q, _ = synth_afm_log(AfmLogSynthSpec(
+                students=9, items=7, kcs=3, seed=11))
+            q = model(q.item_ids) if model else q
+            design = _design(log, q)
+            assert (design.unit_row is None) == (model is not None)
+            rng = np.random.default_rng(3)
+            theta = rng.normal(size=design.n_students)
+            beta = rng.normal(size=q.n_kcs)
+            gamma = rng.uniform(0, 1, size=q.n_kcs)
+            assert np.array_equal(
+                design.logits(theta, beta, gamma),
+                afm_logits(theta[log.columns.student], beta, gamma,
+                           opportunity_pairs(log.columns, q)))
+
+    def test_a_step_allocates_under_two_row_arrays(self):
+        # the objective and the Newton step write into the fit's workspace;
+        # numpy reports its buffers to tracemalloc. With 50 students the
+        # S x S system that each step factors is small next to a row array.
+        log, q, _ = synth_afm_log(AfmLogSynthSpec(
+            students=50, items=400, kcs=2, seed=1))
+        assert len(log) == 20_000
+        design = _design(log, faculty_transfer(q.item_ids))
+        cfg = FitConfig()
+        theta, beta, gamma, _ = _newton(design, cfg)
+        x = np.concatenate([beta, gamma])
+        tracemalloc.start()
+        try:
+            _, eta, e = design.objective(theta, beta, gamma, cfg)
+            design.newton_direction(eta, e, theta, x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * len(log)
 
     def test_every_gamma_at_zero_when_students_decline(self):
         rows = [(f"s{s}", f"i{j}", int(j < 3), j + 1)
@@ -817,10 +1034,11 @@ class TestNewtonSolver:
         q = QMatrix(q0.item_ids, ["k0", "k1", "k2"],
                     np.column_stack([cells[:, 0], cells[:, 0], cells[:, 1]]))
         design = _design(log, q)
-        assert not design.single_kc
+        assert design.unit_row is not None
         cfg = FitConfig()
         theta, beta, gamma, diag = _newton(design, cfg)
-        *_, want = _oracle_solve(design, FitConfig(tol=1e-6))
+        *_, want = _oracle_solve(design, opportunity_pairs(log.columns, q),
+                                 FitConfig(tol=1e-6))
         assert diag.converged and np.isfinite(diag.objective)
         assert diag.objective >= want.objective
         # the minimum-norm steps split the shared column's weight evenly

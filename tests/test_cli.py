@@ -190,6 +190,29 @@ class TestFitCvCompare:
         assert sorted(manifest["inputs"]) == sorted(
             [str(log_dir / "transactions.tsv"), str(q_path)])
 
+    def test_cv_and_compare_manifests_record_every_fit(self, log_dir,
+                                                       tmp_path):
+        def strict(constant):
+            raise AssertionError(f"manifest holds {constant}")
+
+        log = log_dir / "transactions.tsv"
+        assert run(["cv", "--log", log, "--qmatrix", log_dir / "qmatrix.tsv",
+                    "--folds", "3", "--out", tmp_path / "cv.tsv"]) == 0
+        assert run(["compare", "--log", log, "--models", "faculty,identical",
+                    "--folds", "3", "--out", tmp_path / "cmp.tsv"]) == 0
+        cv, cmp = (json.loads((tmp_path / f"{name}.tsv.manifest.json")
+                              .read_text(), parse_constant=strict)
+                   ["diagnostics"] for name in ("cv", "cmp"))
+        assert sorted(cmp) == ["faculty", "identical"]
+        for record in [cv, *cmp.values()]:
+            assert sorted(record) == ["folds", "start"]
+            assert len(record["folds"]) == 3
+            for fit in [record["start"], *record["folds"]]:
+                assert sorted(fit) == ["converged", "iterations", "objective",
+                                       "residual"]
+                assert type(fit["converged"]) is bool
+                assert type(fit["iterations"]) is int
+
     def test_compare_jobs_byte_identical(self, log_dir, tmp_path):
         base = ["compare", "--log", log_dir / "transactions.tsv",
                 "--models", "faculty,identical", "--folds", "3",

@@ -35,8 +35,6 @@ ALLOWED = {
     "read_params": "format reader of the parameter table write_params writes",
     "load_network": "format reader of the checkpoint save_network writes",
     "EXIT_USAGE": "documents exit code 2, which argparse itself returns",
-    "CVResult.fold_fits": "each fold's fit diagnostics, which the run "
-                          "manifest is to report (ROADMAP item 2)",
 }
 
 
