@@ -320,14 +320,6 @@ class _Workspace:
         self.units = np.empty(5 * n_units)
         self.cells = np.empty(5 * n_students * (n_kcs + 1))
         self.students_by_kcs = np.empty((3, n_students * n_kcs))
-        # the columns of the design last built here
-        self.code = np.empty(n_rows, dtype=np.intp)
-        self.s_idx = np.empty(n_rows, dtype=np.intp)
-        self.y = np.empty(n_rows)
-        self.sign = np.empty(n_rows)
-        self.kc = np.empty(n_units, dtype=np.intp)
-        self.t = np.empty(n_units)
-        self.cell = np.empty(n_units, dtype=np.intp)
 
     def __reduce__(self):
         # a worker process gets the sizes and allocates its own buffers
@@ -345,63 +337,52 @@ class _Design:
     The units are the rows when no row needs two KCs, a row that needs
     none holding the idle KC ``n_kcs`` at opportunity 0; otherwise they are
     the (row, KC) pairs in row order, ``unit_row`` giving each its row.
-    The sign of y - p and each unit's cell live in the workspace, so a
-    design built on a workspace replaces the one built there before it."""
+    A design owns its columns; the workspace holds only what a Newton
+    step writes, and may be shared by designs that step one at a time."""
 
     def __init__(self, s_idx, n_students, y, kc, t, n_kcs, unit_row=None,
                  ws=None):
         self.s_idx, self.n_students, self.y = s_idx, n_students, y
         self.kc, self.t, self.n_kcs, self.unit_row = kc, t, n_kcs, unit_row
-        n, u = len(y), len(kc)
-        self.ws = ws or _Workspace(n, u, n_kcs, n_students)
-        self.sign = np.multiply(y, 2.0, out=self.ws.sign[:n])
-        self.sign -= 1.0
+        self.ws = ws or _Workspace(len(y), len(kc), n_kcs, n_students)
+        self.sign = y * 2.0 - 1.0
         # each unit's flat (student, KC) cell, the idle KC last
-        self.cell = np.multiply(s_idx if unit_row is None else s_idx[unit_row],
-                                n_kcs + 1, out=self.ws.cell[:u])
-        self.cell += kc
+        self.cell = (s_idx if unit_row is None else s_idx[unit_row]) \
+            * (n_kcs + 1) + kc
 
     @classmethod
     def of_pairs(cls, s_idx, n_students, y, pairs: Pairs, n_kcs, ws=None):
         """The design of the rows with these students and outcomes and of
-        their (row, KC, opportunity) pairs, built into ``ws`` when given."""
+        their (row, KC, opportunity) pairs, stepping in ``ws`` when given."""
         t = pairs.t.astype(np.float64)
         if np.any(np.diff(pairs.row) == 0):
             return cls(s_idx, n_students, y, pairs.kc, t, n_kcs, pairs.row,
                        ws)
-        n = len(y)
-        kc, row_t = (np.empty(n, dtype=np.intp), np.empty(n)) if ws is None \
-            else (ws.kc[:n], ws.t[:n])
-        kc.fill(n_kcs)
+        kc = np.full(len(y), n_kcs, dtype=np.intp)
         kc[pairs.row] = pairs.kc
-        row_t.fill(0.0)
+        row_t = np.zeros(len(y))
         row_t[pairs.row] = t
         return cls(s_idx, n_students, y, kc, row_t, n_kcs, None, ws)
 
     def subset(self, rows):
-        """The design of the rows the mask ``rows`` keeps, built into this
+        """The design of the rows the mask ``rows`` keeps, stepping in this
         design's workspace, with their students renumbered in sorted
         order; returns it and the kept students' codes."""
-        ws = self.ws
         keep = np.flatnonzero(rows)
-        n = len(keep)
-        code = np.take(self.s_idx, keep, out=ws.code[:n], mode="clip")
+        code = self.s_idx[keep]
         present = np.zeros(self.n_students, dtype=bool)
         present[code] = True
         students = np.flatnonzero(present)
-        s_idx = np.take(np.cumsum(present) - 1, code, out=ws.s_idx[:n],
-                        mode="clip")
-        y = np.take(self.y, keep, out=ws.y[:n], mode="clip")
+        s_idx = (np.cumsum(present) - 1)[code]
+        y = self.y[keep]
         if self.unit_row is not None:
             kept = np.flatnonzero(rows[self.unit_row])
             pairs = Pairs((np.cumsum(rows) - 1)[self.unit_row[kept]],
                           self.kc[kept], self.t[kept])
             return _Design.of_pairs(s_idx, len(students), y, pairs,
-                                    self.n_kcs, ws), students
-        kc = np.take(self.kc, keep, out=ws.kc[:n], mode="clip")
-        t = np.take(self.t, keep, out=ws.t[:n], mode="clip")
-        return _Design(s_idx, len(students), y, kc, t, self.n_kcs, None,
-                       ws), students
+                                    self.n_kcs, self.ws), students
+        return _Design(s_idx, len(students), y, self.kc[keep], self.t[keep],
+                       self.n_kcs, None, self.ws), students
 
     def idle(self):
         """Per coordinate of x, whether no unit informs it: a beta whose KC

@@ -212,6 +212,10 @@ def cmd_train_rep(args, seed):
 
 
 def cmd_qmatrix(args, seed):
+    if args.human_map and not args.emit_human:
+        raise ConfigurationError("--human-map requires --emit-human")
+    if args.emit_human and not args.human_map:
+        raise ConfigurationError("--emit-human requires --human-map")
     reps = read_representations(args.reps)
     q, report = threshold_qmatrix(reps, args.tau)
     write_qmatrix(args.out, q)
@@ -226,14 +230,10 @@ def cmd_qmatrix(args, seed):
         write_qmatrix(args.emit_identical, identical_transfer(reps.item_ids))
         outputs.append(args.emit_identical)
     if args.human_map:
-        if not args.emit_human:
-            raise ConfigurationError("--human-map requires --emit-human")
         write_qmatrix(args.emit_human,
                       load_human_model(args.human_map, reps.item_ids))
         inputs.append(args.human_map)
         outputs.append(args.emit_human)
-    elif args.emit_human:
-        raise ConfigurationError("--emit-human requires --human-map")
     return inputs, outputs
 
 
@@ -242,9 +242,23 @@ def _fit_config(args) -> FitConfig:
                      tol=args.tol, max_iter=args.max_iter)
 
 
+def _log_qmatrix(path, log, model=None):
+    """The Q-matrix at ``path``, once it has a row for every item of
+    ``log``; a missing one is an InputError naming the file, and the
+    model when one is given."""
+    q = read_qmatrix(path)
+    known = set(q.item_ids)
+    for item in log.columns.items:
+        if item not in known:
+            where = f"model {model!r}: {path}" if model else path
+            raise InputError(
+                f"{where}: log item {item!r} missing from Q-matrix")
+    return q
+
+
 def cmd_fit_afm(args, seed):
     log = load_transactions(args.log)
-    q = read_qmatrix(args.qmatrix)
+    q = _log_qmatrix(args.qmatrix, log)
     params, diag = afm_fit(log, q, _fit_config(args))
     write_params(args.out, params)
     outputs = [args.out]
@@ -258,7 +272,7 @@ def cmd_fit_afm(args, seed):
 
 def cmd_cv(args, seed):
     log = load_transactions(args.log)
-    q = read_qmatrix(args.qmatrix)
+    q = _log_qmatrix(args.qmatrix, log)
     result = item_stratified_cv(log, q, _fit_config(args),
                                 CVConfig(folds=args.folds, seed=seed),
                                 jobs=args.jobs)
@@ -279,8 +293,9 @@ def _cv_diagnostics(result) -> dict:
             "folds": [fit(d) for d in result.fold_fits]}
 
 
-def _parse_models(spec: str, item_ids):
-    """(name, QMatrix) per entry of a --models list, and the paths read."""
+def _parse_models(spec: str, log):
+    """(name, QMatrix) per entry of a --models list, each covering the
+    log's items, and the paths read."""
     baselines = {"faculty": faculty_transfer, "identical": identical_transfer}
     models, paths = [], []
     for entry in spec.split(","):
@@ -296,10 +311,10 @@ def _parse_models(spec: str, item_ids):
             raise ConfigurationError(
                 f"model entry {entry!r} repeats the model name {name!r}")
         if eq:
-            models.append((name, read_qmatrix(path)))
+            models.append((name, _log_qmatrix(path, log, name)))
             paths.append(path)
         else:
-            models.append((name, baselines[name](item_ids)))
+            models.append((name, baselines[name](log.columns.items)))
     if not models:
         raise ConfigurationError("no models given")
     return models, paths
@@ -307,7 +322,7 @@ def _parse_models(spec: str, item_ids):
 
 def cmd_compare(args, seed):
     log = load_transactions(args.log)
-    models, paths = _parse_models(args.models, log.columns.items)
+    models, paths = _parse_models(args.models, log)
     table = compare_models(log, models, _fit_config(args),
                            CVConfig(folds=args.folds, seed=seed),
                            jobs=args.jobs)
@@ -321,7 +336,7 @@ def cmd_compare(args, seed):
 def cmd_simulate(args, seed):
     log = load_transactions(args.log)
     bundle = load_cloze(args.cloze)
-    q_eval = read_qmatrix(args.q_eval)
+    q_eval = _log_qmatrix(args.q_eval, log)
     inputs = [args.log, args.cloze, args.q_eval]
     if args.features == "human":
         features = human_features(bundle.problems)
@@ -431,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate synthetic datasets",
-                       parents=[common])
+    p = sub.add_parser("synth", help="generate synthetic datasets")
     synth_sub = p.add_subparsers(dest="variant", required=True)
     pv = synth_sub.add_parser("visual", parents=[common])
     pv.add_argument("--out-dir", required=True)

@@ -141,7 +141,6 @@ class DenseLayer:
             raise ConfigurationError("dense layer sizes must be positive")
         limit = 1.0 / np.sqrt(in_size)
         self.in_size = in_size
-        self.out_size = out_size
         self.activation = activation
         self.weights = rng.uniform(-limit, limit, size=(out_size, in_size))
         self.biases = np.zeros(out_size, dtype=np.float64)
@@ -171,7 +170,6 @@ class EmbeddingTable:
         if vocab_size < 1 or dim < 1:
             raise ConfigurationError("embedding table needs positive sizes")
         self.vocab_size = vocab_size
-        self.dim = dim
         self.vectors = rng.uniform(-0.5, 0.5, size=(vocab_size, dim))
 
     def forward(self, ids: np.ndarray) -> np.ndarray:

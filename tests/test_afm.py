@@ -966,6 +966,32 @@ class TestNewtonSolver:
             assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)),
                                                          1e-300)
 
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(_fit_cases(), _fit_cases(single_kc=True)), st.data())
+    def test_subset_leaves_the_parent_design(self, case, data):
+        # CV carves folds out of the full-log design, which shares their
+        # workspace: each design, rows or pairs as units, steps as before
+        log, q, cfg = case
+        cols, pairs = log.columns, opportunity_pairs(log.columns, q)
+        by_pairs = _Design(cols.student, len(cols.students), cols.y,
+                           pairs.kc, pairs.t.astype(float), q.n_kcs,
+                           pairs.row)
+        k = q.n_kcs
+        for design in (_design(log, q), by_pairs):
+            theta, x = _draw_point(data, design)
+
+            def step():
+                f, eta, e = design.objective(theta, x[:k], x[k:], cfg)
+                return [f, eta.copy(), e.copy(), *design.newton_direction(
+                    eta.copy(), e.copy(), theta, x, cfg)]
+
+            before = step()
+            mask = np.array(data.draw(st.lists(
+                st.booleans(), min_size=len(log), max_size=len(log))))
+            design.subset(mask)
+            for a, b in zip(step(), before):
+                assert np.array_equal(a, b)
+
     def test_objective_logits_are_afm_logits(self):
         for model in (faculty_transfer, None):
             log, q, _ = synth_afm_log(AfmLogSynthSpec(

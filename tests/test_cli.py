@@ -54,6 +54,25 @@ class TestSynth:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("flag", [["--seed", "5"],
+                                      ["--manifest", "m.json"]])
+    def test_flags_before_the_variant_are_usage_errors(self, tmp_path,
+                                                       monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(["synth", *flag, "visual", "--out-dir", "d"])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flags_after_the_variant_apply(self, tmp_path):
+        assert run(["synth", "visual", "--seed", "5",
+                    "--manifest", tmp_path / "m.json",
+                    "--out-dir", tmp_path / "d", "--templates", "2",
+                    "--per-template", "2", "--height", "8", "--width", "8",
+                    "--jitter", "1"]) == 0
+        assert json.loads((tmp_path / "m.json").read_text())["seed"] == 5
+        assert not (tmp_path / "d" / "manifest.tsv.manifest.json").exists()
+
     def test_manifest_records_inputs_and_flags(self, tmp_path, visual_dir):
         out = tmp_path / "log"
         assert run(["synth", "afm-log", "--out-dir", out, "--seed", "1",
@@ -118,6 +137,18 @@ class TestTrainAndQmatrix:
         assert all(line.endswith("\t1") for line in fac[1:])
         hum = (tmp_path / "hum.tsv").read_text().splitlines()
         assert hum[0].startswith("item_id\tkc_")
+
+    @pytest.mark.parametrize("flag, partner", [
+        ("--human-map", "--emit-human"), ("--emit-human", "--human-map")])
+    def test_unpaired_human_flag_writes_nothing(self, trained, tmp_path,
+                                                capsys, flag, partner):
+        # the map is never read: the pairing is checked first
+        assert run(["qmatrix", "--reps", trained / "reps.tsv",
+                    "--out", tmp_path / "q.tsv",
+                    "--emit-faculty", tmp_path / "fac.tsv",
+                    flag, tmp_path / "absent.tsv"]) == 4
+        assert f"{flag} requires {partner}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_byte_identical(self, tmp_path, visual_dir, trained):
         args = ["train-rep", "--images", visual_dir / "manifest.tsv",
@@ -213,14 +244,36 @@ class TestFitCvCompare:
                 assert type(fit["converged"]) is bool
                 assert type(fit["iterations"]) is int
 
-    def test_compare_jobs_byte_identical(self, log_dir, tmp_path):
-        base = ["compare", "--log", log_dir / "transactions.tsv",
-                "--models", "faculty,identical", "--folds", "3",
-                "--seed", "9"]
-        assert run(base + ["--out", tmp_path / "j1.tsv", "--jobs", "1"]) == 0
-        assert run(base + ["--out", tmp_path / "j2.tsv", "--jobs", "2"]) == 0
+    @staticmethod
+    def _same_at_one_and_two_jobs(base, tmp_path):
+        for jobs in ("1", "2"):
+            assert run(base + ["--out", tmp_path / f"j{jobs}.tsv",
+                               "--jobs", jobs]) == 0
         assert (tmp_path / "j1.tsv").read_bytes() == \
                (tmp_path / "j2.tsv").read_bytes()
+        diagnostics = [json.loads((tmp_path / f"j{jobs}.tsv.manifest.json")
+                                  .read_text())["diagnostics"]
+                       for jobs in ("1", "2")]
+        assert diagnostics[0] == diagnostics[1]
+
+    def test_compare_jobs_byte_identical(self, log_dir, tmp_path):
+        self._same_at_one_and_two_jobs(
+            ["compare", "--log", log_dir / "transactions.tsv",
+             "--models", "faculty,identical", "--folds", "3", "--seed", "9"],
+            tmp_path)
+
+    def test_compare_jobs_byte_identical_with_multi_kc_items(self, tmp_path):
+        # 8 of the 20 items need two KCs; with these folds the design of
+        # three held-out folds has its rows as units, the rest their pairs
+        d = tmp_path / "log"
+        assert run(["synth", "afm-log", "--out-dir", d, "--seed", "4",
+                    "--students", "30", "--items", "20", "--kcs", "4"]) == 0
+        rows = (d / "qmatrix.tsv").read_text().splitlines()[1:]
+        assert sum(row.count("\t1") == 2 for row in rows) == 8
+        self._same_at_one_and_two_jobs(
+            ["compare", "--log", d / "transactions.tsv",
+             "--models", f"faculty,synth={d / 'qmatrix.tsv'}",
+             "--folds", "10", "--seed", "9"], tmp_path)
 
 
 class TestSimulate:
@@ -518,6 +571,41 @@ class TestGradcheckAndErrors:
         assert capsys.readouterr().err == \
             f"cogrl: input error: {log}: the table has no rows\n"
         assert [p.name for p in tmp_path.iterdir()] == ["log.tsv"]
+
+    @pytest.mark.parametrize("command, model", [
+        (["fit-afm", "--qmatrix", "{short}"], None),
+        (["cv", "--qmatrix", "{short}"], None),
+        (["compare", "--models", "faculty,a={oracle},b={short}"], "b"),
+        (["simulate", "--cloze", "{cloze}", "--q-eval", "{short}",
+          "--features", "human"], None)],
+        ids=["fit-afm", "cv", "compare", "simulate"])
+    def test_log_item_missing_from_qmatrix_names_the_file(
+            self, cloze_dir, tmp_path, capsys, monkeypatch, command, model):
+        log = tmp_path / "log" / "transactions.tsv"
+        assert run(["synth", "afm-log", "--out-dir", log.parent,
+                    "--seed", "3", "--students", "4",
+                    "--qmatrix", cloze_dir / "oracle_q.tsv"]) == 0
+        item = max(line.split("\t")[1]
+                   for line in log.read_text().splitlines()[1:])
+        short = tmp_path / "short.tsv"
+        short.write_text("".join(
+            line + "\n"
+            for line in (cloze_dir / "oracle_q.tsv").read_text().splitlines()
+            if line.split("\t")[0] != item))
+
+        def no_fit(*_):
+            raise AssertionError("a model was fit")
+
+        monkeypatch.setattr("cogrl.cli.compare_models", no_fit)
+        command = [a.format(short=short, oracle=cloze_dir / "oracle_q.tsv",
+                            cloze=cloze_dir / "cloze.tsv") for a in command]
+        out = tmp_path / "o.tsv"
+        assert run([*command, "--log", log, "--out", out]) == 3
+        where = f"model {model!r}: {short}" if model else f"{short}"
+        assert capsys.readouterr().err == (
+            f"cogrl: input error: {where}: log item {item!r} missing from "
+            f"Q-matrix\n")
+        assert not any(tmp_path.glob("o.tsv*"))
 
     @pytest.mark.parametrize("models,entry", [
         ("=qmatrix.tsv", "=qmatrix.tsv"), ("faculty,faculty", "faculty"),

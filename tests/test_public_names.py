@@ -1,7 +1,8 @@
 """No public name in the library is there only for the tests.
 
 A public name (no leading ``_``) that a ``src/cogrl`` module defines at
-module level or in a class body is read somewhere in ``src/cogrl``,
+module level, in a class body or as an attribute a method sets on its
+first argument (``self.x = ...``) is read somewhere in ``src/cogrl``,
 ``bench/`` or ``demos/``. A module-level name is read as a bare name or as
 an attribute; a class member only as an attribute (``x.member``), so a
 local variable that shares its name does not keep it. In ``bench/``, a
@@ -38,9 +39,27 @@ ALLOWED = {
 }
 
 
+def instance_attributes(cls: ast.ClassDef) -> list[tuple[int, str]]:
+    """(line, name) of each attribute a method of ``cls`` stores on its
+    first argument, such as ``self.x = ...``, in line order."""
+    found = []
+    for method in cls.body:
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and method.args.args:
+            me = method.args.args[0].arg
+            found.extend(
+                (node.lineno, node.attr) for node in ast.walk(method)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == me)
+    return sorted(found)
+
+
 def public_definitions(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each public module-level name and each public name
-    in a module-level class body; a class member is named ``Class.member``."""
+    """(line, name) of each public module-level name, each public name in
+    a module-level class body and each public attribute its methods set
+    on their first argument; a class member is named ``Class.member``, and
+    is listed once, where it is first defined."""
     found = []
 
     def names(body, prefix=""):
@@ -60,6 +79,12 @@ def public_definitions(source: str) -> list[tuple[int, str]]:
                          if not name.startswith("_"))
             if isinstance(node, ast.ClassDef) and not prefix:
                 names(node.body, node.name + ".")
+                members = {name for _, name in found}
+                for line, name in instance_attributes(node):
+                    member = f"{node.name}.{name}"
+                    if not name.startswith("_") and member not in members:
+                        members.add(member)
+                        found.append((line, member))
 
     names(ast.parse(source).body)
     return found
@@ -129,6 +154,11 @@ def test_every_public_name_is_read_outside_the_tests():
     ("class C:\n    class D:\n        def m(self):\n            pass",
      ["C", "C.D"]),
     ("def f():\n    y = 1\n    def g():\n        pass", ["f"]),
+    ("class C:\n    a: int\n    def __init__(self, n):\n"
+     "        self.a, (self.b, other.c) = n, (1, 2)\n        self._p = 0\n"
+     "        self.d: int = 3\n        self.b += 1\n        x = self.e\n"
+     "    def m(me):\n        me.f = 1\n        self.g = 2",
+     ["C", "C.a", "C.m", "C.b", "C.d", "C.f"]),
 ])
 def test_definitions_found(source, expected):
     assert [name for _, name in public_definitions(source)] == expected

@@ -37,8 +37,8 @@ class TestBuildImageCNN:
         net = ImageCNN(spec, seed=0)
         assert net.conv_out_shape == (10, 14, 19)
         assert net.flat_size == 2660
-        assert net.rep.out_size == 50
-        assert net.out.out_size == 2
+        assert net.rep.weights.shape[0] == 50
+        assert net.out.weights.shape[0] == 2
 
     def test_stated_16x16_shapes(self):
         spec = ImageArchSpec(in_shape=(1, 16, 16), n_classes=2,
