@@ -31,6 +31,7 @@ import numpy as np
 
 from .afm import (
     FitConfig,
+    FitDiagnostics,
     ParamReport,
     Transaction,
     TransactionLog,
@@ -310,6 +311,8 @@ class SimulationStudy:
 
     simulated_log: TransactionLog
     report: ParamReport  # sim columns first, original as reference
+    original_fit: FitDiagnostics
+    simulated_fit: FitDiagnostics
 
     def to_tsv_lines(self) -> list[str]:
         """Per-KC table: original estimates first, then simulated, then a
@@ -382,7 +385,7 @@ def simulate_and_estimate(original_log: TransactionLog,
         # float64 like every log's outcomes, and defined for no students
         y=np.concatenate([np.zeros(0), *outcomes])))
 
-    fitted, _ = afm_fit(simulated_log, q_eval, fit)
-    reference, _ = afm_fit(original_log, q_eval, fit)
+    fitted, simulated_fit = afm_fit(simulated_log, q_eval, fit)
+    reference, original_fit = afm_fit(original_log, q_eval, fit)
     return SimulationStudy(simulated_log, param_report(
-        fitted, q_eval, reference=reference))
+        fitted, q_eval, reference=reference), original_fit, simulated_fit)

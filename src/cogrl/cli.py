@@ -9,8 +9,10 @@ Every run is controlled by --seed (falling back to the COGRL_SEED
 environment variable, then 0) and rerunning a subcommand with identical
 flags produces byte-identical primary output files regardless of --jobs.
 Each run also emits a single-line JSON manifest (flags, input digests,
-output paths, duration, and for cv and compare the diagnostics of every
-AFM fit); the manifest itself carries timing and is not a primary output.
+output paths, duration, and the run's diagnostics: every AFM fit of
+fit-afm, cv, compare and simulate, how train-rep trained, whether the
+qmatrix result collapsed); the manifest itself carries timing and is not
+a primary output.
 
 Exit codes: 0 success; 2 usage error; 3 input error (missing or malformed
 files/data); 4 configuration error (architecture or precondition); 5
@@ -128,8 +130,8 @@ def _sha256(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each handler returns (input paths, output paths), and cv
-# and compare the diagnostics their manifest records
+# subcommands: each handler returns (input paths, output paths), and all
+# but synth and gradcheck the diagnostics their manifest records
 
 
 def cmd_synth(args, seed):
@@ -208,7 +210,9 @@ def cmd_train_rep(args, seed):
     print(f"trained {net.__class__.variant}: parameters={net.parameter_count()} "
           f"epochs={len(history)} final_loss={history[-1]:.6f} "
           f"train_accuracy={accuracy:.4f}")
-    return [source], [args.out_checkpoint, args.out_reps]
+    return [source], [args.out_checkpoint, args.out_reps], {
+        "epochs": len(history), "final_loss": history[-1],
+        "stop_reason": history.stop_reason, "train_accuracy": accuracy}
 
 
 def cmd_qmatrix(args, seed):
@@ -218,6 +222,11 @@ def cmd_qmatrix(args, seed):
         raise ConfigurationError("--emit-human requires --human-map")
     reps = read_representations(args.reps)
     q, report = threshold_qmatrix(reps, args.tau)
+    collapsed = bool(np.all(q.cells == q.cells[:1]))
+    if collapsed:
+        print(f"cogrl: qmatrix: every item has the same KC set "
+              f"({', '.join(q.kc_names)}) at tau {args.tau:g}, so the "
+              f"Q-matrix is a faculty model", file=sys.stderr)
     write_qmatrix(args.out, q)
     report_path = args.report or args.out + ".report.txt"
     write_lines(report_path, report.lines())
@@ -234,7 +243,7 @@ def cmd_qmatrix(args, seed):
                       load_human_model(args.human_map, reps.item_ids))
         inputs.append(args.human_map)
         outputs.append(args.emit_human)
-    return inputs, outputs
+    return inputs, outputs, {"collapsed": collapsed, "kcs": q.n_kcs}
 
 
 def _fit_config(args) -> FitConfig:
@@ -267,7 +276,7 @@ def cmd_fit_afm(args, seed):
         outputs.append(args.report)
     print(f"fit: converged={diag.converged} iterations={diag.iterations} "
           f"objective={diag.objective:.6f} residual={diag.residual:.3g}")
-    return [args.log, args.qmatrix], outputs
+    return [args.log, args.qmatrix], outputs, _fit_diagnostics(diag)
 
 
 def cmd_cv(args, seed):
@@ -283,14 +292,17 @@ def cmd_cv(args, seed):
     return [args.log, args.qmatrix], [args.out], _cv_diagnostics(result)
 
 
+def _fit_diagnostics(d) -> dict:
+    """The manifest record of one AFM fit."""
+    return {"converged": d.converged, "iterations": d.iterations,
+            "objective": d.objective, "residual": d.residual}
+
+
 def _cv_diagnostics(result) -> dict:
     """The manifest record of a cross-validation: its full-log start fit
     and every fold's fit."""
-    def fit(d):
-        return {"converged": d.converged, "iterations": d.iterations,
-                "objective": d.objective, "residual": d.residual}
-    return {"start": fit(result.start_fit),
-            "folds": [fit(d) for d in result.fold_fits]}
+    return {"start": _fit_diagnostics(result.start_fit),
+            "folds": [_fit_diagnostics(d) for d in result.fold_fits]}
 
 
 def _parse_models(spec: str, log):
@@ -361,7 +373,9 @@ def cmd_simulate(args, seed):
     print(f"simulate: intercept_correlation="
           f"{study.report.intercept_correlation:.4f} "
           f"slope_correlation={study.report.slope_correlation:.4f}")
-    return inputs, outputs
+    return inputs, outputs, {
+        "original": _fit_diagnostics(study.original_fit),
+        "simulated": _fit_diagnostics(study.simulated_fit)}
 
 
 def _gradcheck_cnn(seed, epsilon):

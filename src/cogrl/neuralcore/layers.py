@@ -193,9 +193,10 @@ class LSTMCell:
     ``c_t = f*c_prev + i*g`` and ``h_t = o*tanh(c_t)``. The four gates are
     stored stacked in the order i, f, g, o: gate k reads rows
     ``k*hidden:(k+1)*hidden`` of ``w_x``, ``w_h``, ``b_x`` and ``b_h``, so
-    one step costs two matrix products. ``_gates`` is the one
-    implementation of the gate math: ``run`` and ``backward_through_time``
-    both go through it.
+    one step costs two matrix products. ``run`` computes the gates once,
+    in ``_gates``, and keeps each step's activated gate block and cell
+    state; ``backward_through_time`` reads them back, computing no gate a
+    second time, and releases each step's cache once it has used it.
     """
 
     def __init__(self, input_size: int, hidden_size: int, *,
@@ -215,20 +216,22 @@ class LSTMCell:
         self._half = np.repeat([0.5, 0.5, 1.0, 0.5], hidden_size)
         self._shift = np.repeat([0.5, 0.5, 0.0, 0.5], hidden_size)
 
-    def _gates(self, x_t, h_prev, c_prev, bias, buf):
+    def _gates(self, x_t, h_prev, c_prev, bias, buf, scratch):
         """Gates (i, f, g, o), new cell state and its tanh for the live rows
         of one step of a length-sorted minibatch.
 
         ``x_t`` holds the live rows' inputs. Only the first len(h_prev) of
         them carry state; the others start at this step from the zero
         state, so they get no recurrent and no forget-gate term. ``bias`` is
-        b_x + b_h, and the gates are views into ``buf``, a (B, 4 hidden)
-        scratch buffer.
+        b_x + b_h, and the gates are views into ``buf``, a (len(x_t),
+        4 hidden) array that receives them. The recurrent product goes
+        through ``scratch``, an array of at least len(h_prev) rows of the
+        same width, so a run makes no per-step temporary for it.
         """
         m, hs = len(h_prev), self.hidden_size
-        a = np.matmul(x_t, self.w_x.T, out=buf[:len(x_t)])
+        a = np.matmul(x_t, self.w_x.T, out=buf)
         a += bias
-        a[:m] += h_prev @ self.w_h.T
+        a[:m] += np.matmul(h_prev, self.w_h.T, out=scratch[:m])
         # logistic(v) = 0.5 + 0.5 tanh(v/2) on the i, f and o blocks, tanh on
         # g: one in-place tanh over the buffer between two column scalings
         a *= self._half
@@ -255,11 +258,11 @@ class LSTMCell:
 
         Returns the final hidden and cell states in the caller's row order,
         (B, hidden), zero for an empty row, and one cache per step for
-        backward_through_time. A cache holds the live rows' input, the
-        states they started from (only the rows already running) and the
-        live rows' positions in the caller's order; the gates are
-        recomputed in the backward pass. A run of no steps yields the zero
-        initial states and no caches.
+        backward_through_time. A step's cache holds the live rows' input,
+        their activated gates (one (live rows, 4 hidden) array in the i, f,
+        g, o layout), their new cell state and their positions in the
+        caller's order. A run of no steps yields the zero initial states
+        and no caches.
         """
         xs = np.asarray(xs, dtype=np.float64)
         keep = np.asarray(mask, dtype=bool)
@@ -275,14 +278,16 @@ class LSTMCell:
                 "(left padding)")
         order = np.argsort(-lengths, kind="stable")
         bias = self.b_x + self.b_h
-        buf = np.empty((batch, 4 * self.hidden_size))
         h = c = np.zeros((0, self.hidden_size))
+        scratch = np.empty((batch, 4 * self.hidden_size))
         caches = []
         for x_t, n in zip(xs, keep.sum(axis=1)):
             rows = order[:n]
             x_live = x_t[rows]
-            caches.append((x_live, h, c, rows))
-            _, _, _, o, c, tc = self._gates(x_live, h, c, bias, buf)
+            gates = np.empty((n, 4 * self.hidden_size))
+            _, _, _, o, c, tc = self._gates(x_live, h, c, bias, gates,
+                                            scratch)
+            caches.append((x_live, gates, c, rows))
             h = o * tc
         h_out = np.zeros((batch, self.hidden_size))
         c_out = np.zeros_like(h_out)
@@ -293,31 +298,45 @@ class LSTMCell:
     def backward_through_time(self, caches, dh_last):
         """Backpropagate a gradient on the final hidden state.
 
-        ``dh_last`` is (B, hidden). Each step's gates are rebuilt from its
-        cache, so the backward pass costs one more forward step per step but
-        the run holds only the per-step states. Like the run it works on the
-        live rows only: going back from step t to t-1, the state gradients
-        shrink to the rows already running at t-1. Returns (dxs, grads):
-        dxs is shaped like the run's input, (T, B, input_size), in the
-        caller's row order and zero at masked steps; grads holds the w_x,
-        w_h, b_x, b_h gradients summed over the minibatch.
+        ``dh_last`` is (B, hidden). The gates are read from the caches
+        ``run`` returned, not computed again: a step's previous state is
+        the previous step's cell state and ``o * tanh(c)`` of its gates,
+        the same bytes the forward pass made, and each ``tanh(c)`` is taken
+        once, serving step t and then step t-1. Each step's cache entry is
+        set to None once read, so the caches' memory is freed as the pass
+        goes, and caches already consumed raise DimensionError. Like the
+        run it works on the live rows only: going back from step t to t-1,
+        the state gradients shrink to the rows already running at t-1.
+        Returns (dxs, grads): dxs is shaped like the run's input, (T, B,
+        input_size), in the caller's row order and zero at masked steps;
+        grads holds the w_x, w_h, b_x, b_h gradients summed over the
+        minibatch.
         """
+        if any(cache is None for cache in caches):
+            raise DimensionError(
+                "LSTM caches were already consumed by a backward pass")
         dh = np.asarray(dh_last, dtype=np.float64)
         hs = self.hidden_size
         dwx = np.zeros_like(self.w_x)
         dwh = np.zeros_like(self.w_h)
         dbx = np.zeros_like(self.b_x)
         dxs = np.zeros((len(caches), dh.shape[0], self.input_size))
-        bias = self.b_x + self.b_h
-        buf = np.empty((dh.shape[0], 4 * hs))
-        da_buf = np.empty_like(buf)
+        da_buf = np.empty((dh.shape[0], 4 * hs))
         if caches:
             dh = dh[caches[-1][3]]
+            tc = np.tanh(caches[-1][2])
         dc = np.zeros_like(dh)
         for t in range(len(caches) - 1, -1, -1):
-            x_t, h_prev, c_prev, rows = caches[t]
+            x_t, gates, _, rows = caches[t]
+            caches[t] = None
+            if t:
+                _, gates_prev, c_prev, _ = caches[t - 1]
+                tc_prev = np.tanh(c_prev)
+                h_prev = gates_prev[:, 3 * hs:] * tc_prev
+            else:
+                c_prev = h_prev = tc_prev = np.zeros((0, hs))
             m = len(h_prev)
-            i, f, g, o, _, tc = self._gates(x_t, h_prev, c_prev, bias, buf)
+            i, f, g, o = (gates[:, k * hs:(k + 1) * hs] for k in range(4))
             dc += dh * o * (1.0 - tc * tc)
             da = da_buf[:len(x_t)]
             da[:, :hs] = dc * g * i * (1.0 - i)
@@ -331,5 +350,6 @@ class LSTMCell:
             dxs[t, rows] = da @ self.w_x
             dh = da[:m] @ self.w_h
             dc = dc[:m] * f[:m]
+            tc = tc_prev
         grads = {"w_x": dwx, "w_h": dwh, "b_x": dbx, "b_h": dbx.copy()}
         return dxs, grads

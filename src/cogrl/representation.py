@@ -278,14 +278,24 @@ def check_training_set(problems: list[ProblemInstance], source: str) -> None:
             f"{source}: the questions have no text besides their blanks")
 
 
+class TrainHistory(list):
+    """The per-epoch mean losses of a ``train_model`` run, and why it
+    stopped: ``target_loss`` once an epoch's mean loss fell below the
+    target, else ``max_epochs``."""
+
+    def __init__(self):
+        super().__init__()
+        self.stop_reason = "max_epochs"
+
+
 def train_model(net: Network, problems: list[ProblemInstance],
-                config: SGDConfig) -> list[float]:
+                config: SGDConfig) -> TrainHistory:
     """Minibatch SGD with seeded per-epoch shuffling; returns the per-epoch
-    mean-loss history. Stops early once the mean epoch loss falls below
-    config.target_loss. The problems are a set that ``check_training_set``
-    accepts."""
+    mean-loss history and its stop reason. Stops early once the mean epoch
+    loss falls below config.target_loss. The problems are a set that
+    ``check_training_set`` accepts."""
     rng = np.random.default_rng(config.seed)
-    history: list[float] = []
+    history = TrainHistory()
     n = len(problems)
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
@@ -303,6 +313,7 @@ def train_model(net: Network, problems: list[ProblemInstance],
         mean_loss = total / n
         history.append(mean_loss)
         if mean_loss < config.target_loss:
+            history.stop_reason = "target_loss"
             break
     return history
 

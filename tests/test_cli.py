@@ -17,6 +17,21 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def manifest_of(path):
+    """The manifest written beside ``path``; a NaN or infinity fails."""
+    def strict(constant):
+        raise AssertionError(f"manifest holds {constant}")
+
+    return json.loads(pathlib.Path(f"{path}.manifest.json").read_text(),
+                      parse_constant=strict)
+
+
+def without_times(manifest):
+    """A manifest without the run's duration and its --jobs flag."""
+    flags = {k: v for k, v in manifest["flags"].items() if k != "jobs"}
+    return {**manifest, "flags": flags, "duration_s": None}
+
+
 @pytest.fixture(scope="module")
 def visual_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("visual")
@@ -163,6 +178,71 @@ class TestTrainAndQmatrix:
                (trained / "reps.tsv").read_bytes()
 
 
+class TestTrainRepManifest:
+    @pytest.mark.parametrize("epochs, target, reason, trained_epochs", [
+        ("3", "0", "max_epochs", 3),
+        ("3", "100", "target_loss", 1)])
+    def test_manifest_says_why_training_stopped(
+            self, visual_dir, tmp_path, capsys, epochs, target, reason,
+            trained_epochs):
+        assert run(["train-rep", "--images", visual_dir / "manifest.tsv",
+                    "--out-checkpoint", tmp_path / "m.ckpt",
+                    "--out-reps", tmp_path / "r.tsv",
+                    "--filters", "3", "--kernel", "3", "--stride", "2",
+                    "--rep-size", "8", "--epochs", epochs,
+                    "--target-loss", target, "--seed", "4"]) == 0
+        printed = dict(token.split("=") for token in
+                       capsys.readouterr().out.split()[2:])
+        diagnostics = manifest_of(tmp_path / "m.ckpt")["diagnostics"]
+        assert diagnostics["stop_reason"] == reason
+        assert diagnostics["epochs"] == trained_epochs \
+            == int(printed["epochs"])
+        assert f"{diagnostics['final_loss']:.6f}" == printed["final_loss"]
+        assert f"{diagnostics['train_accuracy']:.4f}" == \
+            printed["train_accuracy"]
+        assert sorted(diagnostics) == ["epochs", "final_loss", "stop_reason",
+                                       "train_accuracy"]
+
+
+class TestQmatrixCollapse:
+    @staticmethod
+    def _qmatrix(tmp_path, rows):
+        reps = tmp_path / "reps.tsv"
+        reps.write_text("item_id\trep_00\trep_01\n"
+                        + "".join(f"{row}\n" for row in rows))
+        return run(["qmatrix", "--reps", reps, "--tau", "0.9",
+                    "--out", tmp_path / "q.tsv"])
+
+    @pytest.mark.parametrize("rows, kcs", [
+        # no unit above tau: every item gets the residual KC alone
+        (["a\t0.5\t0.1", "b\t0.2\t0.3", "c\t0.8\t0.6"], ["residual"]),
+        # both units above tau on every item: one merged KC
+        (["a\t0.95\t0.99", "b\t0.91\t0.97"], ["rep_00+rep_01"])])
+    def test_collapse_reported_on_stderr_and_in_the_manifest(
+            self, tmp_path, capsys, rows, kcs):
+        assert self._qmatrix(tmp_path, rows) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"cogrl: qmatrix: every item has the same KC set ({kcs[0]}) at "
+            f"tau 0.9, so the Q-matrix is a faculty model"]
+        assert (tmp_path / "q.tsv").read_text().splitlines()[0] == \
+            "item_id\t" + "\t".join(kcs)
+        first = manifest_of(tmp_path / "q.tsv")
+        assert first["diagnostics"] == {"collapsed": True, "kcs": 1}
+        # a rerun writes the same manifest, apart from its time
+        assert self._qmatrix(tmp_path, rows) == 0
+        assert without_times(manifest_of(tmp_path / "q.tsv")) == \
+            without_times(first)
+
+    def test_distinct_kc_sets_are_not_a_collapse(self, tmp_path, capsys):
+        assert self._qmatrix(
+            tmp_path, ["a\t0.95\t0.1", "b\t0.2\t0.3", "c\t0.99\t0.97"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert manifest_of(tmp_path / "q.tsv")["diagnostics"] == \
+            {"collapsed": False, "kcs": 3}
+
+
 class TestFitCvCompare:
     def test_fit_afm(self, log_dir, tmp_path, capsys):
         code = run(["fit-afm", "--log", log_dir / "transactions.tsv",
@@ -175,6 +255,13 @@ class TestFitCvCompare:
             ["fit:", "converged", "iterations", "objective", "residual"]
         assert tokens[1] == "converged=True"
         assert 0.0 <= float(tokens[4].split("=")[1]) < 1e-5
+        # the manifest records the printed fit
+        fit = manifest_of(tmp_path / "params.tsv")["diagnostics"]
+        assert len(fit) == 4 and tokens[1:] == [
+            f"converged={fit['converged']}",
+            f"iterations={fit['iterations']}",
+            f"objective={fit['objective']:.6f}",
+            f"residual={fit['residual']:.3g}"]
         lines = (tmp_path / "params.tsv").read_text().splitlines()
         assert lines[0] == "entity\trole\tvalue"
         roles = {line.split("\t")[1] for line in lines[1:]}
@@ -223,17 +310,13 @@ class TestFitCvCompare:
 
     def test_cv_and_compare_manifests_record_every_fit(self, log_dir,
                                                        tmp_path):
-        def strict(constant):
-            raise AssertionError(f"manifest holds {constant}")
-
         log = log_dir / "transactions.tsv"
         assert run(["cv", "--log", log, "--qmatrix", log_dir / "qmatrix.tsv",
                     "--folds", "3", "--out", tmp_path / "cv.tsv"]) == 0
         assert run(["compare", "--log", log, "--models", "faculty,identical",
                     "--folds", "3", "--out", tmp_path / "cmp.tsv"]) == 0
-        cv, cmp = (json.loads((tmp_path / f"{name}.tsv.manifest.json")
-                              .read_text(), parse_constant=strict)
-                   ["diagnostics"] for name in ("cv", "cmp"))
+        cv, cmp = (manifest_of(tmp_path / f"{name}.tsv")["diagnostics"]
+                   for name in ("cv", "cmp"))
         assert sorted(cmp) == ["faculty", "identical"]
         for record in [cv, *cmp.values()]:
             assert sorted(record) == ["folds", "start"]
@@ -292,6 +375,30 @@ class TestSimulate:
         assert lines[0].startswith("kc\torig_intercept")
         assert lines[-1].startswith("correlation_with_original")
         assert (tmp_path / "sim_log.tsv").exists()
+
+    def test_simulate_manifest_records_both_fits(self, cloze_dir, tmp_path):
+        assert run(["synth", "afm-log", "--out-dir", tmp_path / "log",
+                    "--seed", "3", "--students", "6",
+                    "--qmatrix", cloze_dir / "oracle_q.tsv"]) == 0
+        manifests = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"study{jobs}.tsv"
+            assert run(["simulate",
+                        "--log", tmp_path / "log" / "transactions.tsv",
+                        "--cloze", cloze_dir / "cloze.tsv",
+                        "--q-eval", cloze_dir / "oracle_q.tsv",
+                        "--seed", "5", "--jobs", jobs, "--out", out]) == 0
+            manifests.append(manifest_of(out))
+        diagnostics = manifests[0]["diagnostics"]
+        assert sorted(diagnostics) == ["original", "simulated"]
+        for fit in diagnostics.values():
+            assert sorted(fit) == ["converged", "iterations", "objective",
+                                   "residual"]
+            assert fit["converged"] is True and fit["iterations"] >= 1
+        # the same manifest at --jobs 2, apart from times and out paths
+        for manifest in manifests:
+            del manifest["flags"]["out"], manifest["outputs"]
+        assert without_times(manifests[0]) == without_times(manifests[1])
 
     def test_simulate_cogrl_features(self, cloze_dir, tmp_path, capsys):
         assert run(["synth", "afm-log", "--out-dir", tmp_path / "log",

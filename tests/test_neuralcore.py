@@ -143,6 +143,83 @@ def lstm_bptt_reference(cell, caches, dh_last):
     return dxs, {"w_x": dwx, "w_h": dwh, "b_x": dbx, "b_h": dbh}
 
 
+def gates_recompute(cell, x_t, h_prev, c_prev, bias, buf):
+    """The gate routine as it was when BPTT called it again on every step:
+    the live rows' gates (i, f, g, o) as views into ``buf``, the new cell
+    state and its tanh, with the recurrent product in a temporary."""
+    m, hs = len(h_prev), cell.hidden_size
+    a = np.matmul(x_t, cell.w_x.T, out=buf[:len(x_t)])
+    a += bias
+    a[:m] += h_prev @ cell.w_h.T
+    a *= cell._half
+    np.tanh(a, out=a)
+    a *= cell._half
+    a += cell._shift
+    i, f, g, o = (a[:, k * hs:(k + 1) * hs] for k in range(4))
+    c = i * g
+    c[:m] += f[:m] * c_prev
+    return i, f, g, o, c, np.tanh(c)
+
+
+def lstm_run_recompute(cell, xs, mask):
+    """The batched run whose caches hold each step's live inputs, the
+    states they started from and the live rows' positions, and no gates.
+    Returns (h, c, caches) with the states in the caller's row order."""
+    batch = mask.shape[1]
+    order = np.argsort(-mask.sum(axis=0), kind="stable")
+    bias = cell.b_x + cell.b_h
+    buf = np.empty((batch, 4 * cell.hidden_size))
+    h = c = np.zeros((0, cell.hidden_size))
+    caches = []
+    for x_t, n in zip(xs, mask.sum(axis=1)):
+        rows = order[:n]
+        x_live = x_t[rows]
+        caches.append((x_live, h, c, rows))
+        _, _, _, o, c, tc = gates_recompute(cell, x_live, h, c, bias, buf)
+        h = o * tc
+    h_out = np.zeros((batch, cell.hidden_size))
+    c_out = np.zeros_like(h_out)
+    h_out[order[:len(h)]] = h
+    c_out[order[:len(c)]] = c
+    return h_out, c_out, caches
+
+
+def lstm_bptt_recompute(cell, caches, dh_last):
+    """The batched BPTT that rebuilds every step's gates from the states
+    ``lstm_run_recompute`` cached; returns (dxs, grads)."""
+    dh = np.asarray(dh_last, dtype=np.float64)
+    hs = cell.hidden_size
+    dwx = np.zeros_like(cell.w_x)
+    dwh = np.zeros_like(cell.w_h)
+    dbx = np.zeros_like(cell.b_x)
+    dxs = np.zeros((len(caches), dh.shape[0], cell.input_size))
+    bias = cell.b_x + cell.b_h
+    buf = np.empty((dh.shape[0], 4 * hs))
+    da_buf = np.empty_like(buf)
+    if caches:
+        dh = dh[caches[-1][3]]
+    dc = np.zeros_like(dh)
+    for t in range(len(caches) - 1, -1, -1):
+        x_t, h_prev, c_prev, rows = caches[t]
+        m = len(h_prev)
+        i, f, g, o, _, tc = gates_recompute(cell, x_t, h_prev, c_prev, bias,
+                                            buf)
+        dc += dh * o * (1.0 - tc * tc)
+        da = da_buf[:len(x_t)]
+        da[:, :hs] = dc * g * i * (1.0 - i)
+        da[:m, hs:2 * hs] = dc[:m] * c_prev * f[:m] * (1.0 - f[:m])
+        da[m:, hs:2 * hs] = 0.0
+        da[:, 2 * hs:3 * hs] = dc * i * (1.0 - g * g)
+        da[:, 3 * hs:] = dh * tc * o * (1.0 - o)
+        dwx += da.T @ x_t
+        dwh += da[:m].T @ h_prev
+        dbx += da.sum(axis=0)
+        dxs[t, rows] = da @ cell.w_x
+        dh = da[:m] @ cell.w_h
+        dc = dc[:m] * f[:m]
+    return dxs, {"w_x": dwx, "w_h": dwh, "b_x": dbx, "b_h": dbx.copy()}
+
+
 def cloze_sample_reference(net, content, label):
     """Loss and gradients of one cloze sample by the per-sample path the
     batched ClozeLSTM replaced: reference LSTM runs and BPTT, one-sample
@@ -339,6 +416,12 @@ def lstm_step_reference(cell, x, h_prev, c_prev):
     return np.array(h_out), np.array(c_out)
 
 
+def gate_buffers(width):
+    """The gate array and the recurrent-product scratch that ``_gates``
+    writes, for a batch of one row."""
+    return np.empty((1, width)), np.empty((1, width))
+
+
 class TestLSTMStep:
     """One step of the production gate routine, ``_gates``, on a batch of
     one row that carries state: h_t = o tanh(c_t)."""
@@ -353,7 +436,7 @@ class TestLSTMStep:
         cell = self._zero_cell()
         _, _, _, o, c, tc = cell._gates(
             np.ones((1, 3)), np.zeros((1, 4)), np.zeros((1, 4)),
-            cell.b_x + cell.b_h, np.empty((1, 16)))
+            cell.b_x + cell.b_h, *gate_buffers(16))
         assert np.allclose(o * tc, 0.0) and np.allclose(c, 0.0)
 
     def test_all_zero_cell_forced_state(self):
@@ -361,7 +444,7 @@ class TestLSTMStep:
         c_prev = np.array([0.5, -1.0, 2.0, 0.0])
         _, _, _, o, c, tc = cell._gates(
             np.ones((1, 3)), np.zeros((1, 4)), c_prev[None],
-            cell.b_x + cell.b_h, np.empty((1, 16)))
+            cell.b_x + cell.b_h, *gate_buffers(16))
         assert np.allclose(c[0], 0.5 * c_prev)
         assert np.allclose(o[0] * tc[0], 0.5 * np.tanh(0.5 * c_prev))
 
@@ -374,7 +457,7 @@ class TestLSTMStep:
         c_prev = rng.uniform(-2, 2, 4)
         _, _, _, o, c, tc = cell._gates(
             x[None], h_prev[None], c_prev[None], cell.b_x + cell.b_h,
-            np.empty((1, 16)))
+            *gate_buffers(16))
         h_ref, c_ref = lstm_step_reference(cell, x, h_prev, c_prev)
         assert np.allclose(o[0] * tc[0], h_ref, atol=1e-12)
         assert np.allclose(c[0], c_ref, atol=1e-12)
@@ -392,7 +475,7 @@ class TestLSTMStep:
             c_prev = rng.uniform(-2, 2, hid)
             _, _, _, o, c, tc = cell._gates(
                 x[None], h_prev[None], c_prev[None], cell.b_x + cell.b_h,
-                np.empty((1, 4 * hid)))
+                *gate_buffers(4 * hid))
             h_ref, c_ref = lstm_step_reference(cell, x, h_prev, c_prev)
             assert np.allclose(o[0] * tc[0], h_ref, atol=1e-12)
             assert np.allclose(c[0], c_ref, atol=1e-12)
@@ -418,7 +501,7 @@ class TestLSTMStep:
         _, _, _, i_ref, f_ref, g_ref, o_ref, _ = cache
         # the production gate routine, on a batch of one, against the reference
         i, f, g, o, c, tc = cell._gates(x[None], h_prev[None], c_prev[None],
-                                        cell.b_x + cell.b_h, np.empty((1, 16)))
+                                        cell.b_x + cell.b_h, *gate_buffers(16))
         for got, want in ((i, i_ref), (f, f_ref), (g, g_ref), (o, o_ref),
                           (c, c_ref), (o * tc, h_ref)):
             assert np.max(np.abs(got[0] - want)) <= 1e-12
@@ -712,6 +795,47 @@ class TestBatchEquivalence:
                 grad_sum[name] += g
         for name, g in grads.items():
             assert_close(g, grad_sum[name])
+
+    @settings(deadline=None, max_examples=60)
+    @given(lengths=st.lists(st.one_of(st.integers(0, 2), st.integers(0, 10)),
+                            min_size=1, max_size=8),
+           input_size=st.integers(1, 4), hidden=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[5, 0, 1, 2], input_size=2, hidden=3, seed=0)
+    @example(lengths=[2, 0, 6, 1, 6, 2], input_size=3, hidden=2, seed=1)
+    @example(lengths=[1], input_size=1, hidden=1, seed=2)
+    @example(lengths=[0, 0], input_size=2, hidden=2, seed=3)
+    def test_lstm_stored_gates_match_recompute(self, lengths, input_size,
+                                               hidden, seed):
+        """Ragged left-padded minibatches, with steps of one or two live
+        rows: reading the run's stored gates gives the bytes of rebuilding
+        them from the cached states, and consumes every cache."""
+        rng = np.random.default_rng(seed)
+        cell = LSTMCell(input_size, hidden, rng=rng)
+        cell.b_x[:] = rng.uniform(-0.5, 0.5, 4 * hidden)
+        cell.b_h[:] = rng.uniform(-0.5, 0.5, 4 * hidden)
+        steps, batch = max(lengths), len(lengths)
+        xs = rng.uniform(-2, 2, (steps, batch, input_size))
+        mask = np.arange(steps)[:, None] >= steps - np.array(lengths)
+        dh = rng.uniform(-1, 1, (batch, hidden))
+        h, c, caches = cell.run(xs, mask)
+        h_ref, c_ref, caches_ref = lstm_run_recompute(cell, xs, mask)
+        assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
+        dxs, grads = cell.backward_through_time(caches, dh)
+        dxs_ref, grads_ref = lstm_bptt_recompute(cell, caches_ref, dh)
+        assert np.array_equal(dxs, dxs_ref)
+        assert list(grads) == list(grads_ref) == ["w_x", "w_h", "b_x", "b_h"]
+        for name, g in grads.items():
+            assert np.array_equal(g, grads_ref[name]), name
+        assert caches == [None] * steps
+
+    def test_lstm_consumed_caches_rejected(self):
+        cell = LSTMCell(2, 3, rng=np.random.default_rng(0))
+        mask = np.array([[True, False], [True, True]])
+        _, _, caches = cell.run(np.ones((2, 2, 2)), mask)
+        cell.backward_through_time(caches, np.ones((2, 3)))
+        with pytest.raises(DimensionError, match="already consumed"):
+            cell.backward_through_time(caches, np.ones((2, 3)))
 
     @pytest.mark.parametrize("column", [[True, False, True],
                                         [True, True, False],
