@@ -35,15 +35,21 @@ print(f"{len(problems)} article-selection questions, "
 n_students = 25
 order_seeds = np.random.SeedSequence(777).spawn(n_students)
 sim_seeds = np.random.SeedSequence(888).spawn(n_students)
+names = list(full_features[problems[0].item_id])
+x = np.array([[full_features[p.item_id][name] for name in names]
+              for p in problems], dtype=np.int8)
+answers = np.array([p.answer for p in problems])
 pooled = []
 for s in range(n_students):
     rng = np.random.default_rng(order_seeds[s].generate_state(1)[0])
     perm = rng.permutation(len(problems))
-    curriculum = [(problems[i], full_features[problems[i].item_id])
-                  for i in perm]
-    pooled.extend(simulate_learner(
-        curriculum, SimConfig(seed=int(sim_seeds[s].generate_state(1)[0])),
-        student_id=f"s{s:03d}", labels=[0, 1, 2]))
+    outcomes = simulate_learner(
+        x[perm], answers[perm].tolist(),
+        SimConfig(seed=int(sim_seeds[s].generate_state(1)[0])),
+        labels=[0, 1, 2])
+    pooled.extend((f"s{s:03d}", problems[i].item_id, outcome, order)
+                  for order, (i, outcome) in enumerate(
+                      zip(perm.tolist(), outcomes.tolist()), start=1))
 original_log = TransactionLog(pooled)
 print(f"original log: {len(original_log)} first attempts, success rate "
       f"{original_log.columns.y.mean():.0%}")

@@ -17,8 +17,9 @@ A learner's predictions come from one batched, level-synchronous descent:
 each attempt holds its current node as a 0/1 membership over the learner's
 worked examples, one matrix product per tree level gives every node's label
 counts, one vectorized split rule (``_best_split``) picks every node's
-feature, and the attempts that reach a leaf drop out. ``fit_decision_tree``
-builds whole trees with the same split rule.
+feature, and the attempts that reach a leaf drop out. No whole tree is ever
+built: ``tree_predict`` answers a ``fit_decision_tree`` query with the same
+descent over the tree's training rows.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .afm import (
     FitConfig,
     FitDiagnostics,
     ParamReport,
-    Transaction,
     TransactionLog,
     afm_fit,
     param_report,
@@ -93,21 +93,14 @@ def article_human_features(question: ClozeContent) -> dict[str, int]:
 
 
 @dataclass
-class TreeNode:
-    feature: int | None = None
-    left: "TreeNode | None" = None   # feature value 0
-    right: "TreeNode | None" = None  # feature value 1
-    label: object = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
 class DecisionTree:
+    """A CART on 0/1 features, kept as its training rows: ``x`` in
+    ``feature_names`` order and ``y`` as codes into the sorted ``labels``."""
+
     feature_names: list[str]
-    root: TreeNode
+    x: np.ndarray
+    y: np.ndarray
+    labels: list
 
 
 def _codes(values, labels) -> np.ndarray:
@@ -116,10 +109,9 @@ def _codes(values, labels) -> np.ndarray:
     return np.array([index.get(label, -1) for label in labels], dtype=np.int64)
 
 
-def _encode(feature_rows, labels):
+def _encode(feature_rows):
     """Feature dicts as an (n, F) int8 matrix in the first row's name order,
-    which every row's names must match, and labels as int codes into their
-    sorted distinct values; no rows give a (0, 0) matrix."""
+    which every row's names must match; no rows give a (0, 0) matrix."""
     names = next(iter(feature_rows), {}).keys()
     if any(features.keys() != names for features in feature_rows):
         raise InputError("inconsistent feature names across examples")
@@ -127,9 +119,8 @@ def _encode(feature_rows, labels):
     # compared before the cast, which would truncate 0.5 or parse '1'
     if not all(v == 0 or v == 1 for row in rows for v in row):
         raise InputError("features must be binary")
-    values = sorted(set(labels))
-    return (list(names), np.array(rows, dtype=np.int8).reshape(
-        len(rows), len(names)), _codes(values, labels), values)
+    return list(names), np.array(rows, dtype=np.int8).reshape(
+        len(rows), len(names))
 
 
 # attempts whose nodes are held at once: at most this many (attempt, row)
@@ -178,21 +169,10 @@ def _best_split(counts: np.ndarray) -> np.ndarray:
     return best
 
 
-def _build(member: np.ndarray, x: np.ndarray, basis: np.ndarray,
-           labels: list) -> TreeNode:
-    counts = (member @ basis).astype(np.int64).reshape(1, x.shape[1] + 1, -1)
-    if (j := int(_best_split(counts)[0])) < 0:
-        return TreeNode(label=labels[counts[0, -1].argmax()])  # lowest tie
-    right = member * x[:, j]
-    return TreeNode(feature=j, left=_build(member - right, x, basis, labels),
-                    right=_build(right, x, basis, labels))
-
-
 def _attempt_codes(x: np.ndarray, y: np.ndarray,
                    fitted: np.ndarray) -> np.ndarray:
-    """Label code that ``fit_decision_tree`` on rows ``[:fitted[i]]`` of
-    (x, y) predicts for the query ``x[i]``, for every i (-1 where
-    ``fitted[i]`` is 0).
+    """Label code that the CART on rows ``[:fitted[i]]`` of (x, y) predicts
+    for the query ``x[i]``, for every i (-1 where ``fitted[i]`` is 0).
 
     Only the nodes on the queries' paths are grown, all attempts one tree
     level per pass: each live attempt holds its node as a 0/1 membership
@@ -226,25 +206,30 @@ def fit_decision_tree(examples) -> DecisionTree:
     Splits maximize impurity reduction, ties going to the lowest feature
     index, and growth continues while any feature still separates the node
     (so contradiction-free data is always fit exactly). Leaves take the
-    majority label, ties going to the lowest label.
+    majority label, ties going to the lowest label. Only the examples are
+    kept: ``tree_predict`` grows the one path a query follows.
     """
     examples = list(examples)
     if not examples:
         raise InputError("fit_decision_tree needs at least one example")
-    feature_names, x, y, labels = _encode(*zip(*examples))
-    root = _build(np.ones(len(y)), x, _basis(x, y, len(labels)), labels)
-    return DecisionTree(feature_names=feature_names, root=root)
+    feature_rows, answers = zip(*examples)
+    labels = sorted(set(answers))
+    return DecisionTree(*_encode(feature_rows), _codes(labels, answers),
+                        labels)
 
 
 def tree_predict(tree: DecisionTree, features: dict[str, int]):
-    """Deterministic root-to-leaf walk."""
+    """The label of the leaf that ``features`` reaches, a value of 1 going
+    to the feature's 1 side and any other value to its 0 side."""
     if set(features.keys()) != set(tree.feature_names):
         raise InputError("feature names do not match the trained tree")
-    node = tree.root
-    while not node.is_leaf:
-        name = tree.feature_names[node.feature]
-        node = node.right if int(features[name]) == 1 else node.left
-    return node.label
+    query = np.array([[int(features[name]) == 1
+                       for name in tree.feature_names]], dtype=np.int8)
+    n = len(tree.y)
+    # the query is one more row, answered by the tree on all n rows before it
+    codes = _attempt_codes(np.vstack([tree.x, query]), np.append(tree.y, 0),
+                           np.append(np.zeros(n, np.int64), n))
+    return tree.labels[codes[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -263,46 +248,37 @@ class SimConfig:
             raise ConfigurationError("seed must be non-negative")
 
 
-def _outcomes(x: np.ndarray, y: np.ndarray, refit_every: int, seed: int,
-              guesses: np.ndarray) -> np.ndarray:
-    """0/1 outcome of each attempt on the rows of (x, y), in order: attempt
-    i answers with the tree fit on the first i - i % refit_every rows, or
-    before any fit with the label code ``guesses[k]`` (-1 is never right)
-    for a uniform draw k from ``default_rng(seed)``, in attempt order."""
-    if not len(guesses):
-        raise InputError("no answer labels to guess among")
-    step = np.arange(len(y))
-    codes = _attempt_codes(x, y, step - step % refit_every)
-    rng = np.random.default_rng(seed)
-    for i in np.flatnonzero(codes < 0).tolist():
-        codes[i] = guesses[int(rng.integers(len(guesses)))]
-    return (codes == y).astype(np.int64)
+def simulate_learner(x: np.ndarray, answers, config: SimConfig,
+                     labels=None) -> np.ndarray:
+    """Run one apprentice through a curriculum: its (n, F) 0/1 feature rows
+    and answer labels, in order. Returns each first attempt's 0/1 outcome.
 
-
-def simulate_learner(curriculum, config: SimConfig, student_id: str = "sim",
-                     labels=None) -> list[Transaction]:
-    """Run one apprentice through an ordered (problem, features) curriculum.
-
-    The first attempt on each problem uses only earlier problems' worked
-    examples; the current problem's answer is never visible to its own
-    attempt. ``labels`` is the dataset's answer-label universe used for the
-    cold-start uniform guess (defaults to the labels present in the
-    curriculum). Orders run 1, 2, ... in curriculum order.
+    Attempt i answers with the tree fit on the first i - i % refit_every
+    worked examples, so the current problem's answer is never visible to
+    its own attempt. Before any fit it guesses uniformly among ``labels``,
+    the dataset's answer-label universe (the curriculum's labels by
+    default), one draw per such attempt from ``default_rng(config.seed)``,
+    in attempt order.
 
     No tree is built: every attempt's root-to-leaf path in the tree of its
     last refit is grown at once, one tree level per pass over all attempts
     (``_attempt_codes``), in blocks of attempts that bound the memory held.
     """
-    curriculum = list(curriculum)
-    if not curriculum:
+    if not len(answers):
         raise InputError("empty curriculum")
-    problems, feature_rows = zip(*curriculum)
-    _, x, y, answers = _encode(feature_rows, [p.answer for p in problems])
-    guesses = _codes(answers, answers if labels is None else labels)
-    outcomes = _outcomes(x, y, config.refit_every, config.seed, guesses)
-    return [Transaction(student_id, problem.item_id, outcome, order)
-            for order, (problem, outcome) in enumerate(
-                zip(problems, outcomes.tolist()), start=1)]
+    if len(x) != len(answers):
+        raise InputError(f"{len(x)} feature rows for {len(answers)} answers")
+    values = sorted(set(answers))
+    y = _codes(values, answers)
+    guesses = _codes(values, values if labels is None else labels)
+    if not len(guesses):
+        raise InputError("no answer labels to guess among")
+    step = np.arange(len(y))
+    codes = _attempt_codes(x, y, step - step % config.refit_every)
+    rng = np.random.default_rng(config.seed)
+    for i in np.flatnonzero(codes < 0).tolist():
+        codes[i] = guesses[int(rng.integers(len(guesses)))]
+    return (codes == y).astype(np.int64)
 
 
 @dataclass
@@ -351,8 +327,9 @@ def simulate_and_estimate(original_log: TransactionLog,
     the original log on binary ``features`` keyed by item id (such as
     ``human_features`` or the rows of a thresholded Q-matrix), the same
     names in every log item's row. The log's items are encoded once; each
-    learner gets its student's rows and a seed spawned from ``sim.seed`` in
-    sorted student order, and the simulated log is the original's rows
+    learner (one ``simulate_learner`` call) gets its student's rows and
+    answer labels and a seed spawned from ``sim.seed`` in sorted student
+    order, and the simulated log is the original's rows
     grouped that way with the learners' outcomes. Both logs are fit against
     ``q_eval`` and the per-KC intercepts and slopes are correlated. jobs > 1
     simulates the students in worker processes, with the same result.
@@ -370,16 +347,18 @@ def simulate_and_estimate(original_log: TransactionLog,
             raise InputError(f"log item {item!r} has no problem content")
         if item not in features:
             raise InputError(f"log item {item!r} has no feature row")
-    _, x, y, answers = _encode([features[item] for item in cols.items],
-                               [by_id[item].answer for item in cols.items])
-    guesses = _codes(answers, sorted({p.answer for p in problems}))
+    _, x = _encode([features[item] for item in cols.items])
+    answers = [by_id[item].answer for item in cols.items]
+    labels = sorted({p.answer for p in problems})
     by = np.argsort(cols.student, kind="stable")
     curricula = np.split(cols.item[by],
                          np.cumsum(np.bincount(cols.student))[:-1])
     seeds = np.random.SeedSequence(sim.seed).spawn(len(cols.students))
-    outcomes = run_tasks(_outcomes, [
-        (x[mine], y[mine], sim.refit_every, int(seq.generate_state(1)[0]),
-         guesses) for seq, mine in zip(seeds, curricula)], jobs)
+    outcomes = run_tasks(simulate_learner, [
+        (x[mine], [answers[i] for i in mine.tolist()],
+         SimConfig(seed=int(seq.generate_state(1)[0]),
+                   refit_every=sim.refit_every), labels)
+        for seq, mine in zip(seeds, curricula)], jobs)
     simulated_log = TransactionLog.from_columns(cols._replace(
         student=cols.student[by], item=cols.item[by], order=cols.order[by],
         # float64 like every log's outcomes, and defined for no students

@@ -445,9 +445,6 @@ class AfmLogSynthSpec:
     items: int = 60
     kcs: int = 5
     transactions_per_student: int | None = None
-    theta_sd: float = 1.0
-    beta_range: tuple[float, float] = (-1.0, 1.0)
-    gamma_range: tuple[float, float] = (0.0, 0.3)
     seed: int = 0
     q: QMatrix | None = None
 
@@ -456,26 +453,18 @@ class AfmLogSynthSpec:
                 self.transactions_per_student is not None
                 and self.transactions_per_student < 1):
             raise InputError("counts must be at least 1")
-        # written so that NaN fails every check
-        if not (math.isfinite(self.theta_sd) and self.theta_sd >= 0):
-            raise InputError("theta_sd must be finite and non-negative")
-        for name, (low, high), floor, rule in (
-                ("beta_range", self.beta_range, -math.inf, "low <= high"),
-                ("gamma_range", self.gamma_range, 0.0, "0 <= low <= high")):
-            if not (floor <= low <= high and math.isfinite(high - low)):
-                raise InputError(f"{name} must be finite with {rule}, got "
-                                 f"{(low, high)}")
 
 
 def synth_afm_log(spec: AfmLogSynthSpec):
     """Sample a transaction log from known AFM parameters.
 
-    Returns (TransactionLog, QMatrix, AFMParams). Without an explicit
-    Q-matrix, each item gets one round-robin KC plus a second random KC
-    half the time. Every student works a seeded shuffle of the items (or
-    the first transactions_per_student of it), and outcomes are Bernoulli
-    draws from the model probability given the opportunity counts, each
-    student's items and uniforms drawn in turn.
+    Returns (TransactionLog, QMatrix, AFMParams): each theta is drawn from
+    N(0, 1), each beta from U(-1, 1) and each gamma from U(0, 0.3). Without
+    an explicit Q-matrix, each item gets one round-robin KC plus a second
+    random KC half the time. Every student works a seeded shuffle of the
+    items (or the first transactions_per_student of it), and outcomes are
+    Bernoulli draws from the model probability given the opportunity
+    counts, each student's items and uniforms drawn in turn.
     """
     rng = np.random.default_rng(spec.seed)
     if spec.q is not None:
@@ -494,9 +483,9 @@ def synth_afm_log(spec: AfmLogSynthSpec):
         q = QMatrix(item_ids, kc_names, cells)
 
     students = [f"s{i:03d}" for i in range(spec.students)]
-    theta = rng.normal(0.0, spec.theta_sd, size=spec.students)
-    beta = rng.uniform(*spec.beta_range, size=q.n_kcs)
-    gamma = rng.uniform(*spec.gamma_range, size=q.n_kcs)
+    theta = rng.normal(0.0, 1.0, size=spec.students)
+    beta = rng.uniform(-1.0, 1.0, size=q.n_kcs)
+    gamma = rng.uniform(0.0, 0.3, size=q.n_kcs)
 
     per_student = min(spec.transactions_per_student or q.n_items, q.n_items)
     item, uniform = map(np.concatenate, zip(*[

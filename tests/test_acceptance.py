@@ -18,12 +18,13 @@ from cogrl.afm import (
     afm_fit,
     afm_logits,
     assign_folds,
-    compute_opportunities,
     item_stratified_cv,
+    opportunity_pairs,
     pearson,
 )
 from cogrl.apprentice import (
     SimConfig,
+    _encode,
     human_features,
     simulate_and_estimate,
     simulate_learner,
@@ -111,15 +112,19 @@ def cloze_study():
     n_students = 25
     order_seeds = np.random.SeedSequence(777).spawn(n_students)
     sim_seeds = np.random.SeedSequence(888).spawn(n_students)
+    _, x = _encode([full[p.item_id] for p in problems])
+    answers = np.array([p.answer for p in problems])
     pooled = []
     for s in range(n_students):
         rng = np.random.default_rng(order_seeds[s].generate_state(1)[0])
         perm = rng.permutation(len(problems))
-        curriculum = [(problems[i], full[problems[i].item_id]) for i in perm]
-        pooled.extend(simulate_learner(
-            curriculum,
+        outcomes = simulate_learner(
+            x[perm], answers[perm].tolist(),
             SimConfig(seed=int(sim_seeds[s].generate_state(1)[0])),
-            student_id=f"s{s:03d}", labels=[0, 1, 2]))
+            labels=[0, 1, 2])
+        pooled.extend((f"s{s:03d}", problems[i].item_id, outcome, order)
+                      for order, (i, outcome) in enumerate(
+                          zip(perm.tolist(), outcomes.tolist()), start=1))
     return {"bundle": bundle, "original_log": TransactionLog(pooled)}
 
 
@@ -503,13 +508,14 @@ def test_criterion_9_invariant_suites():
     for seed in range(5):
         log, q, _ = synth_afm_log(AfmLogSynthSpec(
             students=10, items=12, kcs=3, seed=seed))
-        table = compute_opportunities(log, q)
+        pairs = opportunity_pairs(log.columns, q)
+        student = log.columns.student[pairs.row]
         last = {}
-        for tr, opps in zip(log.rows, table.rows):
-            for kc, t in opps.items():
-                key = (tr.student_id, kc)
-                assert t >= last.get(key, 0)
-                last[key] = t
+        # pairs run in row order
+        for key, t in zip(zip(student.tolist(), pairs.kc.tolist()),
+                          pairs.t.tolist()):
+            assert t >= last.get(key, 0)
+            last[key] = t
     timings["opportunity monotonicity"] = time.time() - start
 
     start = time.time()
@@ -542,17 +548,17 @@ def test_criterion_9_invariant_suites():
     bundle = synth_cloze(ClozeSynthSpec(seed=1))
     feats = human_features(bundle.problems)
     problems = bundle.problems[:30]
-    curriculum = [(p, feats[p.item_id]) for p in problems]
+    _, x = _encode([feats[p.item_id] for p in problems])
+    answers = np.array([p.answer for p in problems])
     for trial in range(10):
-        cut = int(rng.integers(2, len(curriculum) - 2))
-        tail = curriculum[cut:]
-        perm = [tail[i] for i in rng.permutation(len(tail))]
-        base = simulate_learner(curriculum, SimConfig(seed=trial),
+        cut = int(rng.integers(2, len(problems) - 2))
+        order = np.concatenate([np.arange(cut),
+                                cut + rng.permutation(len(problems) - cut)])
+        base = simulate_learner(x, answers.tolist(), SimConfig(seed=trial),
                                 labels=[0, 1, 2])
-        other = simulate_learner(curriculum[:cut] + perm,
+        other = simulate_learner(x[order], answers[order].tolist(),
                                  SimConfig(seed=trial), labels=[0, 1, 2])
-        assert [r.outcome for r in base[:cut]] == \
-               [r.outcome for r in other[:cut]]
+        assert base[:cut].tolist() == other[:cut].tolist()
     timings["no label leakage"] = time.time() - start
 
     start = time.time()

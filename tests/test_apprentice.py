@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from cogrl import apprentice
 from cogrl.afm import (
     FitConfig,
-    Transaction,
     TransactionLog,
     compute_opportunities,
 )
@@ -22,6 +21,9 @@ from cogrl.apprentice import (
     STUDY_L2_BETA_GAMMA,
     SimConfig,
     _attempt_codes,
+    _basis,
+    _best_split,
+    _codes,
     _encode,
     article_human_features,
     fit_decision_tree,
@@ -82,18 +84,39 @@ def _vec(bits):
     return {f"f{i}": b for i, b in enumerate(bits)}
 
 
+def _coded(examples):
+    """(feature names, x, label codes, sorted labels) of (features, label)
+    examples, as ``fit_decision_tree`` codes them."""
+    feature_rows, answers = zip(*examples)
+    labels = sorted(set(answers))
+    return (*_encode(feature_rows), _codes(labels, answers), labels)
+
+
+def _root_split(examples):
+    """The feature the CART on ``examples`` splits its root on; -1 for a
+    leaf."""
+    _, x, y, labels = _coded(examples)
+    counts = _basis(x, y, len(labels)).sum(axis=0).astype(np.int64)
+    return int(_best_split(counts.reshape(1, x.shape[1] + 1, -1))[0])
+
+
+def _all_vectors(n_features):
+    return [_vec([(v >> k) & 1 for k in range(n_features)])
+            for v in range(2 ** n_features)]
+
+
 class TestDecisionTree:
     def test_uniform_labels_single_leaf(self):
-        tree = fit_decision_tree([(_vec([0, 1]), "x"), (_vec([1, 0]), "x")])
-        assert tree.root.is_leaf
-        assert tree.root.label == "x"
+        examples = [(_vec([0, 1]), "x"), (_vec([1, 0]), "x")]
+        assert _root_split(examples) == -1
+        tree = fit_decision_tree(examples)
+        assert [tree_predict(tree, f) for f in _all_vectors(2)] == ["x"] * 4
 
     def test_single_feature_split(self):
         examples = [(_vec([0, 0]), 0), (_vec([0, 1]), 0),
                     (_vec([1, 0]), 1), (_vec([1, 1]), 1)]
+        assert _root_split(examples) == 0
         tree = fit_decision_tree(examples)
-        assert tree.root.feature == 0
-        assert tree.root.left.is_leaf and tree.root.right.is_leaf
         for features, label in examples:
             assert tree_predict(tree, features) == label
 
@@ -121,16 +144,14 @@ class TestDecisionTree:
         # feature 0 and feature 1 are identical columns: equal gain
         examples = [(_vec([0, 0, 1]), 0), (_vec([0, 0, 0]), 0),
                     (_vec([1, 1, 1]), 1), (_vec([1, 1, 0]), 1)]
-        tree = fit_decision_tree(examples)
-        assert tree.root.feature == 0
+        assert _root_split(examples) == 0
 
     def test_exact_gain_tie_breaks_to_lowest_feature_index(self):
         # both features score S = 16/5 exactly, while Gini gains computed
         # in floating point differ in the last bit and favour feature 1
         examples = [(_vec([1, 1]), 2), (_vec([1, 0]), 1), (_vec([1, 1]), 0),
                     (_vec([1, 1]), 0), (_vec([1, 1]), 0), (_vec([0, 1]), 1)]
-        tree = fit_decision_tree(examples)
-        assert tree.root.feature == 0
+        assert _root_split(examples) == 0
 
     def test_exact_tie_survives_float_rounding_of_split_score(self):
         # both features score S = A0/n0 + A1/n1 = 44/7, but in floating
@@ -138,9 +159,8 @@ class TestDecisionTree:
         bits = [(0, 1), (0, 0), (1, 1), (1, 1), (1, 0), (0, 0), (1, 0),
                 (1, 0), (0, 1), (0, 0), (1, 0), (0, 1), (1, 1), (0, 1)]
         labels = [2, 0, 1, 1, 1, 1, 0, 1, 2, 0, 2, 1, 1, 2]
-        tree = fit_decision_tree(
-            [(_vec(b), label) for b, label in zip(bits, labels)])
-        assert tree.root.feature == 0
+        assert _root_split(
+            [(_vec(b), label) for b, label in zip(bits, labels)]) == 0
 
     def test_non_binary_feature_value_rejected(self):
         # compared before the int cast, which would turn 0.5 into 0 and
@@ -149,27 +169,29 @@ class TestDecisionTree:
             with pytest.raises(InputError, match="binary"):
                 fit_decision_tree([(_vec([value]), 0), (_vec([1]), 1)])
         p = _cloze_problem("a", "I saw ___ dog", 0)
+        q = QMatrix(["a"], ["k1", "k2"], np.ones((1, 2)))
         with pytest.raises(InputError, match="binary"):
-            simulate_learner([(p, {"f0": 1}), (p, {"f0": 0.5})],
-                             SimConfig(seed=0))
+            simulate_and_estimate(TransactionLog([("s", "a", 1, 1)]), [p],
+                                  {"a": {"f0": 0.5}}, q)
 
     def test_leaf_majority_ties_to_lowest_label(self):
         examples = [(_vec([0]), 1), (_vec([0]), 0)]
+        assert _root_split(examples) == -1
         tree = fit_decision_tree(examples)
-        assert tree.root.is_leaf
-        assert tree.root.label == 0
+        assert [tree_predict(tree, f) for f in _all_vectors(1)] == [0, 0]
 
     def test_depth_bounded_by_feature_count(self):
         rng = np.random.default_rng(5)
         examples = [(_vec([int(b) for b in rng.integers(0, 2, 4)]),
                      int(rng.integers(0, 2))) for _ in range(60)]
-
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(fit_decision_tree(examples).root) <= 4
+        tree = fit_decision_tree(examples)
+        # one split per level of the query's path, and one more at its leaf
+        for features in _all_vectors(4):
+            with mock.patch.object(apprentice, "_best_split",
+                                   wraps=_best_split) as split:
+                tree_predict(tree, features)
+            assert split.call_count <= 4 + 1
+        assert cart_depth(cart_fit(examples)[2]) <= 4
 
     def test_inconsistent_feature_names_rejected(self):
         with pytest.raises(InputError):
@@ -190,23 +212,29 @@ def _cloze_problem(item_id, text, answer):
                            answer=answer)
 
 
+def learn(curriculum, config, labels=None):
+    """``simulate_learner`` on a (problem, features) curriculum, as a list
+    of outcomes."""
+    _, x = _encode([features for _, features in curriculum])
+    return simulate_learner(x, [p.answer for p, _ in curriculum], config,
+                            labels).tolist()
+
+
 class TestSimulateLearner:
     def test_identical_problems_memorized_after_first(self):
         p = _cloze_problem("q", "I saw ___ dog", 0)
         features = article_human_features(p.content)
-        curriculum = [(p, features)] * 6
-        # item ids repeat, so give orders explicitly via distinct problems
         curriculum = [(ProblemInstance(f"q{i}", p.content, p.answer), features)
                       for i in range(6)]
-        rows = simulate_learner(curriculum, SimConfig(seed=1), labels=[0, 1, 2])
-        assert [r.outcome for r in rows[1:]] == [1] * 5
+        outcomes = learn(curriculum, SimConfig(seed=1), labels=[0, 1, 2])
+        assert outcomes[1:] == [1] * 5
 
     def test_determinism_same_seed(self):
         bundle = synth_cloze(ClozeSynthSpec(seed=2))
         feats = human_features(bundle.problems)
         curriculum = [(p, feats[p.item_id]) for p in bundle.problems[:20]]
-        a = simulate_learner(curriculum, SimConfig(seed=9), labels=[0, 1, 2])
-        b = simulate_learner(curriculum, SimConfig(seed=9), labels=[0, 1, 2])
+        a = learn(curriculum, SimConfig(seed=9), labels=[0, 1, 2])
+        b = learn(curriculum, SimConfig(seed=9), labels=[0, 1, 2])
         assert a == b
 
     def test_no_label_leakage_prefix_invariance(self):
@@ -214,18 +242,17 @@ class TestSimulateLearner:
         feats = bundle.extras["features_full"]
         problems = bundle.problems[:24]
         curriculum = [(p, feats[p.item_id]) for p in problems]
-        base = simulate_learner(curriculum, SimConfig(seed=4), labels=[0, 1, 2])
+        base = learn(curriculum, SimConfig(seed=4), labels=[0, 1, 2])
         cut = 10
         permuted = curriculum[:cut] + curriculum[cut:][::-1]
-        other = simulate_learner(permuted, SimConfig(seed=4), labels=[0, 1, 2])
-        assert [r.outcome for r in base[:cut]] == \
-               [r.outcome for r in other[:cut]]
+        other = learn(permuted, SimConfig(seed=4), labels=[0, 1, 2])
+        assert base[:cut] == other[:cut]
 
     def test_fully_determining_features_reach_perfect_after_coverage(self):
         bundle = synth_cloze(ClozeSynthSpec(seed=5))
         feats = bundle.extras["features_full"]
         curriculum = [(p, feats[p.item_id]) for p in bundle.problems]
-        rows = simulate_learner(curriculum, SimConfig(seed=0), labels=[0, 1, 2])
+        outcomes = learn(curriculum, SimConfig(seed=0), labels=[0, 1, 2])
         # once every signature has been seen, everything later is correct
         seen = set()
         covered_at = None
@@ -237,50 +264,87 @@ class TestSimulateLearner:
                 covered_at = i
                 break
         assert covered_at is not None
-        assert all(r.outcome == 1 for r in rows[covered_at + 1:])
+        assert all(o == 1 for o in outcomes[covered_at + 1:])
 
     def test_refit_every_two_defers_learning(self):
         p0 = _cloze_problem("a", "I saw ___ dog", 0)
         f0 = article_human_features(p0.content)
         curriculum = [(ProblemInstance(f"a{i}", p0.content, 0), f0)
                       for i in range(4)]
-        rows = simulate_learner(curriculum, SimConfig(seed=3, refit_every=2),
-                                labels=[0, 1])
+        outcomes = learn(curriculum, SimConfig(seed=3, refit_every=2),
+                         labels=[0, 1])
         # attempts 1 and 2 both precede the first refit: both random draws
         # attempts 3, 4 use the tree fitted on two copies of the answer
-        assert [r.outcome for r in rows[2:]] == [1, 1]
+        assert outcomes[2:] == [1, 1]
 
     def test_empty_curriculum_rejected(self):
-        with pytest.raises(InputError):
-            simulate_learner([], SimConfig(seed=0))
+        with pytest.raises(InputError, match="empty curriculum"):
+            simulate_learner(np.zeros((0, 2), np.int8), [], SimConfig(seed=0))
+
+    def test_row_and_answer_counts_must_match(self):
+        with pytest.raises(InputError, match="3 feature rows for 2 answers"):
+            simulate_learner(np.zeros((3, 2), np.int8), [0, 1],
+                             SimConfig(seed=0))
 
     def test_empty_label_universe_rejected(self):
         # the first attempt has no tree and nothing to guess among
-        p = _cloze_problem("a", "I saw ___ dog", 0)
-        curriculum = [(p, article_human_features(p.content))]
         with pytest.raises(InputError, match="no answer labels"):
-            simulate_learner(curriculum, SimConfig(seed=0), labels=[])
+            simulate_learner(np.zeros((1, 2), np.int8), [0], SimConfig(seed=0),
+                             labels=[])
 
 
-def refit_oracle(curriculum, config, student_id="sim", labels=None):
-    """The simulation loop that refits a whole tree after every
-    ``refit_every`` examples and predicts with ``tree_predict``."""
+def cart_grow(member, x, basis):
+    """The CART on the rows that ``member`` (0/1 per row) holds, grown whole
+    and recursively with the split rule ``_best_split``: a node is a
+    (feature, left, right) tuple and a leaf its label code."""
+    counts = (member @ basis).astype(np.int64).reshape(1, x.shape[1] + 1, -1)
+    if (j := int(_best_split(counts)[0])) < 0:
+        return int(counts[0, -1].argmax())  # majority, ties to the lowest
+    right = member * x[:, j]
+    return (j, cart_grow(member - right, x, basis),
+            cart_grow(right, x, basis))
+
+
+def cart_fit(examples):
+    """(feature names, sorted labels, root) of the whole CART on
+    (features, label) examples."""
+    names, x, y, labels = _coded(examples)
+    return names, labels, cart_grow(np.ones(len(y)), x,
+                                    _basis(x, y, len(labels)))
+
+
+def cart_predict(tree, features):
+    """Root-to-leaf walk, a value of 1 going right and any other left."""
+    names, labels, node = tree
+    while isinstance(node, tuple):
+        j, left, right = node
+        node = right if int(features[names[j]]) == 1 else left
+    return labels[node]
+
+
+def cart_depth(node):
+    if not isinstance(node, tuple):
+        return 0
+    return 1 + max(cart_depth(node[1]), cart_depth(node[2]))
+
+
+def refit_oracle(curriculum, config, labels=None):
+    """The simulation loop that refits a whole recursive CART after every
+    ``refit_every`` examples and walks it for each attempt."""
     if labels is None:
         labels = sorted({p.answer for p, _ in curriculum})
     rng = np.random.default_rng(config.seed)
-    memory, tree, rows = [], None, []
-    for order, (problem, features) in enumerate(curriculum, start=1):
+    memory, tree, outcomes = [], None, []
+    for problem, features in curriculum:
         if tree is None:
             attempt = labels[int(rng.integers(len(labels)))]
         else:
-            attempt = tree_predict(tree, features)
-        rows.append(Transaction(student_id=student_id, item_id=problem.item_id,
-                                outcome=int(attempt == problem.answer),
-                                order=order))
+            attempt = cart_predict(tree, features)
+        outcomes.append(int(attempt == problem.answer))
         memory.append((features, problem.answer))
         if len(memory) % config.refit_every == 0:
-            tree = fit_decision_tree(memory)
-    return rows
+            tree = cart_fit(memory)
+    return outcomes
 
 
 @st.composite
@@ -307,7 +371,7 @@ class TestPathDescentEquivalence:
                                                   refit_every, seed):
         config = SimConfig(seed=seed, refit_every=refit_every)
         labels = [0, 1, 2, 3]
-        assert simulate_learner(curriculum, config, labels=labels) == \
+        assert learn(curriculum, config, labels=labels) == \
             refit_oracle(curriculum, config, labels=labels)
 
     @settings(deadline=None, max_examples=150)
@@ -316,7 +380,7 @@ class TestPathDescentEquivalence:
         # every (prefix, distinct query) pair in one call: the queries are
         # appended as rows that no prefix reaches, each with its prefix
         examples = [(f, p.answer) for p, f in curriculum]
-        names, x, y, labels = _encode(*zip(*examples))
+        names, x, y, labels = _coded(examples)
         queries = np.unique(x, axis=0)
         n, m = len(y), len(queries)
         prefixes = np.repeat(np.arange(1, n + 1), m)
@@ -324,17 +388,33 @@ class TestPathDescentEquivalence:
                                np.concatenate([y, np.zeros(n * m, np.int64)]),
                                np.concatenate([np.zeros(n, np.int64), prefixes]))
         assert (codes[:n] == -1).all()
-        trees = [fit_decision_tree(examples[:f]) for f in range(1, n + 1)]
+        trees = [cart_fit(examples[:f]) for f in range(1, n + 1)]
         for code, fitted, query in zip(codes[n:].tolist(), prefixes.tolist(),
                                        np.tile(queries, (n, 1)).tolist()):
-            assert labels[code] == tree_predict(trees[fitted - 1],
+            assert labels[code] == cart_predict(trees[fitted - 1],
                                                 dict(zip(names, query)))
 
+    @settings(deadline=None, max_examples=100)
+    @given(curriculum=curricula(), data=st.data())
+    def test_tree_predict_matches_recursive_cart(self, curriculum, data):
+        examples = [(f, p.answer) for p, f in curriculum]
+        tree, oracle = fit_decision_tree(examples), cart_fit(examples)
+        # a value other than 0 or 1 takes the 0 side in both
+        for bits in data.draw(st.lists(st.lists(
+                st.integers(0, 2), min_size=len(tree.feature_names),
+                max_size=len(tree.feature_names)), min_size=1, max_size=5)):
+            assert tree_predict(tree, _vec(bits)) == \
+                cart_predict(oracle, _vec(bits))
+
     def test_inconsistent_feature_names_rejected(self):
-        p = _cloze_problem("a", "I saw ___ dog", 0)
-        curriculum = [(p, {"f0": 1}), (p, {"f1": 1})]
+        # one learner whose two items name different features
+        problems = [_cloze_problem("a", "I saw ___ dog", 0),
+                    _cloze_problem("b", "I saw ___ cat", 0)]
+        q = QMatrix(["a", "b"], ["k1", "k2"], np.ones((2, 2)))
+        log = TransactionLog([("s", "a", 1, 1), ("s", "b", 0, 2)])
         with pytest.raises(InputError, match="feature names"):
-            simulate_learner(curriculum, SimConfig(seed=0))
+            simulate_and_estimate(log, problems, {"a": {"f0": 1},
+                                                  "b": {"f1": 1}}, q)
 
 
 def exact_path_code(x, y, fitted, query):
@@ -402,29 +482,28 @@ class TestBatchedPathDescent:
         answers = [0, 2, 1, 1, 1, 1, 2, 0, 2]
         curriculum = [(ProblemInstance(f"i{k}", None, answer), _vec(b))
                       for k, (b, answer) in enumerate(zip(bits, answers))]
-        rows = simulate_learner(curriculum, SimConfig(seed=0), labels=[0, 1, 2])
-        assert rows[-1].outcome == 1
+        assert learn(curriculum, SimConfig(seed=0), labels=[0, 1, 2])[-1] == 1
 
 
 def pooled_learners(log, problems, features, sim):
     """The simulated log as one ``simulate_learner`` per student over that
     student's rows in row order, seeded from ``sim.seed`` in sorted student
-    order, with the log's orders put back and the students pooled in sorted
-    order."""
+    order, with the log's orders and the students pooled in sorted order."""
     by_id = {p.item_id: p for p in problems}
     labels = sorted({p.answer for p in problems})
-    students = sorted({r.student_id for r in log.rows})
+    rows = list(log.records())
+    students = sorted({student for student, *_ in rows})
     seeds = np.random.SeedSequence(sim.seed).spawn(len(students))
     pooled = []
     for student, seq in zip(students, seeds):
-        mine = [r for r in log.rows if r.student_id == student]
+        mine = [(item, order) for s, item, _, order in rows if s == student]
         config = SimConfig(seed=int(seq.generate_state(1)[0]),
                            refit_every=sim.refit_every)
-        rows = simulate_learner(
-            [(by_id[r.item_id], features[r.item_id]) for r in mine], config,
-            student, labels)
-        pooled += [t._replace(order=r.order) for t, r in zip(rows, mine)]
-    return tuple(pooled)
+        outcomes = learn([(by_id[item], features[item]) for item, _ in mine],
+                         config, labels)
+        pooled += [(student, item, outcome, order)
+                   for (item, order), outcome in zip(mine, outcomes)]
+    return pooled
 
 
 @st.composite
@@ -470,7 +549,8 @@ class TestStudyEquivalence:
         with mock.patch.object(apprentice, "param_report"):
             simulated = simulate_and_estimate(log, problems, features, q,
                                               sim=sim, jobs=jobs).simulated_log
-        assert simulated.rows == pooled_learners(log, problems, features, sim)
+        assert list(simulated.records()) == \
+            pooled_learners(log, problems, features, sim)
 
 
 class TestSimulateAndEstimate:
@@ -485,9 +565,12 @@ class TestSimulateAndEstimate:
             perm = order_rng.permutation(len(problems))
             curriculum = [(problems[i], feats[problems[i].item_id])
                           for i in perm]
-            pooled.extend(simulate_learner(
+            outcomes = learn(
                 curriculum, SimConfig(seed=int(sim_seeds[s].generate_state(1)[0])),
-                student_id=f"s{s:02d}", labels=[0, 1, 2]))
+                labels=[0, 1, 2])
+            pooled.extend((f"s{s:02d}", p.item_id, outcome, order)
+                          for order, ((p, _), outcome) in enumerate(
+                              zip(curriculum, outcomes), start=1))
         return bundle, TransactionLog(pooled)
 
     def test_replaying_same_seed_gives_perfect_correlation(self):
@@ -528,6 +611,26 @@ class TestSimulateAndEstimate:
         sim = [(r.student_id, r.item_id, r.order)
                for r in study.simulated_log.rows]
         assert sorted(orig) == sorted(sim)
+
+    def test_study_runs_the_public_learner(self, monkeypatch):
+        bundle, log = self._study_inputs(n_students=4)
+        q = bundle.extras["oracle_q"]
+        feats = bundle.extras["features_full"]
+        unpatched = simulate_and_estimate(log, bundle.problems, feats, q,
+                                          sim=SimConfig(seed=6))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return simulate_learner(*args)
+
+        monkeypatch.setattr(apprentice, "simulate_learner", counting)
+        study = simulate_and_estimate(log, bundle.problems, feats, q,
+                                      sim=SimConfig(seed=6), jobs=1)
+        assert len(calls) == len(log.columns.students) == 4
+        assert list(study.simulated_log.records()) == \
+            list(unpatched.simulated_log.records())
+        assert study.report == unpatched.report
 
     def test_jobs_do_not_change_study(self):
         bundle, log = self._study_inputs(n_students=4)

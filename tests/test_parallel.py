@@ -128,6 +128,8 @@ class TestCallers:
             bundle.extras["oracle_q"], sim=SimConfig(seed=2), jobs=50)
         assert [p.max_workers for p in pools] == [3]
         assert len(study.simulated_log) == len(rows)
-        # a learner gets its student's rows of the encoded items, no records
+        # a learner gets its student's rows of the encoded items, its answer
+        # labels and its config, no records
         for task in pools[0].calls:
-            assert all(isinstance(v, (np.ndarray, int)) for v in _leaves(task))
+            assert all(isinstance(v, (np.ndarray, int, SimConfig))
+                       for v in _leaves(task))
