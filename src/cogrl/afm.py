@@ -310,8 +310,6 @@ class _Workspace:
 
     def __init__(self, n_rows, n_units, n_kcs, n_students):
         self.sizes = (n_rows, n_units, n_kcs, n_students)
-        # a subset of a design whose units are pairs may have rows as units
-        n_units = max(n_rows, n_units)
         self.slots = np.empty((2, 2, n_rows))
         self.candidate = 1
         self.rows = np.empty((4, n_rows))
@@ -334,55 +332,47 @@ class _Design:
     """Flat index arrays for one set of transactions against one Q-matrix.
     A point is (theta, x) with x = (beta, gamma).
 
-    The units are the rows when no row needs two KCs, a row that needs
-    none holding the idle KC ``n_kcs`` at opportunity 0; otherwise they are
-    the (row, KC) pairs in row order, ``unit_row`` giving each its row.
-    A design owns its columns; the workspace holds only what a Newton
-    step writes, and may be shared by designs that step one at a time."""
+    The units are the (row, KC) pairs in row order, ``unit_row`` giving
+    each its row, and a row that needs no KC holds one unit of the idle KC
+    ``n_kcs`` at opportunity 0. ``single`` says whether every row holds
+    exactly one unit. A design owns its columns; the workspace holds only
+    what a Newton step writes, and may be shared by designs that step one
+    at a time."""
 
-    def __init__(self, s_idx, n_students, y, kc, t, n_kcs, unit_row=None,
+    def __init__(self, s_idx, n_students, y, kc, t, n_kcs, unit_row,
                  ws=None):
         self.s_idx, self.n_students, self.y = s_idx, n_students, y
         self.kc, self.t, self.n_kcs, self.unit_row = kc, t, n_kcs, unit_row
+        self.single = len(kc) == len(y)
         self.ws = ws or _Workspace(len(y), len(kc), n_kcs, n_students)
         self.sign = y * 2.0 - 1.0
         # each unit's flat (student, KC) cell, the idle KC last
-        self.cell = (s_idx if unit_row is None else s_idx[unit_row]) \
-            * (n_kcs + 1) + kc
+        self.cell = s_idx[unit_row] * (n_kcs + 1) + kc
 
     @classmethod
     def of_pairs(cls, s_idx, n_students, y, pairs: Pairs, n_kcs, ws=None):
         """The design of the rows with these students and outcomes and of
-        their (row, KC, opportunity) pairs, stepping in ``ws`` when given."""
-        t = pairs.t.astype(np.float64)
-        if np.any(np.diff(pairs.row) == 0):
-            return cls(s_idx, n_students, y, pairs.kc, t, n_kcs, pairs.row,
-                       ws)
-        kc = np.full(len(y), n_kcs, dtype=np.intp)
-        kc[pairs.row] = pairs.kc
-        row_t = np.zeros(len(y))
-        row_t[pairs.row] = t
-        return cls(s_idx, n_students, y, kc, row_t, n_kcs, None, ws)
+        their (row, KC, opportunity) pairs, plus an idle unit for each row
+        without a pair, stepping in ``ws`` when given."""
+        bare = np.flatnonzero(np.bincount(pairs.row, minlength=len(y)) == 0)
+        at = np.searchsorted(pairs.row, bare)
+        return cls(s_idx, n_students, y, np.insert(pairs.kc, at, n_kcs),
+                   np.insert(pairs.t.astype(np.float64), at, 0.0), n_kcs,
+                   np.insert(pairs.row, at, bare), ws)
 
     def subset(self, rows):
         """The design of the rows the mask ``rows`` keeps, stepping in this
         design's workspace, with their students renumbered in sorted
         order; returns it and the kept students' codes."""
-        keep = np.flatnonzero(rows)
-        code = self.s_idx[keep]
+        code = self.s_idx[rows]
         present = np.zeros(self.n_students, dtype=bool)
         present[code] = True
         students = np.flatnonzero(present)
-        s_idx = (np.cumsum(present) - 1)[code]
-        y = self.y[keep]
-        if self.unit_row is not None:
-            kept = np.flatnonzero(rows[self.unit_row])
-            pairs = Pairs((np.cumsum(rows) - 1)[self.unit_row[kept]],
-                          self.kc[kept], self.t[kept])
-            return _Design.of_pairs(s_idx, len(students), y, pairs,
-                                    self.n_kcs, self.ws), students
-        return _Design(s_idx, len(students), y, self.kc[keep], self.t[keep],
-                       self.n_kcs, None, self.ws), students
+        kept = np.flatnonzero(rows[self.unit_row])
+        return _Design((np.cumsum(present) - 1)[code], len(students),
+                       self.y[rows], self.kc[kept], self.t[kept], self.n_kcs,
+                       (np.cumsum(rows) - 1)[self.unit_row[kept]],
+                       self.ws), students
 
     def idle(self):
         """Per coordinate of x, whether no unit informs it: a beta whose KC
@@ -398,14 +388,13 @@ class _Design:
         ws, n, u = self.ws, len(self.y), len(self.kc)
         eta = ws.slots[ws.candidate, 0, :n]
         c, g = ws.units[:u], ws.units[u:2 * u]
-        if self.unit_row is None:  # the idle KC adds 0 + 0 * 0
-            beta, gamma = np.append(beta, 0.0), np.append(gamma, 0.0)
-        np.take(beta, self.kc, out=c, mode="clip")
-        np.take(gamma, self.kc, out=g, mode="clip")
+        # the idle KC adds 0 + 0 * 0
+        np.take(np.append(beta, 0.0), self.kc, out=c, mode="clip")
+        np.take(np.append(gamma, 0.0), self.kc, out=g, mode="clip")
         g *= self.t
         c += g
         np.take(theta, self.s_idx, out=eta, mode="clip")
-        eta += c if self.unit_row is None else np.bincount(self.unit_row, c, n)
+        eta += c if self.single else np.bincount(self.unit_row, c, n)
         return eta
 
     def objective(self, theta, beta, gamma, cfg: FitConfig):
@@ -434,20 +423,20 @@ class _Design:
         those at 0 whose gradient points below 0 (the active set), and no
         coordinate that has neither data nor penalty. Each row has one
         student, so the theta block of H is diagonal and one Schur step
-        eliminates a side: the KCs when the units are the rows (leaving an
-        S x S system), theta otherwise (a P x P one, P <= 2K). Every
-        sum over units comes from five sums per (student, KC) cell, of
-        r = y - p, r t, w = p (1 - p), w t and w t^2: a KC's is the sum of
-        its column and, when the units are the rows, a student's the sum
-        of its row."""
+        eliminates a side: the KCs when every row holds one unit (leaving
+        an S x S system), theta when some row needs two KCs (a P x P one,
+        P <= 2K). Every sum over units comes from five sums per (student,
+        KC) cell, of r = y - p, r t, w = p (1 - p), w t and w t^2: a KC's
+        is the sum of its column and, when every row holds one unit, a
+        student's the sum of its row."""
         k, n_s, n, u = self.n_kcs, self.n_students, len(self.y), len(self.kc)
         ws = self.ws
         inv = np.add(e, 1.0, out=ws.rows[0, :n])
         np.divide(1.0, inv, out=inv)
         small = np.multiply(e, inv, out=ws.rows[1, :n])  # min(p, 1 - p)
         weights = ws.units[:5 * u].reshape(5, u)
-        rows = self.unit_row is None
-        r, w = (weights[0], weights[2]) if rows else ws.rows[2:, :n]
+        single = self.single
+        r, w = (weights[0], weights[2]) if single else ws.rows[2:, :n]
         np.multiply(small, inv, out=w)  # so never rounded to 0
         # |y - p| is e * inv where the outcome agrees with the sign of eta,
         # inv where it does not: max(e, 0 or 1) * inv picks one exactly
@@ -456,7 +445,7 @@ class _Design:
         np.maximum(e, disagree, out=r)
         r *= inv
         r *= self.sign
-        if not rows:
+        if not single:
             np.take(r, self.unit_row, out=weights[0], mode="clip")
             np.take(w, self.unit_row, out=weights[2], mode="clip")
         np.multiply(weights[0], self.t, out=weights[1])
@@ -467,7 +456,7 @@ class _Design:
         for cells, v in zip(sums, weights):
             np.add.at(cells.reshape(-1), self.cell, v)
         by_kc = sums[:, :, :k].sum(axis=1)
-        if rows:
+        if single:
             g_theta, a = sums[0].sum(axis=1), sums[2].sum(axis=1)
         else:
             g_theta, a = (np.bincount(self.s_idx, v, n_s) for v in (r, w))
@@ -482,9 +471,9 @@ class _Design:
         b_b, b_g = sums[2, :, :k], sums[3, :, :k]
         b_b *= free[:k]
         b_g *= free[k:]
-        # with the rows as units the KC-by-KC block is block-diagonal, one
-        # 2 x 2 (beta, gamma) block per KC
-        eliminate = self._eliminate_kcs if rows else self._eliminate_theta
+        # when every row holds one unit the KC-by-KC block is
+        # block-diagonal, one 2 x 2 (beta, gamma) block per KC
+        eliminate = self._eliminate_kcs if single else self._eliminate_theta
         d_theta, d_x, singular = eliminate(w, a, b_b, b_g, c, g_theta,
                                            np.where(free, g_x, 0.0), free,
                                            cfg.l2_beta_gamma)
@@ -524,14 +513,15 @@ class _Design:
 
     @cached_property
     def _pair_products(self):
-        """Every ordered (p, q) of two pairs on one row, p = q included: its
-        flat (KC_p, KC_q) cell, its row, t_q and t_p * t_q."""
+        """Every ordered (p, q) of two units on one row, p = q included:
+        its flat (KC_p, KC_q) cell over the KCs and the idle KC, its row,
+        t_q and t_p * t_q."""
         per_row = np.bincount(self.unit_row, minlength=len(self.y))
         m = per_row[self.unit_row]
         p = np.repeat(np.arange(len(m)), m)
         first = (np.cumsum(per_row) - per_row)[self.unit_row]
         q = np.repeat(first - (np.cumsum(m) - m), m) + np.arange(len(p))
-        return (self.kc[p] * self.n_kcs + self.kc[q], self.unit_row[p],
+        return (self.kc[p] * (self.n_kcs + 1) + self.kc[q], self.unit_row[p],
                 self.t[q], self.t[p] * self.t[q])
 
     def _eliminate_theta(self, w, a, b_b, b_g, c, g_theta, g_x, free, l2):
@@ -542,7 +532,7 @@ class _Design:
         cell, row, t_q, t_pq = self._pair_products
         w_row = w[row]
         c_bb, c_bg, c_gg = (
-            np.bincount(cell, weights, k * k).reshape(k, k)
+            np.bincount(cell, weights, (k + 1) ** 2).reshape(k + 1, -1)[:k, :k]
             for weights in (w_row, w_row * t_q, w_row * t_pq))
         on = np.flatnonzero(free)
         h_kk = (np.block([[c_bb, c_bg], [c_bg.T, c_gg]])

@@ -28,9 +28,9 @@ def grad_check(net, sample, epsilon: float = 1e-5) -> float:
         for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + epsilon
-            loss_plus, _ = net.loss_and_probs(content, label)
+            loss_plus = net.sample_loss(content, label)
             p[idx] = orig - epsilon
-            loss_minus, _ = net.loss_and_probs(content, label)
+            loss_minus = net.sample_loss(content, label)
             p[idx] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
             analytic = g[idx]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, DimensionError
+from ..errors import DimensionError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -63,9 +63,6 @@ class ConvLayer:
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, *, rng: np.random.Generator):
-        if kernel_size < 1 or stride < 1 or in_channels < 1 or out_channels < 1:
-            raise ConfigurationError(
-                "conv layer needs positive channel counts, kernel size and stride")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -135,10 +132,6 @@ class DenseLayer:
 
     def __init__(self, in_size: int, out_size: int, activation: str = "identity",
                  *, rng: np.random.Generator):
-        if activation not in ACTIVATIONS:
-            raise ConfigurationError(f"unknown activation {activation!r}")
-        if in_size < 1 or out_size < 1:
-            raise ConfigurationError("dense layer sizes must be positive")
         limit = 1.0 / np.sqrt(in_size)
         self.in_size = in_size
         self.activation = activation
@@ -167,8 +160,6 @@ class EmbeddingTable:
     """Token-id to vector lookup; row 0 is reserved for unknown tokens."""
 
     def __init__(self, vocab_size: int, dim: int, *, rng: np.random.Generator):
-        if vocab_size < 1 or dim < 1:
-            raise ConfigurationError("embedding table needs positive sizes")
         self.vocab_size = vocab_size
         self.vectors = rng.uniform(-0.5, 0.5, size=(vocab_size, dim))
 
@@ -201,8 +192,6 @@ class LSTMCell:
 
     def __init__(self, input_size: int, hidden_size: int, *,
                  rng: np.random.Generator):
-        if input_size < 1 or hidden_size < 1:
-            raise ConfigurationError("LSTM sizes must be positive")
         self.input_size = input_size
         self.hidden_size = hidden_size
         li = 1.0 / np.sqrt(input_size)

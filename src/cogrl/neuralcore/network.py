@@ -19,11 +19,12 @@ from ..errors import DimensionError, NumericError
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels):
-    """Return (loss, probs, dlogits) for (B, K) logits and B int labels:
-    (B,) losses and two (B, K) arrays.
+    """Return (loss, dlogits) for (B, K) logits and B int labels: (B,)
+    losses and the (B, K) loss gradient, softmax probabilities minus the
+    one-hot labels.
 
-    Computed through log-sum-exp so saturated logits stay finite; probs sum
-    to 1 up to roundoff and the loss is non-negative.
+    Computed through log-sum-exp so saturated logits stay finite; each
+    gradient row sums to 0 up to roundoff and the loss is non-negative.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
@@ -38,10 +39,9 @@ def softmax_cross_entropy(logits: np.ndarray, labels):
     lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
     rows = np.arange(z.shape[0])
     loss = lse[:, 0] - z[rows, labels]
-    probs = np.exp(z - lse)
-    dlogits = probs.copy()
+    dlogits = np.exp(z - lse)
     dlogits[rows, labels] -= 1.0
-    return loss, probs, dlogits
+    return loss, dlogits
 
 
 def check_finite(arr: np.ndarray, layer: str) -> np.ndarray:
@@ -117,12 +117,10 @@ class Network:
     def parameter_count(self) -> int:
         return int(sum(p.size for p in self.parameters().values()))
 
-    def loss_and_probs(self, content, label: int):
-        """Cross-entropy loss and (K,) class probabilities of one sample,
-        run as a minibatch of one."""
+    def sample_loss(self, content, label: int) -> float:
+        """Cross-entropy loss of one sample, run as a minibatch of one."""
         logits, _ = self.forward_logits(self.collate([content]))
-        loss, probs, _ = softmax_cross_entropy(logits, np.array([label]))
-        return loss[0], probs[0]
+        return float(softmax_cross_entropy(logits, np.array([label]))[0][0])
 
     def batch_loss_and_grads(self, batch):
         """Mean loss over (content, label) pairs and its parameter gradients,
@@ -130,7 +128,7 @@ class Network:
         if not batch:
             raise DimensionError("empty batch")
         logits, cache = self.forward_logits(self.collate([c for c, _ in batch]))
-        losses, _, dlogits = softmax_cross_entropy(
+        losses, dlogits = softmax_cross_entropy(
             logits, np.array([label for _, label in batch]))
         n = len(batch)
         return float(np.sum(losses)) / n, \

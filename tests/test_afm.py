@@ -625,12 +625,10 @@ class TestColumnarEquivalence:
             students, want = _oracle_design(*zip(*train), q)
             got, codes = design.subset(~mask)
             assert [cols.students[c] for c in codes] == students
-            for name in ("s_idx", "y", "kc", "t", "sign", "cell"):
+            for name in ("s_idx", "y", "kc", "t", "unit_row", "sign", "cell"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
-            assert (got.unit_row is None) == (want.unit_row is None)
-            if got.unit_row is not None:
-                assert np.array_equal(got.unit_row, want.unit_row)
+            assert got.single == want.single
             assert got.n_students == want.n_students
 
             params = AFMParams(
@@ -857,7 +855,7 @@ def _oracle_newton_direction(design, pairs, eta, e, theta, x, cfg):
                 for v in (wp, wt))
     b_b *= free[:k, None]
     b_g *= free[k:, None]
-    eliminate = design._eliminate_kcs if design.unit_row is None \
+    eliminate = design._eliminate_kcs if design.single \
         else design._eliminate_theta
     d_theta, d_x, _ = eliminate(w, a, b_b.T, b_g.T, c, g_theta,
                                 np.where(free, g_x, 0.0), free,
@@ -905,6 +903,33 @@ def _fit_cases(draw, single_kc=False):
     return TransactionLog(rows), q, FitConfig(l2_beta_gamma=l2)
 
 
+class TestUnitLayout:
+    """Every design, and every CV fold carved from it, holds the (row, KC)
+    pairs in row order plus one idle unit per row that needs no KC."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(_fit_cases(), _fit_cases(single_kc=True)), st.data())
+    def test_every_row_holds_a_unit(self, case, data):
+        log, q, _ = case
+        cols = log.columns
+        held = data.draw(st.sets(st.sampled_from(cols.items)))
+        mask = np.isin(cols.item, [cols.items.index(i) for i in held])
+        needs = np.array([q.row(item).sum() for item in cols.items],
+                         dtype=np.intp)[cols.item]
+        design = _design(log, q)
+        for d, n_kcs in ((design, needs),
+                         (design.subset(mask)[0], needs[mask]),
+                         (design.subset(~mask)[0], needs[~mask])):
+            assert np.all(np.diff(d.unit_row) >= 0)
+            assert np.array_equal(
+                np.bincount(d.unit_row, minlength=len(d.y)),
+                np.maximum(n_kcs, 1))
+            bare = n_kcs[d.unit_row] == 0
+            assert np.all(d.kc[bare] == q.n_kcs) and np.all(d.t[bare] == 0)
+            assert np.all(d.kc[~bare] < q.n_kcs)
+            assert d.single == (not np.any(n_kcs > 1))
+
+
 class TestNewtonSolver:
     """The projected Newton fit against the first-order oracle, and the
     designs on which a Newton system is singular."""
@@ -929,21 +954,18 @@ class TestNewtonSolver:
     @settings(deadline=None, max_examples=100)
     @given(_fit_cases(single_kc=True), st.data())
     def test_both_eliminations_give_one_step(self, case, data):
-        # the rows as units with the S x S step, and the pairs as units
-        # with the P x P step
+        # the cell-row sums with the S x S step, and the same design set
+        # to take the per-row bincount sums and the P x P step
         log, q, cfg = case
         design = _design(log, q)
-        assert design.unit_row is None
-        cols, pairs = log.columns, opportunity_pairs(log.columns, q)
-        by_pairs = _Design(cols.student, len(cols.students), cols.y,
-                           pairs.kc, pairs.t.astype(float), q.n_kcs,
-                           pairs.row)
+        assert design.single
         k = design.n_kcs
         theta, x = _draw_point(data, design)
         _, eta, e = design.objective(theta, x[:k], x[k:], cfg)
         *_, d_theta, d_x, _ = design.newton_direction(eta, e, theta, x, cfg)
-        *_, d_theta2, d_x2, _ = by_pairs.newton_direction(eta, e, theta, x,
-                                                          cfg)
+        design.single = False
+        *_, d_theta2, d_x2, _ = design.newton_direction(eta, e, theta, x,
+                                                        cfg)
         step, step2 = np.concatenate([d_theta, d_x]), \
             np.concatenate([d_theta2, d_x2])
         assert np.max(np.abs(step - step2)) <= \
@@ -970,27 +992,23 @@ class TestNewtonSolver:
     @given(st.one_of(_fit_cases(), _fit_cases(single_kc=True)), st.data())
     def test_subset_leaves_the_parent_design(self, case, data):
         # CV carves folds out of the full-log design, which shares their
-        # workspace: each design, rows or pairs as units, steps as before
+        # workspace: the design, single or not, steps as before
         log, q, cfg = case
-        cols, pairs = log.columns, opportunity_pairs(log.columns, q)
-        by_pairs = _Design(cols.student, len(cols.students), cols.y,
-                           pairs.kc, pairs.t.astype(float), q.n_kcs,
-                           pairs.row)
         k = q.n_kcs
-        for design in (_design(log, q), by_pairs):
-            theta, x = _draw_point(data, design)
+        design = _design(log, q)
+        theta, x = _draw_point(data, design)
 
-            def step():
-                f, eta, e = design.objective(theta, x[:k], x[k:], cfg)
-                return [f, eta.copy(), e.copy(), *design.newton_direction(
-                    eta.copy(), e.copy(), theta, x, cfg)]
+        def step():
+            f, eta, e = design.objective(theta, x[:k], x[k:], cfg)
+            return [f, eta.copy(), e.copy(), *design.newton_direction(
+                eta.copy(), e.copy(), theta, x, cfg)]
 
-            before = step()
-            mask = np.array(data.draw(st.lists(
-                st.booleans(), min_size=len(log), max_size=len(log))))
-            design.subset(mask)
-            for a, b in zip(step(), before):
-                assert np.array_equal(a, b)
+        before = step()
+        mask = np.array(data.draw(st.lists(
+            st.booleans(), min_size=len(log), max_size=len(log))))
+        design.subset(mask)
+        for a, b in zip(step(), before):
+            assert np.array_equal(a, b)
 
     def test_objective_logits_are_afm_logits(self):
         for model in (faculty_transfer, None):
@@ -998,7 +1016,7 @@ class TestNewtonSolver:
                 students=9, items=7, kcs=3, seed=11))
             q = model(q.item_ids) if model else q
             design = _design(log, q)
-            assert (design.unit_row is None) == (model is not None)
+            assert design.single == (model is not None)
             rng = np.random.default_rng(3)
             theta = rng.normal(size=design.n_students)
             beta = rng.normal(size=q.n_kcs)
@@ -1060,7 +1078,7 @@ class TestNewtonSolver:
         q = QMatrix(q0.item_ids, ["k0", "k1", "k2"],
                     np.column_stack([cells[:, 0], cells[:, 0], cells[:, 1]]))
         design = _design(log, q)
-        assert design.unit_row is not None
+        assert not design.single
         cfg = FitConfig()
         theta, beta, gamma, diag = _newton(design, cfg)
         *_, want = _oracle_solve(design, opportunity_pairs(log.columns, q),

@@ -346,8 +346,8 @@ class TestFitCvCompare:
             tmp_path)
 
     def test_compare_jobs_byte_identical_with_multi_kc_items(self, tmp_path):
-        # 8 of the 20 items need two KCs; with these folds the design of
-        # three held-out folds has its rows as units, the rest their pairs
+        # 8 of the 20 items need two KCs; with these folds three held-out
+        # folds give a design whose every row holds one unit, the rest not
         d = tmp_path / "log"
         assert run(["synth", "afm-log", "--out-dir", d, "--seed", "4",
                     "--students", "30", "--items", "20", "--kcs", "4"]) == 0

@@ -532,26 +532,32 @@ class TestForwardLoss:
     def test_zero_logits_two_classes(self):
         net = _DenseNet(2, 2)
         net.layer.weights[:] = 0.0
-        loss, probs = net.loss_and_probs(np.array([1.0, 2.0]), 0)
-        assert np.allclose(probs, [0.5, 0.5])
+        x = np.array([1.0, 2.0])
+        loss = net.sample_loss(x, 0)
+        _, dlogits = softmax_cross_entropy(
+            net.forward_logits(net.collate([x]))[0], np.array([0]))
+        assert np.allclose(dlogits[0] + [1.0, 0.0], [0.5, 0.5])
         assert math.isclose(loss, math.log(2.0), rel_tol=1e-12)
 
     def test_saturated_logits_loss_near_zero(self):
-        loss, probs, _ = softmax_cross_entropy(np.array([[40.0, -40.0]]),
-                                               np.array([0]))
+        loss, dlogits = softmax_cross_entropy(np.array([[40.0, -40.0]]),
+                                              np.array([0]))
         assert loss[0] < 1e-12
-        assert probs[0, 0] > 1.0 - 1e-12
+        assert dlogits[0, 0] + 1.0 > 1.0 - 1e-12
 
     def test_matches_log_sum_exp_oracle(self):
         rng = np.random.default_rng(5)
         net = _DenseNet(3, 4, seed=5)
         x = rng.uniform(-1, 1, 3)
         label = 2
-        loss, probs = net.loss_and_probs(x, label)
+        loss = net.sample_loss(x, label)
         logits = net.layer.weights @ x + net.layer.biases
         lse = math.log(sum(math.exp(v) for v in logits))
         assert math.isclose(loss, lse - logits[label], rel_tol=1e-12)
-        assert math.isclose(sum(probs), 1.0, abs_tol=1e-9)
+        _, dlogits = softmax_cross_entropy(
+            net.forward_logits(net.collate([x]))[0], np.array([label]))
+        probs = dlogits[0] + np.eye(4)[label]
+        assert math.isclose(sum(dlogits[0]), 0.0, abs_tol=1e-9)
         assert np.all((probs > 0) & (probs < 1))
 
     def test_bad_label_rejected(self):
@@ -675,15 +681,21 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(seed)
         logits = rng.normal(0.0, scale, (batch, k))
         labels = rng.integers(0, k, batch)
-        loss, probs, dlogits = softmax_cross_entropy(logits, labels)
+        loss, dlogits = softmax_cross_entropy(logits, labels)
         assert loss.shape == (batch,)
+        # softmax probabilities are the gradient plus the one-hot labels
+        probs = dlogits + np.eye(k)[labels]
+        assert np.all(np.abs(dlogits.sum(axis=1)) <= 1e-12)
+        assert np.all((probs >= 0) & (probs <= 1))
         for b in range(batch):
             single = softmax_cross_entropy(logits[b][None], labels[b][None])
-            reference = softmax_cross_entropy_reference(logits[b], labels[b])
-            for got, ref in zip((loss[b], probs[b], dlogits[b]), reference):
+            ref_loss, ref_probs, ref_dlogits = softmax_cross_entropy_reference(
+                logits[b], labels[b])
+            for got, ref in ((loss[b], ref_loss), (probs[b], ref_probs),
+                             (dlogits[b], ref_dlogits),
+                             (single[0][0], ref_loss),
+                             (single[1][0], ref_dlogits)):
                 assert_close(got, ref)
-            for got, ref in zip(single, reference):
-                assert_close(got[0], ref)
 
     @settings(deadline=None, max_examples=40)
     @given(channels=st.integers(1, 2), filters=st.integers(1, 3),
@@ -710,7 +722,7 @@ class TestBatchEquivalence:
                       for name, p in net.parameters().items()}
         for image, label in samples:
             logits, cache = net.forward_logits(image[None])
-            sample_loss, _, dlogits = softmax_cross_entropy(
+            sample_loss, dlogits = softmax_cross_entropy(
                 logits, np.array([label]))
             for name, g in net.backward_from_logits(dlogits, cache).items():
                 mean_grads[name] += g / batch

@@ -177,7 +177,7 @@ class TestNumericGuards:
         net = ImageCNN(spec, seed=0)
         net.conv.gains[0] = np.inf
         with pytest.raises(NumericError, match="conv"):
-            net.loss_and_probs(np.ones((1, 6, 6)), 0)
+            net.sample_loss(np.ones((1, 6, 6)), 0)
 
     def test_non_finite_output_identifies_layer(self):
         from cogrl.errors import NumericError
@@ -187,7 +187,7 @@ class TestNumericGuards:
         net = ImageCNN(spec, seed=0)
         net.out.weights[0, 0] = np.nan
         with pytest.raises(NumericError, match="out"):
-            net.loss_and_probs(np.ones((1, 6, 6)), 0)
+            net.sample_loss(np.ones((1, 6, 6)), 0)
 
 
 def _separable_problems(n_per_class=4, size=8, seed=0):
