@@ -32,7 +32,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +50,6 @@ from .parallel import run_tasks
 
 # ---------------------------------------------------------------------------
 # transaction logs
-
-
-Transaction = NamedTuple("Transaction", [
-    ("student_id", str), ("item_id", str), ("outcome", int), ("order", int)])
 
 
 # a log column-wise: the distinct student and item ids (a TransactionLog
@@ -139,8 +134,8 @@ class TransactionLog:
                    c.y.astype(np.int64).tolist(), c.order.tolist())
 
     @cached_property
-    def rows(self) -> tuple[Transaction, ...]:
-        return tuple(map(Transaction._make, self.records()))
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(self.records())
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +266,9 @@ def afm_logits(theta, beta, gamma, pairs: Pairs) -> np.ndarray:
 # vectorized design shared by fit and cross-validation
 
 
-def _softplus(x, e, out=None, scratch=None):
-    """log(1 + e^x), given e = exp(-|x|); ``out`` and ``scratch`` are
-    optional buffers shaped like x."""
+def _softplus(x, e, out, scratch):
+    """log(1 + e^x), given e = exp(-|x|), written into ``out``; ``scratch``
+    holds log1p(e). Both buffers are shaped like x."""
     out = np.maximum(x, 0.0, out=out)
     out += np.log1p(e, out=scratch)
     return out
@@ -350,15 +345,18 @@ class _Design:
         self.cell = s_idx[unit_row] * (n_kcs + 1) + kc
 
     @classmethod
-    def of_pairs(cls, s_idx, n_students, y, pairs: Pairs, n_kcs, ws=None):
-        """The design of the rows with these students and outcomes and of
-        their (row, KC, opportunity) pairs, plus an idle unit for each row
-        without a pair, stepping in ``ws`` when given."""
-        bare = np.flatnonzero(np.bincount(pairs.row, minlength=len(y)) == 0)
+    def of_log(cls, cols: LogColumns, q: QMatrix):
+        """The design of every row of a log, whose student codes index it:
+        its (row, KC, opportunity) pairs, plus an idle unit for each row
+        without a pair."""
+        pairs = opportunity_pairs(cols, q)
+        bare = np.flatnonzero(
+            np.bincount(pairs.row, minlength=len(cols.y)) == 0)
         at = np.searchsorted(pairs.row, bare)
-        return cls(s_idx, n_students, y, np.insert(pairs.kc, at, n_kcs),
-                   np.insert(pairs.t.astype(np.float64), at, 0.0), n_kcs,
-                   np.insert(pairs.row, at, bare), ws)
+        return cls(cols.student, len(cols.students), cols.y,
+                   np.insert(pairs.kc, at, q.n_kcs),
+                   np.insert(pairs.t.astype(np.float64), at, 0.0), q.n_kcs,
+                   np.insert(pairs.row, at, bare))
 
     def subset(self, rows):
         """The design of the rows the mask ``rows`` keeps, stepping in this
@@ -565,24 +563,18 @@ def afm_fit(log: TransactionLog, q: QMatrix, config: FitConfig | None = None):
     config = config or FitConfig()
     if len(log) == 0:
         raise InputError("cannot fit on an empty log")
-    theta, beta, gamma, diag = _newton(_log_design(log.columns, q), config)
+    theta, x, diag = _newton(_Design.of_log(log.columns, q), config)
     return AFMParams(theta=dict(zip(log.columns.students, theta.tolist())),
-                     beta=dict(zip(q.kc_names, beta.tolist())),
-                     gamma=dict(zip(q.kc_names, gamma.tolist()))), diag
-
-
-def _log_design(cols: LogColumns, q: QMatrix) -> _Design:
-    """The design of every row of a log, whose student codes index it."""
-    return _Design.of_pairs(cols.student, len(cols.students), cols.y,
-                            opportunity_pairs(cols, q), q.n_kcs)
+                     beta=dict(zip(q.kc_names, x[:q.n_kcs].tolist())),
+                     gamma=dict(zip(q.kc_names, x[q.n_kcs:].tolist()))), diag
 
 
 def _newton(design: _Design, config: FitConfig, start=None):
-    """The fit ``afm_fit`` describes, on one design: theta, beta, gamma and
-    the FitDiagnostics. It starts from 0, or from ``start`` = (theta, x)
-    with every coordinate that has neither data nor penalty at 0; a start
-    whose first Newton system is singular gives way to 0, because the
-    optimum it would reach is not unique."""
+    """The fit ``afm_fit`` describes, on one design: theta, x = (beta,
+    gamma) and the FitDiagnostics. It starts from 0, or from ``start`` =
+    (theta, x) with every coordinate that has neither data nor penalty at
+    0; a start whose first Newton system is singular gives way to 0,
+    because the optimum it would reach is not unique."""
     k, ws = design.n_kcs, design.ws
     starts = [(np.zeros(design.n_students), np.zeros(2 * k))]
     if start is not None:
@@ -625,7 +617,7 @@ def _newton(design: _Design, config: FitConfig, start=None):
     # gamma at 0 may keep a gradient that points below 0
     g_x[k:] = np.where(x[k:] > 0, g_x[k:], np.maximum(g_x[k:], 0.0))
     residual = float(np.max(np.abs(np.concatenate([g_theta, g_x]))))
-    return theta, x[:k], x[k:], FitDiagnostics(
+    return theta, x, FitDiagnostics(
         converged=converged, iterations=iterations, objective=f,
         residual=residual)
 
@@ -656,14 +648,15 @@ class CVResult:
 
 def _cv_fold(design: _Design, held, fit: FitConfig,
              start) -> tuple[float, FitDiagnostics]:
+    """A fold's fit to the rows not ``held``, from the full-log ``start``,
+    and its RMSE on the ``held`` rows of the full-log design, with the
+    students the fit did not see at theta = 0."""
     train, students = design.subset(~held)
-    theta_fit, beta, gamma, diag = _newton(train, fit, (start[0][students],
-                                                        start[1]))
+    theta_fit, x, diag = _newton(train, fit, (start[0][students], start[1]))
     theta = np.zeros(design.n_students)
     theta[students] = theta_fit
-    test, students = design.subset(held)
-    p = sigmoid(test.logits(theta[students], beta, gamma))
-    return float(np.sqrt(np.mean((test.y - p) ** 2))), diag
+    p = sigmoid(design.logits(theta, *np.split(x, 2))[held])
+    return float(np.sqrt(np.mean((design.y[held] - p) ** 2))), diag
 
 
 def item_stratified_cv(log: TransactionLog, q: QMatrix,
@@ -686,13 +679,12 @@ def item_stratified_cv(log: TransactionLog, q: QMatrix,
     cv = cv or CVConfig()
     cols = log.columns
     folds = assign_folds(cols.items, cv.folds, cv.seed)
-    design = _log_design(cols, q)
-    theta, beta, gamma, start_fit = _newton(design, fit)
-    start = (theta, np.concatenate([beta, gamma]))
+    design = _Design.of_log(cols, q)
+    theta, x, start_fit = _newton(design, fit)
     fold_of = {item: k for k, fold in enumerate(folds) for item in fold}
     row_fold = np.array([fold_of[item] for item in cols.items])[cols.item]
     fold_rmses, fold_fits = zip(*run_tasks(
-        _cv_fold, [(design, row_fold == k, fit, start)
+        _cv_fold, [(design, row_fold == k, fit, (theta, x))
                    for k in range(len(folds))], jobs))
     return CVResult(mean_rmse=float(np.mean(fold_rmses)),
                     fold_rmses=list(fold_rmses), fold_fits=list(fold_fits),

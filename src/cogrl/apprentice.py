@@ -249,16 +249,15 @@ class SimConfig:
 
 
 def simulate_learner(x: np.ndarray, answers, config: SimConfig,
-                     labels=None) -> np.ndarray:
+                     labels) -> np.ndarray:
     """Run one apprentice through a curriculum: its (n, F) 0/1 feature rows
     and answer labels, in order. Returns each first attempt's 0/1 outcome.
 
     Attempt i answers with the tree fit on the first i - i % refit_every
     worked examples, so the current problem's answer is never visible to
     its own attempt. Before any fit it guesses uniformly among ``labels``,
-    the dataset's answer-label universe (the curriculum's labels by
-    default), one draw per such attempt from ``default_rng(config.seed)``,
-    in attempt order.
+    the dataset's answer-label universe, one draw per such attempt from
+    ``default_rng(config.seed)``, in attempt order.
 
     No tree is built: every attempt's root-to-leaf path in the tree of its
     last refit is grown at once, one tree level per pass over all attempts
@@ -270,7 +269,7 @@ def simulate_learner(x: np.ndarray, answers, config: SimConfig,
         raise InputError(f"{len(x)} feature rows for {len(answers)} answers")
     values = sorted(set(answers))
     y = _codes(values, answers)
-    guesses = _codes(values, values if labels is None else labels)
+    guesses = _codes(values, labels)
     if not len(guesses):
         raise InputError("no answer labels to guess among")
     step = np.arange(len(y))

@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -276,7 +277,7 @@ def cmd_fit_afm(args, seed):
         outputs.append(args.report)
     print(f"fit: converged={diag.converged} iterations={diag.iterations} "
           f"objective={diag.objective:.6f} residual={diag.residual:.3g}")
-    return [args.log, args.qmatrix], outputs, _fit_diagnostics(diag)
+    return [args.log, args.qmatrix], outputs, asdict(diag)
 
 
 def cmd_cv(args, seed):
@@ -292,17 +293,11 @@ def cmd_cv(args, seed):
     return [args.log, args.qmatrix], [args.out], _cv_diagnostics(result)
 
 
-def _fit_diagnostics(d) -> dict:
-    """The manifest record of one AFM fit."""
-    return {"converged": d.converged, "iterations": d.iterations,
-            "objective": d.objective, "residual": d.residual}
-
-
 def _cv_diagnostics(result) -> dict:
     """The manifest record of a cross-validation: its full-log start fit
     and every fold's fit."""
-    return {"start": _fit_diagnostics(result.start_fit),
-            "folds": [_fit_diagnostics(d) for d in result.fold_fits]}
+    return {"start": asdict(result.start_fit),
+            "folds": [asdict(d) for d in result.fold_fits]}
 
 
 def _parse_models(spec: str, log):
@@ -374,8 +369,8 @@ def cmd_simulate(args, seed):
           f"{study.report.intercept_correlation:.4f} "
           f"slope_correlation={study.report.slope_correlation:.4f}")
     return inputs, outputs, {
-        "original": _fit_diagnostics(study.original_fit),
-        "simulated": _fit_diagnostics(study.simulated_fit)}
+        "original": asdict(study.original_fit),
+        "simulated": asdict(study.simulated_fit)}
 
 
 def _gradcheck_cnn(seed, epsilon):

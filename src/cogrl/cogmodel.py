@@ -94,31 +94,19 @@ def sanitize_qmatrix(q: QMatrix) -> tuple[QMatrix, SanitationReport]:
     residual KC. Idempotent: a second pass reports no changes.
     """
     report = SanitationReport()
-    cells = q.cells.copy()
-    names = list(q.kc_names)
-
-    keep = cells.sum(axis=0) > 0
-    report.dropped_columns = [n for n, k in zip(names, keep) if not k]
-    cells = cells[:, keep]
-    names = [n for n, k in zip(names, keep) if k]
-
-    merged_cols: list[np.ndarray] = []
-    member_names: list[list[str]] = []
-    groups: dict[bytes, int] = {}
-    for j, name in enumerate(names):
-        key = cells[:, j].tobytes()
-        if key in groups:
-            member_names[groups[key]].append(name)
-        else:
-            groups[key] = len(merged_cols)
-            merged_cols.append(cells[:, j])
-            member_names.append([name])
-    names = ["+".join(members) for members in member_names]
-    for joined, members in zip(names, member_names):
-        if len(members) > 1:
-            report.merged_columns.append((joined, members))
-    cells = np.stack(merged_cols, axis=1) if merged_cols \
-        else np.zeros((q.n_items, 0), dtype=np.int64)
+    used = q.cells.any(axis=0)
+    report.dropped_columns = [n for n, u in zip(q.kc_names, used) if not u]
+    # the used columns by content, in order of first appearance: each
+    # group's first column and its members' names
+    groups: dict[bytes, tuple[int, list[str]]] = {}
+    for j in np.flatnonzero(used).tolist():
+        groups.setdefault(q.cells[:, j].tobytes(), (j, []))[1].append(
+            q.kc_names[j])
+    names = ["+".join(members) for _, members in groups.values()]
+    report.merged_columns = [
+        (joined, members) for joined, (_, members)
+        in zip(names, groups.values()) if len(members) > 1]
+    cells = q.cells[:, [j for j, _ in groups.values()]]
 
     zero_rows = cells.sum(axis=1) == 0
     if zero_rows.any():
@@ -144,16 +132,12 @@ def load_human_model(path, item_ids: list[str]) -> QMatrix:
     missing = [i for i in item_ids if i not in mapping]
     if missing:
         raise InputError(f"{path}: items without KCs: {', '.join(missing)}")
-    kc_names: list[str] = []
-    for item in item_ids:
-        for kc in mapping[item]:
-            if kc not in kc_names:
-                kc_names.append(kc)
-    cells = np.zeros((len(item_ids), len(kc_names)), dtype=np.int64)
+    kc_names = list(dict.fromkeys(
+        chain.from_iterable(mapping[item] for item in item_ids)))
     col = {kc: j for j, kc in enumerate(kc_names)}
+    cells = np.zeros((len(item_ids), len(kc_names)), dtype=np.int64)
     for i, item in enumerate(item_ids):
-        for kc in mapping[item]:
-            cells[i, col[kc]] = 1
+        cells[i, [col[kc] for kc in mapping[item]]] = 1
     return QMatrix(list(item_ids), kc_names, cells)
 
 

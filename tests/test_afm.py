@@ -15,10 +15,9 @@ from cogrl.afm import (
     FitConfig,
     FitDiagnostics,
     Pairs,
-    Transaction,
     TransactionLog,
+    _cv_fold,
     _Design,
-    _log_design,
     _newton,
     _softplus,
     afm_fit,
@@ -38,7 +37,22 @@ from cogrl.neuralcore.layers import sigmoid
 
 
 def _log(rows):
-    return TransactionLog([Transaction(*r) for r in rows])
+    return TransactionLog(rows)
+
+
+@dataclass(frozen=True)
+class _OldTransaction:
+    """A log row with named fields, as the library's rows once were."""
+
+    student_id: str
+    item_id: str
+    outcome: int
+    order: int
+
+
+def _records(log):
+    """The log's (student_id, item_id, outcome, order) rows as records."""
+    return [_OldTransaction(*r) for r in log.rows]
 
 
 def _sig(x):
@@ -108,9 +122,9 @@ class TestComputeOpportunities:
             students=6, items=12, kcs=3, seed=9))
         table = compute_opportunities(log, q)
         last: dict[tuple[str, str], int] = {}
-        for tr, opps in zip(log.rows, table.rows):
+        for (student, *_), opps in zip(log.rows, table.rows):
             for kc, t in opps.items():
-                key = (tr.student_id, kc)
+                key = (student, kc)
                 assert t >= last.get(key, 0)
                 last[key] = t
 
@@ -176,7 +190,7 @@ class TestFit:
                     ("s2", "A", 1, 1), ("s2", "B", 1, 2)])
         params, diag = afm_fit(log, q)
         assert diag.converged
-        p = _oracle_probabilities(params, log.rows,
+        p = _oracle_probabilities(params, _records(log),
                                   compute_opportunities(log, q).rows)
         assert np.all(p > 0.5)
         for v in params.theta.values():
@@ -456,7 +470,8 @@ class TestSoftplus:
     @staticmethod
     def _check(x):
         x = np.asarray(x, dtype=np.float64)
-        got = _softplus(x, np.exp(-np.abs(x)))
+        got = _softplus(x, np.exp(-np.abs(x)), np.empty_like(x),
+                        np.empty_like(x))
         want = np.logaddexp(0.0, x)
         assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(x)))
 
@@ -478,11 +493,12 @@ class TestSoftplus:
 
 
 def _oracle_opportunities(log, q):
+    records = _records(log)
     item_kcs = {item: np.flatnonzero(q.row(item))
-                for item in {tr.item_id for tr in log.rows}}
+                for item in {tr.item_id for tr in records}}
     counters = {}
     rows = []
-    for tr in log.rows:
+    for tr in records:
         cnt = counters.get(tr.student_id)
         if cnt is None:
             cnt = counters[tr.student_id] = np.zeros(q.n_kcs, dtype=np.int64)
@@ -498,15 +514,18 @@ def _oracle_design(rows, opp_rows, q):
     kc_index = {k: j for j, k in enumerate(q.kc_names)}
     y = np.array([tr.outcome for tr in rows], dtype=np.float64)
     s_idx = np.array([s_index[tr.student_id] for tr in rows], dtype=np.intp)
-    pair_trans, pair_kc, pair_t = [], [], []
+    # a row's units are its (KC, opportunity) pairs, or one unit of the idle
+    # KC n_kcs at opportunity 0 when it has none
+    unit_row, unit_kc, unit_t = [], [], []
     for i, opps in enumerate(opp_rows):
-        for kc, t in opps.items():
-            pair_trans.append(i)
-            pair_kc.append(kc_index[kc])
-            pair_t.append(t)
-    design = _Design.of_pairs(s_idx, len(students), y, Pairs(
-        np.array(pair_trans, dtype=np.intp), np.array(pair_kc, dtype=np.intp),
-        np.array(pair_t, dtype=np.int64)), q.n_kcs)
+        for kc, t in opps.items() or [(None, 0)]:
+            unit_row.append(i)
+            unit_kc.append(q.n_kcs if kc is None else kc_index[kc])
+            unit_t.append(t)
+    design = _Design(s_idx, len(students), y,
+                     np.array(unit_kc, dtype=np.intp),
+                     np.array(unit_t, dtype=np.float64), q.n_kcs,
+                     np.array(unit_row, dtype=np.intp))
     return students, design
 
 
@@ -564,18 +583,19 @@ def _cv_cases(draw):
     rows = []
     for student, item, outcome, gap in events:
         order[student] = order.get(student, 0) + gap
-        rows.append(Transaction(student, item, outcome, order[student]))
-    n_log_items = len({tr.item_id for tr in rows})
+        rows.append((student, item, outcome, order[student]))
+    n_log_items = len({item for _, item, _, _ in rows})
     folds = draw(st.integers(2, max(2, n_log_items)))
     return TransactionLog(rows), q, folds, draw(st.integers(0, 1000))
 
 
-def _held_rmse(cols, pairs, students, theta_fit, beta, gamma, held):
-    """The RMSE of a fold's fit on its held-out rows, scored on the whole
-    log with unseen students at theta = 0."""
+def _held_rmse(cols, pairs, students, theta_fit, x, held):
+    """The RMSE of a fold's fit (theta_fit, x) on its held-out rows, scored
+    on the whole log with unseen students at theta = 0."""
     theta = np.zeros(len(cols.students))
     theta[students] = theta_fit
-    p = sigmoid(afm_logits(theta[cols.student], beta, gamma, pairs)[held])
+    k = len(x) // 2
+    p = sigmoid(afm_logits(theta[cols.student], x[:k], x[k:], pairs)[held])
     return float(np.sqrt(np.mean((cols.y[held] - p) ** 2)))
 
 
@@ -614,13 +634,14 @@ class TestColumnarEquivalence:
              for kc, t in opps.items()]
 
         rng = np.random.default_rng(seed)
-        design = _log_design(cols, q)
+        design = _Design.of_log(cols, q)
+        records = _records(log)
         for fold_items in assign_folds(log.columns.items, folds, fold_seed):
             held = set(fold_items)
-            mask = np.array([tr.item_id in held for tr in log.rows])
-            train = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
+            mask = np.array([tr.item_id in held for tr in records])
+            train = [(tr, o) for tr, o in zip(records, oracle_opps)
                      if tr.item_id not in held]
-            test = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
+            test = [(tr, o) for tr, o in zip(records, oracle_opps)
                     if tr.item_id in held]
             students, want = _oracle_design(*zip(*train), q)
             got, codes = design.subset(~mask)
@@ -642,10 +663,10 @@ class TestColumnarEquivalence:
                                    pairs)[mask])
             assert np.array_equal(p, _oracle_probabilities(
                 params, *zip(*test)))
-            # cross-validation scores the held-out rows' design alone
-            scored, codes = design.subset(mask)
+            # cross-validation scores the held-out rows on the full-log
+            # design
             assert np.array_equal(
-                sigmoid(scored.logits(theta[codes], beta, gamma)), p)
+                sigmoid(design.logits(theta, beta, gamma)[mask]), p)
 
     @settings(deadline=None, max_examples=40)
     @given(_cv_cases())
@@ -656,25 +677,26 @@ class TestColumnarEquivalence:
         fit = FitConfig(max_iter=40)
         result = item_stratified_cv(log, q, fit, CVConfig(folds, fold_seed))
         oracle_opps = _oracle_opportunities(log, q)
+        records = _records(log)
         # every fold starts from the fit to the whole log
-        everyone, full = _oracle_design(log.rows, oracle_opps, q)
-        theta_all, beta, gamma, start_fit = _newton(full, fit)
+        everyone, full = _oracle_design(records, oracle_opps, q)
+        theta_all, x_all, start_fit = _newton(full, fit)
         assert result.start_fit == start_fit
         index = {s: i for i, s in enumerate(everyone)}
+        k = q.n_kcs
         expected = []
         for fold_items in assign_folds(log.columns.items, folds, fold_seed):
             held = set(fold_items)
-            train = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
+            train = [(tr, o) for tr, o in zip(records, oracle_opps)
                      if tr.item_id not in held]
-            test = [(tr, o) for tr, o in zip(log.rows, oracle_opps)
+            test = [(tr, o) for tr, o in zip(records, oracle_opps)
                     if tr.item_id in held]
             students, design = _oracle_design(*zip(*train), q)
-            theta, beta_f, gamma_f, _ = _newton(design, fit, (
-                theta_all[[index[s] for s in students]],
-                np.concatenate([beta, gamma])))
+            theta, x, _ = _newton(design, fit, (
+                theta_all[[index[s] for s in students]], x_all))
             params = AFMParams(dict(zip(students, theta.tolist())),
-                               dict(zip(q.kc_names, beta_f.tolist())),
-                               dict(zip(q.kc_names, gamma_f.tolist())))
+                               dict(zip(q.kc_names, x[:k].tolist())),
+                               dict(zip(q.kc_names, x[k:].tolist())))
             p = _oracle_probabilities(params, *zip(*test))
             y = np.array([tr.outcome for tr, _ in test], dtype=np.float64)
             expected.append(float(np.sqrt(np.mean((y - p) ** 2))))
@@ -700,9 +722,8 @@ class TestColumnarEquivalence:
         cfg = FitConfig(l2_beta_gamma=l2, tol=1e-20, max_iter=60)
         cols = log.columns
         pairs = opportunity_pairs(cols, q)
-        design = _log_design(cols, q)
-        theta, beta, gamma, _ = _newton(design, cfg)
-        x = np.concatenate([beta, gamma])
+        design = _Design.of_log(cols, q)
+        theta, x, _ = _newton(design, cfg)
         for fold_items in assign_folds(cols.items, folds, fold_seed):
             held = np.isin(cols.item, [cols.items.index(i)
                                        for i in fold_items])
@@ -725,18 +746,18 @@ class TestColumnarEquivalence:
         # penalty, and a fold started from the full fit starts far along
         log, _, _ = synth_afm_log(AfmLogSynthSpec(
             students=12, items=6, kcs=2, seed=5))
-        rows = [tr._replace(outcome=1) if tr.item_id == "i000" else tr
-                for tr in log.rows]
+        rows = [(s, item, 1 if item == "i000" else y, order)
+                for s, item, y, order in log.rows]
         log = TransactionLog(rows)
         q = identical_transfer(log.columns.items)
         cv = CVConfig(folds=3, seed=1)
         result = item_stratified_cv(log, q, None, cv)
-        design = _log_design(log.columns, q)
+        design = _Design.of_log(log.columns, q)
         cold = 0
         for fold_items in assign_folds(log.columns.items, 3, 1):
             held = np.isin(log.columns.item, [log.columns.items.index(i)
                                               for i in fold_items])
-            cold += _newton(design.subset(~held)[0], FitConfig())[3].iterations
+            cold += _newton(design.subset(~held)[0], FitConfig())[2].iterations
         assert all(fit.converged for fit in result.fold_fits)
         assert sum(fit.iterations for fit in result.fold_fits) < cold
 
@@ -804,7 +825,7 @@ def _oracle_solve(design, pairs, config):
 
 
 def _design(log, q):
-    return _log_design(log.columns, q)
+    return _Design.of_log(log.columns, q)
 
 
 def _start_objective(log, q):
@@ -898,7 +919,7 @@ def _fit_cases(draw, single_kc=False):
         for j, item in enumerate(seq):
             outcome = int(2 * j < len(seq)) if declining \
                 else draw(st.integers(0, 1))
-            rows.append(Transaction(f"s{s}", item, outcome, j + 1))
+            rows.append((f"s{s}", item, outcome, j + 1))
     l2 = draw(st.sampled_from([0.01, 1.0] if single_kc else [0.0, 0.01, 1.0]))
     return TransactionLog(rows), q, FitConfig(l2_beta_gamma=l2)
 
@@ -930,6 +951,36 @@ class TestUnitLayout:
             assert d.single == (not np.any(n_kcs > 1))
 
 
+def _old_cv_fold(design, held, fit, start):
+    """``_cv_fold`` as it was: the held-out rows carved out of the full-log
+    design like the training rows, and scored on that design of their own."""
+    train, students = design.subset(~held)
+    theta_fit, x, diag = _newton(train, fit, (start[0][students], start[1]))
+    theta = np.zeros(design.n_students)
+    theta[students] = theta_fit
+    test, students = design.subset(held)
+    k = design.n_kcs
+    p = sigmoid(test.logits(theta[students], x[:k], x[k:]))
+    return float(np.sqrt(np.mean((test.y - p) ** 2))), diag
+
+
+class TestHeldOutScoring:
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(_fit_cases(), _fit_cases(single_kc=True)), st.data())
+    def test_fold_scored_on_the_full_log_design(self, case, data):
+        # the same RMSE, to the bit, and the same fit, whether the held-out
+        # rows need two KCs, none or one while the training rows do not
+        log, q, cfg = case
+        held = np.array(data.draw(st.lists(st.booleans(), min_size=len(log),
+                                           max_size=len(log))))
+        if held.all() or not held.any():
+            return
+        design = _design(log, q)
+        start = _newton(design, cfg)[:2]
+        assert _cv_fold(design, held, cfg, start) == \
+            _old_cv_fold(design, held, cfg, start)
+
+
 class TestNewtonSolver:
     """The projected Newton fit against the first-order oracle, and the
     designs on which a Newton system is singular."""
@@ -942,7 +993,8 @@ class TestNewtonSolver:
         pairs = opportunity_pairs(log.columns, q)
         *_, want = _oracle_solve(design, pairs, FitConfig(
             cfg.l2_theta, cfg.l2_beta_gamma, tol=1e-6))
-        theta, beta, gamma, got = _newton(design, cfg)
+        theta, x, got = _newton(design, cfg)
+        beta, gamma = np.split(x, 2)
         assert got.objective >= \
             want.objective - 1e-9 * max(1.0, abs(want.objective))
         assert np.all(gamma >= 0)
@@ -1035,8 +1087,8 @@ class TestNewtonSolver:
         assert len(log) == 20_000
         design = _design(log, faculty_transfer(q.item_ids))
         cfg = FitConfig()
-        theta, beta, gamma, _ = _newton(design, cfg)
-        x = np.concatenate([beta, gamma])
+        theta, x, _ = _newton(design, cfg)
+        beta, gamma = np.split(x, 2)
         tracemalloc.start()
         try:
             _, eta, e = design.objective(theta, beta, gamma, cfg)
@@ -1080,7 +1132,8 @@ class TestNewtonSolver:
         design = _design(log, q)
         assert not design.single
         cfg = FitConfig()
-        theta, beta, gamma, diag = _newton(design, cfg)
+        _, x, diag = _newton(design, cfg)
+        beta, gamma = np.split(x, 2)
         *_, want = _oracle_solve(design, opportunity_pairs(log.columns, q),
                                  FitConfig(tol=1e-6))
         assert diag.converged and np.isfinite(diag.objective)
@@ -1112,14 +1165,6 @@ class TestNewtonSolver:
 
 # ---------------------------------------------------------------------------
 # the log as columns against the row-object log it replaced
-
-
-@dataclass(frozen=True)
-class _OldTransaction:
-    student_id: str
-    item_id: str
-    outcome: int
-    order: int
 
 
 class _OldTransactionLog:
@@ -1230,6 +1275,5 @@ class TestColumnarLogEquivalence:
     def test_rows_are_built_on_first_read_only(self):
         log = TransactionLog([("s", "a", 1, 1), ("s", "b", 0, 2)])
         assert "rows" not in vars(log)
-        assert log.rows == (Transaction("s", "a", 1, 1),
-                            Transaction("s", "b", 0, 2))
+        assert log.rows == (("s", "a", 1, 1), ("s", "b", 0, 2))
         assert log.rows is log.rows

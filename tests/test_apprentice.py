@@ -212,7 +212,7 @@ def _cloze_problem(item_id, text, answer):
                            answer=answer)
 
 
-def learn(curriculum, config, labels=None):
+def learn(curriculum, config, labels):
     """``simulate_learner`` on a (problem, features) curriculum, as a list
     of outcomes."""
     _, x = _encode([features for _, features in curriculum])
@@ -279,12 +279,13 @@ class TestSimulateLearner:
 
     def test_empty_curriculum_rejected(self):
         with pytest.raises(InputError, match="empty curriculum"):
-            simulate_learner(np.zeros((0, 2), np.int8), [], SimConfig(seed=0))
+            simulate_learner(np.zeros((0, 2), np.int8), [], SimConfig(seed=0),
+                             [0])
 
     def test_row_and_answer_counts_must_match(self):
         with pytest.raises(InputError, match="3 feature rows for 2 answers"):
             simulate_learner(np.zeros((3, 2), np.int8), [0, 1],
-                             SimConfig(seed=0))
+                             SimConfig(seed=0), [0, 1])
 
     def test_empty_label_universe_rejected(self):
         # the first attempt has no tree and nothing to guess among
@@ -607,9 +608,9 @@ class TestSimulateAndEstimate:
         study = simulate_and_estimate(
             log, bundle.problems, human_features(bundle.problems), q,
             sim=SimConfig(seed=3))
-        orig = [(r.student_id, r.item_id, r.order) for r in log.rows]
-        sim = [(r.student_id, r.item_id, r.order)
-               for r in study.simulated_log.rows]
+        orig = [(s, item, order) for s, item, _, order in log.rows]
+        sim = [(s, item, order)
+               for s, item, _, order in study.simulated_log.rows]
         assert sorted(orig) == sorted(sim)
 
     def test_study_runs_the_public_learner(self, monkeypatch):
@@ -645,7 +646,7 @@ class TestSimulateAndEstimate:
     def test_missing_feature_row_names_the_item(self):
         bundle, log = self._study_inputs(n_students=2)
         feats = dict(bundle.extras["features_full"])
-        missing = log.rows[0].item_id
+        missing = log.rows[0][1]
         del feats[missing]
         with pytest.raises(InputError, match=repr(missing)):
             simulate_and_estimate(log, bundle.problems, feats,
@@ -694,11 +695,12 @@ class TestSimulateAndEstimate:
                                       sim=SimConfig(seed=8))
         table = compute_opportunities(study.simulated_log, q)
         by_kc: dict[str, dict[str, list[int]]] = {}
-        for tr, opps in zip(study.simulated_log.rows, table.rows):
+        for (_, _, outcome, _), opps in zip(study.simulated_log.rows,
+                                            table.rows):
             for kc, t in opps.items():
                 bucket = "first" if t == 0 else "later"
                 by_kc.setdefault(kc, {}).setdefault(bucket, []).append(
-                    tr.outcome)
+                    outcome)
         for kc, buckets in by_kc.items():
             if "first" in buckets and "later" in buckets:
                 assert np.mean(buckets["later"]) >= np.mean(buckets["first"])

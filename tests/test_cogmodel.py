@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogrl.cogmodel import (
+    RESIDUAL_KC,
     QMatrix,
+    SanitationReport,
     faculty_transfer,
     identical_transfer,
     load_human_model,
+    read_kc_map,
     read_qmatrix,
     sanitize_qmatrix,
     write_qmatrix,
@@ -144,6 +147,119 @@ class TestSanitize:
         _, report = sanitize_qmatrix(q)
         text = "\n".join(report.lines())
         assert "dropped" in text and "residual" in text
+
+
+# ---------------------------------------------------------------------------
+# the grouping by one ordered map against the loops it replaced
+
+
+def _old_sanitize(q):
+    """``sanitize_qmatrix`` as it was: the merged columns, their members'
+    names and the group index kept in step as three parallel structures."""
+    report = SanitationReport()
+    cells = q.cells.copy()
+    names = list(q.kc_names)
+
+    keep = cells.sum(axis=0) > 0
+    report.dropped_columns = [n for n, k in zip(names, keep) if not k]
+    cells = cells[:, keep]
+    names = [n for n, k in zip(names, keep) if k]
+
+    merged_cols, member_names, groups = [], [], {}
+    for j, name in enumerate(names):
+        key = cells[:, j].tobytes()
+        if key in groups:
+            member_names[groups[key]].append(name)
+        else:
+            groups[key] = len(merged_cols)
+            merged_cols.append(cells[:, j])
+            member_names.append([name])
+    names = ["+".join(members) for members in member_names]
+    for joined, members in zip(names, member_names):
+        if len(members) > 1:
+            report.merged_columns.append((joined, members))
+    cells = np.stack(merged_cols, axis=1) if merged_cols \
+        else np.zeros((q.n_items, 0), dtype=np.int64)
+
+    zero_rows = cells.sum(axis=1) == 0
+    if zero_rows.any():
+        residual = zero_rows.astype(np.int64)[:, None]
+        cells = np.concatenate([cells, residual], axis=1)
+        names = names + [RESIDUAL_KC]
+        report.residual_items = [i for i, z in zip(q.item_ids, zero_rows) if z]
+    return names, cells, report
+
+
+def _old_human_model(mapping, item_ids):
+    """``load_human_model``'s KC names and cells as the nested loops built
+    them from the parsed item -> KCs map."""
+    kc_names = []
+    for item in item_ids:
+        for kc in mapping[item]:
+            if kc not in kc_names:
+                kc_names.append(kc)
+    cells = np.zeros((len(item_ids), len(kc_names)), dtype=np.int64)
+    col = {kc: j for j, kc in enumerate(kc_names)}
+    for i, item in enumerate(item_ids):
+        for kc in mapping[item]:
+            cells[i, col[kc]] = 1
+    return kc_names, cells
+
+
+@st.composite
+def _qmatrices(draw):
+    """1-6 items and 0-6 KCs; a column is drawn, all zero or a copy of an
+    earlier one, and some rows may be set to all zero."""
+    n = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["drawn", "zero", "copy"]))
+        if kind == "copy" and columns:
+            columns.append(list(draw(st.sampled_from(columns))))
+        elif kind == "zero":
+            columns.append([0] * n)
+        else:
+            columns.append(draw(st.lists(st.integers(0, 1), min_size=n,
+                                         max_size=n)))
+    cells = np.array(columns, dtype=np.int64).reshape(-1, n).T
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        cells[i] = 0
+    return QMatrix([f"i{k}" for k in range(n)],
+                   [f"k{j}" for j in range(cells.shape[1])], cells)
+
+
+class TestOrderedMapEquivalence:
+    @settings(deadline=None, max_examples=400)
+    @given(_qmatrices())
+    def test_sanitize_equals_parallel_lists(self, q):
+        before = q.cells.copy()
+        clean, report = sanitize_qmatrix(q)
+        names, cells, old = _old_sanitize(q)
+        assert clean.kc_names == names
+        assert clean.cells.dtype == cells.dtype
+        assert np.array_equal(clean.cells, cells)
+        assert report == old and report.lines() == old.lines()
+        # the input is read, not written
+        assert np.array_equal(q.cells, before)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_human_model_equals_nested_loops(self, tmp_path_factory, data):
+        items = data.draw(st.lists(st.sampled_from("abcdef"), min_size=1,
+                                   unique=True))
+        kcs = st.sampled_from(["k1", "k2", "k3", "k4"])
+        pairs = [(item, kc) for item in items
+                 for kc in data.draw(st.lists(kcs, min_size=1, max_size=4))]
+        pairs = data.draw(st.permutations(pairs))
+        path = tmp_path_factory.mktemp("model") / "model.tsv"
+        path.write_text("item_id\tkc_name\n"
+                        + "".join(f"{i}\t{k}\n" for i, k in pairs))
+        item_ids = data.draw(st.permutations(items))
+        q = load_human_model(path, item_ids)
+        names, cells = _old_human_model(read_kc_map(path), item_ids)
+        assert q.kc_names == names and q.item_ids == item_ids
+        assert q.cells.dtype == cells.dtype
+        assert np.array_equal(q.cells, cells)
 
 
 class TestQMatrixIO:

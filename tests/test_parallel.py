@@ -12,7 +12,6 @@ import pytest
 import cogrl
 from cogrl.afm import (
     CVConfig,
-    Transaction,
     TransactionLog,
     item_stratified_cv,
 )
@@ -114,14 +113,15 @@ class TestCallers:
         assert [p.max_workers for p in pools] == [3]
         for task in pools[0].calls:
             leaves = list(_leaves(task))
-            assert not any(isinstance(v, (Transaction, TransactionLog))
+            # no log and no record: a record's ids would be str leaves
+            assert not any(isinstance(v, (str, TransactionLog))
                            for v in leaves)
             assert any(isinstance(v, np.ndarray) for v in leaves)
 
     def test_simulation_pool_capped_at_the_student_count(self, pools):
         bundle = synth_cloze(ClozeSynthSpec(seed=7))
         problems = bundle.problems[:12]
-        rows = [Transaction(f"s{s}", p.item_id, 1, k + 1)
+        rows = [(f"s{s}", p.item_id, 1, k + 1)
                 for s in range(3) for k, p in enumerate(problems)]
         study = simulate_and_estimate(
             TransactionLog(rows), problems, bundle.extras["features_full"],

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cogrl.afm import (
     AFMParams,
-    Transaction,
     TransactionLog,
     read_params,
     write_params,
@@ -69,8 +68,7 @@ def old_load_transactions(path):
         except ValueError:
             raise InputError("order") from None
         outcome = {"0": 0, "1": 1}.get(fields[2], fields[2])
-        rows.append(Transaction(student_id=fields[0], item_id=fields[1],
-                                outcome=outcome, order=order))
+        rows.append((fields[0], fields[1], outcome, order))
         line_numbers.append(ln)
     return TransactionLog(rows,
                           where=lambda i: f"{path}: line {line_numbers[i]}")
@@ -494,8 +492,8 @@ class TestRoundTrip:
             seen = data.draw(st.lists(st.sampled_from(items), min_size=1,
                                       unique=True))
             for order, item in enumerate(seen, start=1):
-                rows.append(Transaction(s, item, data.draw(st.sampled_from(
-                    [0, 1])), order * 2))
+                rows.append((s, item, data.draw(st.sampled_from([0, 1])),
+                             order * 2))
         log = TransactionLog(rows)
         assert _round_trip(tmp_path, write_transactions, load_transactions,
                            log).rows == log.rows
