@@ -34,9 +34,9 @@ print(f"training {net.parameter_count()}-parameter net "
 history = train_model(net, bundle.problems,
                       SGDConfig(learning_rate=0.5, seed=7, max_epochs=1500,
                                 target_loss=1e-4))
-reps = extract_representations(net, bundle.problems)
+reps, logits = extract_representations(net, bundle.problems)
 print(f"epochs={len(history)} final_loss={history[-1]:.2e} "
-      f"accuracy={training_accuracy(net, reps, bundle.problems):.0%}")
+      f"accuracy={training_accuracy(logits, bundle.problems):.0%}")
 
 q, sanitation = threshold_qmatrix(reps, tau=0.95)
 print(f"thresholded Q-matrix: {q.n_items} items x {q.n_kcs} KCs "

@@ -159,7 +159,7 @@ def cmd_synth(args, seed):
         q_path = os.path.join(out_dir, "oracle_q.tsv")
         write_qmatrix(q_path, bundle.extras["oracle_q"])
         human_path = os.path.join(out_dir, "features_human.tsv")
-        write_features(human_path, human_features(bundle.problems),
+        write_features(human_path, bundle.extras["features_full"],
                        ARTICLE_FEATURE_NAMES)
         full_path = os.path.join(out_dir, "features_full.tsv")
         write_features(full_path, bundle.extras["features_full"],
@@ -204,8 +204,8 @@ def cmd_train_rep(args, seed):
             combine_size=2 * args.lstm_hidden, rep_size=args.rep_size)
         net = ClozeLSTM(spec, vocab, seed=seed)
     history = train_model(net, bundle.problems, sgd)
-    reps = extract_representations(net, bundle.problems)
-    accuracy = training_accuracy(net, reps, bundle.problems)
+    reps, logits = extract_representations(net, bundle.problems)
+    accuracy = training_accuracy(logits, bundle.problems)
     save_network(args.out_checkpoint, net)
     write_representations(args.out_reps, reps)
     print(f"trained {net.__class__.variant}: parameters={net.parameter_count()} "
@@ -341,6 +341,14 @@ def cmd_compare(args, seed):
 
 
 def cmd_simulate(args, seed):
+    # a thresholded Q-matrix is an item-feature table: item_id, then 0/1
+    files = {"cogrl": ("--cogrl-q", args.cogrl_q),
+             "file": ("--features-file", args.features_file)}
+    for mode, (flag, path) in files.items():
+        if path and args.features != mode:
+            raise ConfigurationError(f"{flag} requires --features {mode}")
+        if not path and args.features == mode:
+            raise ConfigurationError(f"--features {mode} requires {flag}")
     log = load_transactions(args.log)
     bundle = load_cloze(args.cloze)
     q_eval = _log_qmatrix(args.q_eval, log)
@@ -348,12 +356,7 @@ def cmd_simulate(args, seed):
     if args.features == "human":
         features = human_features(bundle.problems)
     else:
-        # a thresholded Q-matrix is an item-feature table: item_id, then 0/1
-        flag, path = (("--cogrl-q", args.cogrl_q) if args.features == "cogrl"
-                      else ("--features-file", args.features_file))
-        if not path:
-            raise ConfigurationError(
-                f"--features {args.features} requires {flag}")
+        path = files[args.features][1]
         features = read_features(path)
         inputs.append(path)
     study = simulate_and_estimate(

@@ -6,7 +6,11 @@ from ``forward`` and consumes it in ``backward``, which yields a dict of
 parameter gradients and, for every layer but the convolution (always a
 network's first layer), the gradient with respect to the layer input.
 
-Batch axis: ``ConvLayer`` and ``DenseLayer`` take only a minibatch with a
+Preconditions: a layer checks none of its inputs. A network's ``collate``
+built them, so each has the dtype and shape stated here, and every id lies
+inside the embedding table.
+
+Batch axis: ``ConvLayer`` and ``DenseLayer`` take a minibatch with a
 leading batch axis, ``(B, C, H, W)`` and ``(B, in_size)``, and return
 outputs (and, for the dense layer, input gradients) with the same leading
 axis. Their parameter gradients are sums over the batch axis; callers that
@@ -88,11 +92,6 @@ class ConvLayer:
         for 32 one-channel images, a 5 x 5 kernel and an 8 x 8 output);
         caching the matrix was no faster and raised the peak memory.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise DimensionError(
-                f"conv layer expects a (B, {self.in_channels}, H, W) "
-                f"minibatch, got {x.shape}")
         _, oh, ow = self.output_shape(x.shape[2], x.shape[3])
         z = self.kernels.reshape(self.out_channels, -1) @ self._patches(x)
         t = np.tanh(z, out=z).reshape(self.out_channels, x.shape[0], oh, ow)
@@ -133,17 +132,12 @@ class DenseLayer:
     def __init__(self, in_size: int, out_size: int, activation: str = "identity",
                  *, rng: np.random.Generator):
         limit = 1.0 / np.sqrt(in_size)
-        self.in_size = in_size
         self.activation = activation
         self.weights = rng.uniform(-limit, limit, size=(out_size, in_size))
         self.biases = np.zeros(out_size, dtype=np.float64)
 
     def forward(self, x: np.ndarray):
         """Apply the layer to a (B, in_size) minibatch."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_size:
-            raise DimensionError(f"dense layer expects a (B, {self.in_size}) "
-                                 f"minibatch, got {x.shape}")
         y = ACTIVATIONS[self.activation][0](x @ self.weights.T + self.biases)
         return y, (x, y)
 
@@ -160,13 +154,9 @@ class EmbeddingTable:
     """Token-id to vector lookup; row 0 is reserved for unknown tokens."""
 
     def __init__(self, vocab_size: int, dim: int, *, rng: np.random.Generator):
-        self.vocab_size = vocab_size
         self.vectors = rng.uniform(-0.5, 0.5, size=(vocab_size, dim))
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.intp)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
-            raise DimensionError("token id outside embedding table")
         return self.vectors[ids]
 
     def backward(self, ids: np.ndarray, dvecs: np.ndarray) -> np.ndarray:
@@ -236,9 +226,10 @@ class LSTMCell:
         """Run a time-major minibatch from the zero initial state.
 
         ``xs`` is (T, B, input_size) and the boolean (T, B) ``mask`` marks
-        each row's real steps. Sequences are padded on the left: a row's
-        real steps are its last ones, with no gap, and a mask of any other
-        shape raises DimensionError.
+        each row's real steps. Precondition: sequences are padded on the
+        left, so a row's real steps are its last ones, with no gap; the
+        network's collate builds every mask that way, and the run does not
+        check it.
 
         Only live cells are computed. The rows are stable-sorted by length,
         longest first, so the rows whose sequence has started by step t are
@@ -253,24 +244,14 @@ class LSTMCell:
         caller's order. A run of no steps yields the zero initial states
         and no caches.
         """
-        xs = np.asarray(xs, dtype=np.float64)
-        keep = np.asarray(mask, dtype=bool)
-        if xs.ndim != 3 or xs.shape[2:] != (self.input_size,) \
-                or keep.shape != xs.shape[:2]:
-            raise DimensionError(f"LSTM expects (T, B, {self.input_size}) "
-                                 f"input and a (T, B) mask, got {xs.shape}")
-        steps, batch = keep.shape
-        lengths = keep.sum(axis=0)
-        if not np.array_equal(keep, np.arange(steps)[:, None] >= steps - lengths):
-            raise DimensionError(
-                "LSTM mask must mark each row's last steps, without a gap "
-                "(left padding)")
+        batch = mask.shape[1]
+        lengths = mask.sum(axis=0)
         order = np.argsort(-lengths, kind="stable")
         bias = self.b_x + self.b_h
         h = c = np.zeros((0, self.hidden_size))
         scratch = np.empty((batch, 4 * self.hidden_size))
         caches = []
-        for x_t, n in zip(xs, keep.sum(axis=1)):
+        for x_t, n in zip(xs, mask.sum(axis=1)):
             rows = order[:n]
             x_live = x_t[rows]
             gates = np.empty((n, 4 * self.hidden_size))
@@ -293,7 +274,8 @@ class LSTMCell:
         the same bytes the forward pass made, and each ``tanh(c)`` is taken
         once, serving step t and then step t-1. Each step's cache entry is
         set to None once read, so the caches' memory is freed as the pass
-        goes, and caches already consumed raise DimensionError. Like the
+        goes. Precondition: the caches are a run's, not yet consumed; a
+        network runs one backward pass per forward pass. Like the
         run it works on the live rows only: going back from step t to t-1,
         the state gradients shrink to the rows already running at t-1.
         Returns (dxs, grads): dxs is shaped like the run's input, (T, B,
@@ -301,9 +283,6 @@ class LSTMCell:
         grads holds the w_x, w_h, b_x, b_h gradients summed over the
         minibatch.
         """
-        if any(cache is None for cache in caches):
-            raise DimensionError(
-                "LSTM caches were already consumed by a backward pass")
         dh = np.asarray(dh_last, dtype=np.float64)
         hs = self.hidden_size
         dwx = np.zeros_like(self.w_x)

@@ -60,35 +60,42 @@ class Network:
       body_backward(dfeatures, cache) -> {param name: gradient}
       body_parameters() -> {param name: live array}
 
-    ``batch`` is what ``collate`` makes of a list of B contents; the
-    default stacks array contents of one shape along a new leading axis.
-    Every entry point takes only such a minibatch; the body raises
-    DimensionError on anything else. ``backward_from_logits`` takes (B, K)
-    logit gradients and returns parameter gradients summed over the
+    The entry points (``readout``, ``sample_loss``,
+    ``batch_loss_and_grads``) take a list of B contents and run one forward
+    pass over what ``collate`` makes of it, ``batch``; the default stacks
+    array contents of one shape along a new leading axis. ``collate`` and
+    the body check the contents, which come from outside; the layers take
+    the minibatch they build as it is. ``backward_from_logits`` takes
+    (B, K) logit gradients and returns parameter gradients summed over the
     minibatch. Parameters and gradients are named ``layer.key``, body
     first, then ``rep.weights``, ``rep.biases``, ``out.weights``,
     ``out.biases``: the checkpoint's record order.
     """
 
     def collate(self, contents):
-        """Stack same-shape array contents into one (B, ...) array."""
+        """Stack a list of same-shape array contents into (B, ...)."""
+        if not isinstance(contents, list):
+            raise DimensionError(f"a network takes a list of contents, got "
+                                 f"{type(contents).__name__}")
         arrays = [np.asarray(c, dtype=np.float64) for c in contents]
         if len({a.shape for a in arrays}) != 1:
             raise DimensionError("minibatch contents differ in shape")
         return np.stack(arrays)
 
-    def _to_rep(self, batch):
-        """(B, rep_size) pre-output rows and the caches up to them."""
-        features, body_cache = self.body_forward(batch)
+    def _forward(self, contents):
+        """(B, rep_size) pre-output rows, (B, K) logits and the backward
+        cache of a list of B contents: the one forward pass."""
+        features, body_cache = self.body_forward(self.collate(contents))
         rep_y, rep_cache = self.rep.forward(features)
-        return check_finite(rep_y, "rep"), (body_cache, rep_cache)
+        logits, out_cache = self.out.forward(check_finite(rep_y, "rep"))
+        return rep_y, check_finite(logits, "out"), \
+            (body_cache, rep_cache, out_cache)
 
-    def forward_logits(self, batch):
-        """(B, K) logits for a collated minibatch, and the backward cache."""
-        rep_y, cache = self._to_rep(batch)
-        logits, out_cache = self.out.forward(rep_y)
-        check_finite(logits, "out")
-        return logits, cache + (out_cache,)
+    def readout(self, contents):
+        """(B, rep_size) pre-output rows and (B, K) logits of a list of B
+        contents, from one forward pass."""
+        rep_y, logits, _ = self._forward(contents)
+        return rep_y, logits
 
     def backward_from_logits(self, dlogits, cache):
         body_cache, rep_cache, out_cache = cache
@@ -105,11 +112,6 @@ class Network:
                 "rep.weights": self.rep.weights, "rep.biases": self.rep.biases,
                 "out.weights": self.out.weights, "out.biases": self.out.biases}
 
-    def representation(self, batch) -> np.ndarray:
-        """(B, rep_size) pre-output rows of a collated minibatch, from the
-        same forward pass as the logits."""
-        return self._to_rep(batch)[0]
-
     def meta(self) -> dict:
         """Checkpoint meta: the architecture name plus the spec's fields."""
         return {"architecture": self.variant, **asdict(self.spec)}
@@ -119,7 +121,7 @@ class Network:
 
     def sample_loss(self, content, label: int) -> float:
         """Cross-entropy loss of one sample, run as a minibatch of one."""
-        logits, _ = self.forward_logits(self.collate([content]))
+        logits = self._forward([content])[1]
         return float(softmax_cross_entropy(logits, np.array([label]))[0][0])
 
     def batch_loss_and_grads(self, batch):
@@ -127,7 +129,7 @@ class Network:
         from one forward and one backward pass over the collated minibatch."""
         if not batch:
             raise DimensionError("empty batch")
-        logits, cache = self.forward_logits(self.collate([c for c, _ in batch]))
+        _, logits, cache = self._forward([c for c, _ in batch])
         losses, dlogits = softmax_cross_entropy(
             logits, np.array([label for _, label in batch]))
         n = len(batch)

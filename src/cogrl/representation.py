@@ -144,7 +144,6 @@ class ImageCNN(Network):
 
     def body_forward(self, images):
         """Flattened conv maps of a (B, C, H, W) stack of images."""
-        images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4 or images.shape[1:] != self.spec.in_shape:
             raise DimensionError(
                 f"expected a (B, {', '.join(map(str, self.spec.in_shape))}) "
@@ -193,18 +192,17 @@ class ClozeLSTM(Network):
                               rng=rng)
 
     def collate(self, contents):
-        """((T1, B) prefix ids, mask), ((T2, B) reversed-suffix ids, mask)."""
-        if not all(isinstance(c, ClozeContent) for c in contents):
-            raise DimensionError("cloze network expects ClozeContent input")
+        """((T1, B) prefix ids, mask), ((T2, B) reversed-suffix ids, mask)
+        of a list of B questions."""
+        if not isinstance(contents, list) \
+                or not all(isinstance(c, ClozeContent) for c in contents):
+            raise DimensionError("cloze network expects a list of "
+                                 "ClozeContent to collate into a minibatch")
         return (_left_pad([self.vocab.encode(c.prefix) for c in contents]),
                 _left_pad([self.vocab.encode(c.suffix)[::-1] for c in contents]))
 
     def body_forward(self, batch):
         """Combine-layer rows of a collated minibatch."""
-        if not isinstance(batch, tuple):
-            raise DimensionError(
-                f"cloze network expects a minibatch made by collate, got "
-                f"{type(batch).__name__}")
         states, steps = [], []
         for cell, (ids, mask) in zip((self.fwd, self.bwd), batch):
             h, _, caches = cell.run(self.embed.forward(ids), mask)
@@ -338,29 +336,22 @@ class RepresentationMatrix:
             raise InputError("representation rows do not match item ids")
 
 
-def extract_representations(net: Network,
-                            problems: list[ProblemInstance]) -> RepresentationMatrix:
+def extract_representations(net: Network, problems: list[ProblemInstance]
+                            ) -> tuple[RepresentationMatrix, np.ndarray]:
     """Deterministic pre-output rows for each problem, values in (0, 1),
-    read out READOUT_CHUNK problems per forward pass."""
-    rows = [net.representation(net.collate(
-                [p.content for p in problems[s:s + READOUT_CHUNK]]))
-            for s in range(0, len(problems), READOUT_CHUNK)]
-    return RepresentationMatrix([p.item_id for p in problems],
-                                np.concatenate(rows) if rows else np.zeros((0, 0)))
+    and the (problems, K) logits of the same forward passes, read out
+    READOUT_CHUNK problems per pass."""
+    parts = [net.readout([p.content for p in problems[s:s + READOUT_CHUNK]])
+             for s in range(0, len(problems), READOUT_CHUNK)]
+    rows, logits = (map(np.concatenate, zip(*parts)) if parts
+                    else (np.zeros((0, 0)), np.zeros((0, 0))))
+    return RepresentationMatrix([p.item_id for p in problems], rows), logits
 
 
-def training_accuracy(net: Network, reps: RepresentationMatrix,
+def training_accuracy(logits: np.ndarray,
                       problems: list[ProblemInstance]) -> float:
-    """Share of ``problems`` whose largest logit is their answer, scored
-    from their rows in ``reps``, as ``extract_representations`` returned
-    them. The rows go through the head's ``out`` layer in the same
-    READOUT_CHUNK slices as a forward pass, so the logits are
-    ``forward_logits``'s without running the network again."""
-    if reps.item_ids != [p.item_id for p in problems]:
-        raise DimensionError("representation rows do not match the problems")
-    logits = np.concatenate(
-        [check_finite(net.out.forward(reps.values[s:s + READOUT_CHUNK])[0],
-                      "out") for s in range(0, len(problems), READOUT_CHUNK)])
+    """Share of ``problems`` whose largest logit is their answer, from the
+    logits ``extract_representations`` returned for them."""
     return float(np.mean(np.argmax(logits, axis=1)
                          == [p.answer for p in problems]))
 

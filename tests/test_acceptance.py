@@ -86,8 +86,8 @@ def visual_study():
                 SGDConfig(learning_rate=0.5, seed=7, max_epochs=4000,
                           target_loss=1e-5))
     train_seconds = time.time() - start
-    reps = extract_representations(net, bundle.problems)
-    accuracy = training_accuracy(net, reps, bundle.problems)
+    reps, logits = extract_representations(net, bundle.problems)
+    accuracy = training_accuracy(logits, bundle.problems)
     q_cogrl, _ = threshold_qmatrix(reps, 0.95)
     return {
         "bundle": bundle,
@@ -340,7 +340,7 @@ def test_criterion_6_cloze_pipeline(cloze_study):
                           SGDConfig(learning_rate=1.0, seed=5,
                                     max_epochs=500, target_loss=0.01))
     accuracy = training_accuracy(
-        net, extract_representations(net, bundle.problems), bundle.problems)
+        extract_representations(net, bundle.problems)[1], bundle.problems)
     ok = accuracy >= 0.90 and len(history) <= 500
     report("6 cloze pipeline", ok,
            f"{len(bundle.problems)} questions, epochs={len(history)}, "

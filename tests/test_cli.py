@@ -533,6 +533,21 @@ class TestSimulate:
         assert repr(first_item) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("features, flag, mode", [
+        ("human", "--cogrl-q", "cogrl"), ("human", "--features-file", "file"),
+        ("cogrl", "--features-file", "file"), ("file", "--cogrl-q", "cogrl")])
+    def test_stray_feature_file_flag_rejected(self, tmp_path, capsys,
+                                              features, flag, mode):
+        # no input exists: the flags are checked before any file is read
+        absent = tmp_path / "absent.tsv"
+        own = {"cogrl": ["--cogrl-q", absent],
+               "file": ["--features-file", absent]}.get(features, [])
+        assert run(["simulate", "--log", absent, "--cloze", absent,
+                    "--q-eval", absent, "--features", features, *own,
+                    flag, absent, "--out", tmp_path / "study.tsv"]) == 4
+        assert f"{flag} requires --features {mode}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 class TestGradcheckAndErrors:
     def test_gradcheck_passes(self, capsys):
         assert run(["gradcheck", "--seed", "1"]) == 0

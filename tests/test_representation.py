@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from cogrl.errors import ConfigurationError, DimensionError, InputError
 from cogrl.ingest import VisualSynthSpec, synth_visual
-from cogrl.neuralcore import SGDConfig
+from cogrl.neuralcore import SGDConfig, check_finite
 from cogrl.problems import ProblemInstance, split_blank
 from cogrl.representation import (
+    READOUT_CHUNK,
     CharVocab,
     ClozeArchSpec,
     ClozeLSTM,
@@ -66,8 +67,8 @@ class TestBuildImageCNN:
     def test_in_shape_is_normalized_to_a_tuple(self):
         spec = ImageArchSpec(in_shape=[1, 8, 8], n_classes=2, kernel=3)
         assert spec.in_shape == (1, 8, 8)
-        assert ImageCNN(spec).forward_logits(
-            np.zeros((1, 1, 8, 8)))[0].shape == (1, 2)
+        assert ImageCNN(spec).readout(
+            [np.zeros((1, 8, 8))])[1].shape == (1, 2)
 
     @pytest.mark.parametrize("field,value", [
         ("n_classes", 2.5), ("n_classes", 1), ("kernel", "3"),
@@ -83,14 +84,21 @@ class TestBuildImageCNN:
         spec = ImageArchSpec(in_shape=(1, 6, 6), n_classes=2, filters=2,
                              kernel=3, stride=1, rep_size=4)
         net = ImageCNN(spec, seed=0)
-        # a wrong image size, and one image not collated into a minibatch
-        for images in (np.zeros((1, 1, 7, 7)), np.zeros((1, 6, 6))):
-            for entry in (net.representation, net.forward_logits):
-                with pytest.raises(DimensionError, match="minibatch"):
-                    entry(images)
+        # stacked images, one image, and a tuple: none is a list to collate
+        for contents in (np.zeros((1, 1, 7, 7)), np.zeros((1, 6, 6)),
+                         (np.zeros((1, 6, 6)),)):
+            with pytest.raises(DimensionError, match="list of contents"):
+                net.readout(contents)
+        # a wrong image size, a wrong channel count, an image without its
+        # channel axis, and images of two sizes
+        for contents in ([np.zeros((1, 7, 7))], [np.zeros((2, 6, 6))],
+                         [np.zeros((6, 6))],
+                         [np.zeros((1, 6, 6)), np.zeros((1, 6, 7))]):
+            with pytest.raises(DimensionError, match="minibatch"):
+                net.readout(contents)
         net.rep.weights[0, 0] = np.nan
         with pytest.raises(NumericError, match="rep"):
-            net.representation(np.ones((1, 1, 6, 6)))
+            net.readout([np.ones((1, 6, 6))])
 
     def test_parameter_count_reported(self):
         spec = ImageArchSpec(in_shape=(1, 8, 8), n_classes=2, filters=2,
@@ -109,8 +117,7 @@ class TestBuildClozeLSTM:
 
     def test_three_answer_classes_three_logits(self):
         net, _ = self._tiny(3)
-        logits, _ = net.forward_logits(
-            net.collate([split_blank("___ apple is red")]))
+        _, logits = net.readout([split_blank("___ apple is red")])
         assert logits.shape == (1, 3)
 
     def test_blank_at_start_uses_zero_forward_state(self):
@@ -119,7 +126,7 @@ class TestBuildClozeLSTM:
         (ids, mask), _ = net.collate([content])
         h_f, _, caches = net.fwd.run(net.embed.forward(ids), mask)
         assert np.array_equal(h_f, np.zeros((1, 4))) and caches == []
-        logits, _ = net.forward_logits(net.collate([content]))
+        _, logits = net.readout([content])
         assert np.all(np.isfinite(logits))
 
     def test_matches_manual_unroll_oracle(self):
@@ -141,16 +148,19 @@ class TestBuildClozeLSTM:
         comb, _ = net.combine.forward(np.concatenate([h_f, h_b])[None])
         rep, _ = net.rep.forward(comb)
         expected, _ = net.out.forward(rep)
-        logits, _ = net.forward_logits(net.collate([content]))
+        _, logits = net.readout([content])
         assert np.allclose(logits, expected, atol=1e-12)
 
     def test_non_cloze_content_rejected(self):
         net, _ = self._tiny()
         # one ClozeContent is not a minibatch either: collate makes one
         for content in (np.zeros(3), "abc ___ d", split_blank("a ___ b")):
-            for entry in (net.forward_logits, net.representation):
+            for contents in (content, (content,)):
                 with pytest.raises(DimensionError, match="minibatch"):
-                    entry(content)
+                    net.readout(contents)
+        for content in (np.zeros(3), "abc ___ d"):
+            with pytest.raises(DimensionError, match="ClozeContent"):
+                net.readout([split_blank("a ___ b"), content])
         with pytest.raises(DimensionError):
             net.batch_loss_and_grads([(split_blank("a ___"), 0), (np.zeros(3), 1)])
 
@@ -217,7 +227,7 @@ class TestTrainModel:
         net = self._net()
         history = train_model(net, problems, SGDConfig(seed=0, max_epochs=500))
         assert training_accuracy(
-            net, extract_representations(net, problems), problems) == 1.0
+            extract_representations(net, problems)[1], problems) == 1.0
         assert history[-1] <= history[0]
 
     def test_single_class_rejected(self):
@@ -259,7 +269,7 @@ class TestExtractRepresentations:
 
     def test_rows_in_open_unit_interval(self):
         net, problems = self._trained()
-        reps = extract_representations(net, problems)
+        reps, _ = extract_representations(net, problems)
         assert reps.values.shape == (len(problems), 6)
         assert np.all((reps.values > 0) & (reps.values < 1))
 
@@ -267,21 +277,19 @@ class TestExtractRepresentations:
         net, problems = self._trained()
         dup = [problems[0],
                ProblemInstance("copy", problems[0].content, problems[0].answer)]
-        reps = extract_representations(net, dup)
+        reps, _ = extract_representations(net, dup)
         assert np.array_equal(reps.values[0], reps.values[1])
 
     def test_accuracy_scores_the_rows_of_its_problems(self):
         net, problems = self._trained()
-        reps = extract_representations(net, problems)
-        logits = net.forward_logits(net.collate([p.content for p in problems]))[0]
-        assert training_accuracy(net, reps, problems) == np.mean(
-            np.argmax(logits, axis=1) == [p.answer for p in problems])
-        with pytest.raises(DimensionError, match="do not match the problems"):
-            training_accuracy(net, reps, problems[::-1])
+        _, logits = extract_representations(net, problems)
+        _, whole = net.readout([p.content for p in problems])
+        assert training_accuracy(logits, problems) == np.mean(
+            np.argmax(whole, axis=1) == [p.answer for p in problems])
 
     def test_tsv_round_trip_exact(self, tmp_path):
         net, problems = self._trained()
-        reps = extract_representations(net, problems)
+        reps, _ = extract_representations(net, problems)
         path = tmp_path / "reps.tsv"
         write_representations(path, reps)
         back = read_representations(path)
@@ -298,7 +306,7 @@ class TestExtractRepresentations:
         train_model(net, bundle.problems,
                     SGDConfig(learning_rate=0.5, seed=11, max_epochs=300,
                               target_loss=1e-3))
-        reps = extract_representations(net, bundle.problems)
+        reps, _ = extract_representations(net, bundle.problems)
         oracle = bundle.extras["oracle_q"]
         row = {item: reps.values[i] for i, item in enumerate(reps.item_ids)}
         within, across = [], []
@@ -309,6 +317,73 @@ class TestExtractRepresentations:
                 same = (oracle.row(items[i]) == oracle.row(items[j])).all()
                 (within if same else across).append(d)
         assert np.mean(within) < np.mean(across)
+
+
+def _old_readout(net, problems):
+    """The two-half readout train-rep ran before, kept as the oracle:
+    pre-output rows from the body and ``rep`` per READOUT_CHUNK slice, then
+    the ``out`` layer replayed over the same slices of the joined rows, and
+    the accuracy from those logits."""
+    slices = range(0, len(problems), READOUT_CHUNK)
+    rows = []
+    for s in slices:
+        features, _ = net.body_forward(net.collate(
+            [p.content for p in problems[s:s + READOUT_CHUNK]]))
+        rows.append(check_finite(net.rep.forward(features)[0], "rep"))
+    reps = RepresentationMatrix([p.item_id for p in problems],
+                                np.concatenate(rows))
+    logits = np.concatenate(
+        [check_finite(net.out.forward(reps.values[s:s + READOUT_CHUNK])[0],
+                      "out") for s in slices])
+    accuracy = float(np.mean(np.argmax(logits, axis=1)
+                             == [p.answer for p in problems]))
+    return reps, logits, accuracy
+
+
+class TestReadoutEquivalence:
+    """One forward pass per chunk gives the rows, logits and accuracy of
+    the two-half readout, bit for bit, on both architectures."""
+
+    @staticmethod
+    def _problems(arch, n, seed):
+        rng = np.random.default_rng(seed)
+        if arch == "cnn":
+            net = ImageCNN(ImageArchSpec(in_shape=(1, 8, 8), n_classes=3,
+                                         filters=3, kernel=3, stride=2,
+                                         rep_size=6), seed=seed)
+            contents = [rng.uniform(0, 1, (1, 8, 8)) for _ in range(n)]
+        else:
+            net = ClozeLSTM(ClozeArchSpec(n_classes=3, embedding_dim=3,
+                                          lstm_hidden=4, combine_size=8,
+                                          rep_size=5),
+                            CharVocab("abc "), seed=seed)
+            chars = list("abc z")
+            contents = [split_blank(
+                "".join(rng.choice(chars, rng.integers(0, 9))) + "___"
+                + "".join(rng.choice(chars, rng.integers(0, 9))))
+                for _ in range(n)]
+        return net, [ProblemInstance(f"p{i}", c, int(rng.integers(3)))
+                     for i, c in enumerate(contents)]
+
+    def _check(self, arch, n, seed):
+        net, problems = self._problems(arch, n, seed)
+        reps, logits = extract_representations(net, problems)
+        old_reps, old_logits, old_accuracy = _old_readout(net, problems)
+        assert reps.item_ids == old_reps.item_ids
+        assert np.array_equal(reps.values, old_reps.values)
+        assert np.array_equal(logits, old_logits)
+        assert training_accuracy(logits, problems) == old_accuracy
+
+    @pytest.mark.parametrize("arch", ["cnn", "lstm"])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65])
+    def test_chunk_edges(self, arch, n):
+        self._check(arch, n, seed=n)
+
+    @settings(deadline=None, max_examples=25)
+    @given(arch=st.sampled_from(["cnn", "lstm"]), n=st.integers(1, 100),
+           seed=st.integers(0, 2**32 - 1))
+    def test_drawn_counts(self, arch, n, seed):
+        self._check(arch, n, seed)
 
 
 class TestThresholdQMatrix:
@@ -364,7 +439,7 @@ class TestPipelineDeterminism:
             net = ImageCNN(spec, seed=2)
             train_model(net, bundle.problems,
                         SGDConfig(seed=2, max_epochs=60, target_loss=0.0))
-            reps = extract_representations(net, bundle.problems)
+            reps, _ = extract_representations(net, bundle.problems)
             q, _ = threshold_qmatrix(reps, 0.95)
             return q
 
@@ -410,8 +485,9 @@ class TestNetworkCheckpoint:
         save_network(path, net)
         restored = load_network(path)
         for p in problems:
-            assert np.array_equal(net.representation(p.content[None]),
-                                  restored.representation(p.content[None]))
+            for got, want in zip(net.readout([p.content]),
+                                 restored.readout([p.content])):
+                assert np.array_equal(got, want)
 
     def test_lstm_round_trip_preserves_outputs(self, tmp_path):
         vocab = CharVocab("abco _")
@@ -422,9 +498,9 @@ class TestNetworkCheckpoint:
         save_network(path, net)
         restored = load_network(path)
         content = split_blank("abc ___ oc ba")
-        batch = net.collate([content])
-        assert np.array_equal(net.representation(batch),
-                              restored.representation(batch))
+        for got, want in zip(net.readout([content]),
+                             restored.readout([content])):
+            assert np.array_equal(got, want)
         assert restored.vocab.chars == vocab.chars
 
     def test_meta_is_the_architecture_and_its_spec(self):
